@@ -13,6 +13,10 @@ launch, while independent operations carry on. Failures never raise, they
 become trace entries. Operation-level precondition failures (no call in
 the program, workpiece not at machine_1) are recorded with skill index -1
 since they precede the first skill.
+
+Each run indexes its inputs once: the call of every operation (the first
+call wins when a program holds several), the operations due at every
+step, and the classified arguments of every execution's skills.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .model import (
     OperationType,
     PROCESSING_FLAGS,
     Program,
+    ProgramCall,
     Scene,
+    SkillArg,
     SkillCall,
     SKILLS,
     _as_dict,
@@ -36,12 +42,9 @@ from .model import (
     _as_str,
     _check_keys,
     at_label,
-    device_name,
-    point_name,
-    role_placeholder,
+    classify_args,
 )
 from .solve import ScheduleGraph
-from .tree import point_context_role
 
 FAILURE_REASONS = frozenset(
     {
@@ -108,25 +111,30 @@ class _OpResult:
     new_flag: tuple[str, str] | None  # workpiece -> flag
 
 
+# An execution's skills, each with its arguments classified.
+_ClassifiedSkills = tuple[tuple[SkillCall, tuple[SkillArg, ...]], ...]
+
+
 def _run_operation(
     op: Operation,
+    call: ProgramCall | None,
     program: Program,
+    executions: Mapping[str, _ClassifiedSkills],
     scene: Scene,
-    state: SymbolicState,
+    locations: Mapping[str, str],
 ) -> _OpResult:
-    call = next((c for c in program.calls if c.op_id == op.id), None)
     if call is None:
         return _OpResult(None, Failure(op.id, -1, "missing_call"), None, None)
     wrapper = program.wrappers.get(call.wrapper)
     if wrapper is None:
         return _OpResult(None, Failure(op.id, -1, "missing_call"), None, None)
-    skills = program.executions.get(wrapper.execution)
+    skills = executions.get(wrapper.execution)
     if skills is None:
         return _OpResult(None, Failure(op.id, -1, "missing_call"), None, None)
     binding = wrapper.binding
     robot_id = binding.get("robot", "")
 
-    if state.locations.get(op.workpiece) != op.machine_1:
+    if locations.get(op.workpiece) != op.machine_1:
         return _OpResult(
             OperationRun(op.id, robot_id, ()),
             Failure(op.id, -1, "wrong_location"),
@@ -134,45 +142,38 @@ def _run_operation(
             None,
         )
 
+    holder = scene.robot(robot_id) if robot_id and scene.has_robot(robot_id) else None
     executed: list[SkillCall] = []
     failure: Failure | None = None
-    for index, skill in enumerate(skills):
+    for index, (skill, args) in enumerate(skills):
         if skill.skill not in SKILLS:
             executed.append(skill)
             failure = Failure(op.id, index, "unknown_skill")
             break
         resolved_args: list[str] = []
-        for arg in skill.args:
-            role = role_placeholder(arg)
-            if role is not None:
-                if role not in binding:
+        for kind, name, machine_role in args:
+            if kind == "role":
+                if name not in binding:
                     failure = Failure(op.id, index, "unbound_placeholder")
                     break
-                resolved_args.append(binding[role])
-                continue
-            dev = device_name(arg)
-            if dev is not None:
-                holder = None
-                if robot_id and scene.has_robot(robot_id):
-                    holder = scene.robot(robot_id)
-                if holder is None or dev not in holder.devices:
+                resolved_args.append(binding[name])
+            elif kind == "device":
+                if holder is None or name not in holder.devices:
                     failure = Failure(op.id, index, "missing_device")
                     break
-                resolved_args.append(dev)
-                continue
-            pt = point_name(arg)
-            if pt is not None:
-                machine_id = binding.get(point_context_role(skill), op.machine_1)
+                resolved_args.append(name)
+            elif kind == "point":
+                machine_id = binding.get(machine_role, op.machine_1)
                 present = (
                     scene.has_machine(machine_id)
-                    and pt in scene.machine(machine_id).points
+                    and name in scene.machine(machine_id).points
                 )
                 if not present:
                     failure = Failure(op.id, index, "missing_point")
                     break
-                resolved_args.append(pt)
-                continue
-            resolved_args.append(arg)
+                resolved_args.append(name)
+            else:
+                resolved_args.append(name)
         if failure is not None:
             executed.append(skill)
             break
@@ -209,25 +210,33 @@ def execute(
     preds: dict[str, set[str]] = {op_id: set() for op_id in schedule.start_steps}
     for u, v in schedule.oriented.op_arcs():
         preds[v].add(u)
+    calls: dict[str, ProgramCall] = {}
+    for call in program.calls:
+        calls.setdefault(call.op_id, call)
+    executions = {
+        name: tuple((skill, classify_args(skill)) for skill in skills)
+        for name, skills in program.executions.items()
+    }
+    due_at: dict[int, list[str]] = {}
+    for op_id, start in schedule.start_steps.items():
+        due_at.setdefault(start, []).append(op_id)
 
+    # Effects land only after every operation of a step ran, so the
+    # operations of one step all read the locations as of its beginning.
     locations = dict(initial_state(scene).locations)
     flags: dict[str, set[str]] = {}
     completed: set[str] = set()
     records: list[StepRecord] = []
     for step in range(schedule.makespan):
-        due = sorted(
-            op_id for op_id, s in schedule.start_steps.items() if s == step
-        )
+        due = sorted(due_at.get(step, ()))
         launched = [op_id for op_id in due if preds[op_id] <= completed]
-        state = SymbolicState(
-            locations=dict(locations),
-            flags={w: frozenset(f) for w, f in flags.items()},
-        )
         runs: list[OperationRun] = []
         failures: list[Failure] = []
         effects: list[_OpResult] = []
         for op_id in launched:
-            result = _run_operation(by_id[op_id], program, scene, state)
+            result = _run_operation(
+                by_id[op_id], calls.get(op_id), program, executions, scene, locations
+            )
             if result.run is not None:
                 runs.append(result.run)
             if result.failure is not None:

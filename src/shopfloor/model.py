@@ -58,6 +58,8 @@ SKILLS = frozenset(
 
 # Role placeholders a wrapper must bind; written in snippets as "{robot}" etc.
 PLACEHOLDER_ROLES = ("robot", "machine_1", "machine_2", "workpiece")
+MACHINE_ROLES = ("machine_1", "machine_2")
+_ROLE_OF_PLACEHOLDER = {"{" + role + "}": role for role in PLACEHOLDER_ROLES}
 
 _POINT_RE = re.compile(r"^\{point:([^{}]+)\}$")
 _DEVICE_RE = re.compile(r"^\{device:([^{}]+)\}$")
@@ -66,9 +68,7 @@ _AT_RE = re.compile(r"^at\(([^()]+)\)$")
 
 def role_placeholder(arg: str) -> str | None:
     """Return the role name if arg is a role placeholder like "{machine_1}"."""
-    if arg.startswith("{") and arg.endswith("}") and arg[1:-1] in PLACEHOLDER_ROLES:
-        return arg[1:-1]
-    return None
+    return _ROLE_OF_PLACEHOLDER.get(arg)
 
 
 def point_name(arg: str) -> str | None:
@@ -125,38 +125,48 @@ class Workpiece:
     state_sequence: tuple[str, ...] = ()
 
 
+def _first_by_id(items: Sequence[Any]) -> dict[str, Any]:
+    """id -> entity; with duplicate ids the first entry wins."""
+    index: dict[str, Any] = {}
+    for item in items:
+        index.setdefault(item.id, item)
+    return index
+
+
 @dataclass(frozen=True, slots=True)
 class Scene:
+    """The floor. Lookups by id go through indexes built at construction;
+    with duplicate ids (which validate_scene reports) the first entry wins."""
+
     robots: tuple[Robot, ...]
     machines: tuple[Machine, ...]
     workpieces: tuple[Workpiece, ...]
+    _robots: Mapping[str, Robot] = field(init=False, repr=False, compare=False)
+    _machines: Mapping[str, Machine] = field(init=False, repr=False, compare=False)
+    _workpieces: Mapping[str, Workpiece] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_robots", _first_by_id(self.robots))
+        object.__setattr__(self, "_machines", _first_by_id(self.machines))
+        object.__setattr__(self, "_workpieces", _first_by_id(self.workpieces))
 
     def robot(self, robot_id: str) -> Robot:
-        for r in self.robots:
-            if r.id == robot_id:
-                return r
-        raise KeyError(robot_id)
+        return self._robots[robot_id]
 
     def machine(self, machine_id: str) -> Machine:
-        for m in self.machines:
-            if m.id == machine_id:
-                return m
-        raise KeyError(machine_id)
+        return self._machines[machine_id]
 
     def workpiece(self, workpiece_id: str) -> Workpiece:
-        for w in self.workpieces:
-            if w.id == workpiece_id:
-                return w
-        raise KeyError(workpiece_id)
+        return self._workpieces[workpiece_id]
 
     def has_robot(self, robot_id: str) -> bool:
-        return any(r.id == robot_id for r in self.robots)
+        return robot_id in self._robots
 
     def has_machine(self, machine_id: str) -> bool:
-        return any(m.id == machine_id for m in self.machines)
+        return machine_id in self._machines
 
     def has_workpiece(self, workpiece_id: str) -> bool:
-        return any(w.id == workpiece_id for w in self.workpieces)
+        return workpiece_id in self._workpieces
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +226,35 @@ class PrecedenceSet:
 class SkillCall:
     skill: str
     args: tuple[str, ...]
+
+
+# A classified skill-call argument: (kind, name, machine_role). kind is
+# "role" ("{machine_1}"), "device" ("{device:camera}"), "point"
+# ("{point:Photo_Point}") or "literal"; name is the role, device or point
+# name, or the literal text. machine_role is None except for a point, where
+# it names the machine that must carry it: the first machine-role
+# placeholder in the same call, else machine_1. Plain tuples, because the
+# executor classifies every skill of a program on each run.
+SkillArg = tuple[str, str, str | None]
+
+
+def classify_args(call: SkillCall) -> tuple[SkillArg, ...]:
+    """The arguments of call, classified in order; see SkillArg."""
+    context = next(
+        (role for role in map(role_placeholder, call.args) if role in MACHINE_ROLES),
+        "machine_1",
+    )
+    out: list[SkillArg] = []
+    for arg in call.args:
+        if (role := role_placeholder(arg)) is not None:
+            out.append(("role", role, None))
+        elif (device := device_name(arg)) is not None:
+            out.append(("device", device, None))
+        elif (point := point_name(arg)) is not None:
+            out.append(("point", point, context))
+        else:
+            out.append(("literal", arg, None))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

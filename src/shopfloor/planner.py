@@ -8,6 +8,7 @@ prose and collects problems into a validation report instead of raising.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -32,7 +33,9 @@ from .model import (
 
 SECTION_NAMES = ("OPERATIONS", "ALLOCATION", "PRECEDENCE")
 
-_FENCE_RE = re.compile(r"```(\w+)\n(.*?)```", re.DOTALL)
+# A fence opens with ```NAME, optional spaces or tabs and a LF or CRLF line
+# end; body lines are read with splitlines, so CRLF bodies parse as LF ones.
+_FENCE_RE = re.compile(r"```(\w+)[ \t]*\r?\n(.*?)```", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -229,11 +232,21 @@ def config_from_env(environ: Mapping[str, str] = os.environ) -> LlmConfig:
         raise PlannerUnavailable(
             f"set {ENV_BASE_URL} and {ENV_MODEL} to use a remote planner"
         )
+    timeout_text = environ.get(ENV_TIMEOUT, "60")
+    try:
+        timeout = float(timeout_text)
+        valid = math.isfinite(timeout) and timeout > 0
+    except ValueError:
+        valid = False
+    if not valid:
+        raise PlannerUnavailable(
+            f"{ENV_TIMEOUT} must be a positive number of seconds, got {timeout_text!r}"
+        )
     return LlmConfig(
         base_url=base_url.rstrip("/"),
         model=model,
         api_key=environ.get(ENV_API_KEY),
-        timeout=float(environ.get(ENV_TIMEOUT, "60")),
+        timeout=timeout,
     )
 
 

@@ -12,6 +12,9 @@ Nodes with identical procedures are shared between parents, so the
 structure is a rooted acyclic graph rather than a strict tree; paths are
 still what selection works on.
 
+Each node's condition is parsed once, when the node is built (so when a
+tree file is loaded); branch selection only evaluates the parsed form.
+
 Conditions are s-expressions over a closed vocabulary:
 
     true
@@ -29,13 +32,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from .model import (
     Allocation,
+    MACHINE_ROLES,
     Operation,
     OperationType,
     Program,
@@ -51,9 +55,7 @@ from .model import (
     _as_str,
     _check_keys,
     canonical_json,
-    device_name,
-    point_name,
-    role_placeholder,
+    classify_args,
     skill_call_from_json,
     skill_call_to_json,
 )
@@ -69,6 +71,11 @@ class TreeNode:
     condition: str
     snippet: tuple[SkillCall, ...]
     children: tuple[int, ...]
+    # The parsed condition; a malformed condition raises ParseError here.
+    expr: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "expr", parse_condition(self.condition))
 
     @property
     def is_general(self) -> bool:
@@ -92,7 +99,6 @@ Branch = tuple[TreeNode, ...]
 
 _TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
 _ATTRS = {"op.type", "workpiece.kind", "machine_1.name", "machine_2.name"}
-_MACHINE_ROLES = {"machine_1", "machine_2"}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -163,7 +169,7 @@ def parse_condition(text: str) -> Any:
             return ["device-present", role, name[1:-1]]
         if head == "point-present":
             role = take()
-            if role not in _MACHINE_ROLES:
+            if role not in MACHINE_ROLES:
                 raise ParseError("point-present applies to machine_1 or machine_2")
             name = take()
             if not (name.startswith('"') and name.endswith('"')):
@@ -222,7 +228,7 @@ def eval_condition(expr: Any, op: Operation, scene: Scene) -> bool:
 
 
 def condition_holds(node: TreeNode, op: Operation, scene: Scene) -> bool:
-    return eval_condition(parse_condition(node.condition), op, scene)
+    return eval_condition(node.expr, op, scene)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +340,6 @@ def _validate_tree(tree: ProcessTree) -> None:
                 raise ValidationError(
                     f"node {node.index} uses unknown skill '{call.skill}'"
                 )
-        parse_condition(node.condition)
 
     # Reachability and acyclicity in one walk.
     state: dict[int, int] = {}  # 1 = on stack, 2 = done
@@ -477,15 +482,6 @@ def assemble_program(
 # program checking
 
 
-def point_context_role(call: SkillCall) -> str:
-    """Which machine role a point argument refers to: the machine-role
-    placeholder in the same call, defaulting to machine_1."""
-    for arg in call.args:
-        if role_placeholder(arg) in _MACHINE_ROLES:
-            return role_placeholder(arg)  # type: ignore[return-value]
-    return "machine_1"
-
-
 def check_program(program: Program, scene: Scene) -> ValidationReport:
     """Static validity: vocabulary, binding completeness, resolvable
     devices and points. Never raises."""
@@ -523,7 +519,7 @@ def check_program(program: Program, scene: Scene) -> ValidationReport:
                 robot = scene.robot(robot_id)
             else:
                 problems.append(f"wrapper '{name}' binds unknown robot '{robot_id}'")
-        for role in ("machine_1", "machine_2"):
+        for role in MACHINE_ROLES:
             if role in binding and not scene.has_machine(binding[role]):
                 problems.append(
                     f"wrapper '{name}' binds unknown machine '{binding[role]}'"
@@ -536,23 +532,22 @@ def check_program(program: Program, scene: Scene) -> ValidationReport:
             where = f"wrapper '{name}', skill {i} ({call.skill})"
             if call.skill not in SKILLS:
                 problems.append(f"{where}: unknown skill")
-            for arg in call.args:
-                role = role_placeholder(arg)
-                if role is not None and role not in binding:
-                    problems.append(f"{where}: placeholder '{{{role}}}' is unbound")
-                dev = device_name(arg)
-                if dev is not None and robot is not None and dev not in robot.devices:
+            for kind, arg_name, machine_role in classify_args(call):
+                if kind == "role" and arg_name not in binding:
+                    problems.append(f"{where}: placeholder '{{{arg_name}}}' is unbound")
+                elif kind == "device" and robot is not None and arg_name not in robot.devices:
                     problems.append(
-                        f"{where}: robot '{robot.id}' lacks device '{dev}'"
+                        f"{where}: robot '{robot.id}' lacks device '{arg_name}'"
                     )
-                pt = point_name(arg)
-                if pt is not None:
-                    machine_id = binding.get(point_context_role(call))
+                elif kind == "point":
+                    machine_id = binding.get(machine_role)
                     if machine_id is None:
-                        problems.append(f"{where}: point '{pt}' has no machine to live on")
+                        problems.append(
+                            f"{where}: point '{arg_name}' has no machine to live on"
+                        )
                     elif scene.has_machine(machine_id):
-                        if pt not in scene.machine(machine_id).points:
+                        if arg_name not in scene.machine(machine_id).points:
                             problems.append(
-                                f"{where}: machine '{machine_id}' lacks point '{pt}'"
+                                f"{where}: machine '{machine_id}' lacks point '{arg_name}'"
                             )
     return ValidationReport(violations=tuple(problems))

@@ -90,6 +90,15 @@ def test_llm_planner_without_env_exits_1(capsys, task_file, monkeypatch):
     assert "PlannerUnavailable" in err
 
 
+def test_llm_planner_with_bad_timeout_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("SHOPFLOOR_LLM_BASE_URL", "http://localhost:9/v1")
+    monkeypatch.setenv("SHOPFLOOR_LLM_MODEL", "m")
+    monkeypatch.setenv("SHOPFLOOR_LLM_TIMEOUT", "abc")
+    code, _, err = run_cli(capsys, "run", "--bundled", "--planner", "llm")
+    assert code == 1
+    assert "PlannerUnavailable" in err and "SHOPFLOOR_LLM_TIMEOUT" in err
+
+
 # ---------------------------------------------------------------------------
 # generate
 

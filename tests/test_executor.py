@@ -171,6 +171,24 @@ def test_concurrent_launches_read_step_start_state():
     assert outcome.final_state.flags == {"w1": frozenset({"polished"})}
 
 
+def test_operations_sharing_a_step_launch_in_sorted_id_order():
+    scene = one_piece_scene()
+    ops = (
+        transport("mv", "w1", "conveyor", "table_1"),
+        make_op("po", OperationType.POLISHING, "w1", "conveyor"),
+    )
+    alloc = Allocation(by_op={"mv": "r1", "po": "r1"})
+    schedule = ScheduleGraph(
+        oriented=OrientedGraph(op_ids=frozenset({"mv", "po"}), arcs=frozenset()),
+        start_steps={"po": 0, "mv": 0},
+        makespan=1,
+    )
+    program = assemble_program(TREE, ops, alloc, scene)
+    for order in (ops, ops[::-1]):
+        outcome = execute(schedule, program, scene, order)
+        assert [r.op_id for r in outcome.trace[0].operations] == ["mv", "po"]
+
+
 # ---------------------------------------------------------------------------
 # failure localization
 
@@ -260,6 +278,25 @@ def test_unbound_placeholder_fails_at_its_index():
     program = hand_program([SkillCall("detach", ("{robot}", "{workpiece}", "{machine_2}"))])
     outcome = execute(schedule, program, scene, ops)
     assert outcome.trace[0].failures == (Failure("p1", 0, "unbound_placeholder"),)
+
+
+def test_first_of_two_calls_for_an_operation_wins():
+    scene = one_piece_scene(held_at="table_1")
+    ops, alloc, prec = polish_only_plan()
+    schedule = fifo_schedule(ops, alloc, prec, scene)
+    program = hand_program([SkillCall("return_home", ("{robot}",))])
+    stray = ProgramCall(op_id="p1", wrapper="op_missing", args={})
+    first_good = Program(calls=program.calls + (stray,), wrappers=program.wrappers,
+                         executions=program.executions)
+    outcome = execute(schedule, first_good, scene, ops)
+    assert outcome.executed_fully is True
+    assert outcome.trace[0].operations == (
+        OperationRun("p1", "r1", (SkillCall("return_home", ("r1",)),)),
+    )
+    first_bad = Program(calls=(stray,) + program.calls, wrappers=program.wrappers,
+                        executions=program.executions)
+    outcome = execute(schedule, first_bad, scene, ops)
+    assert outcome.trace[0].failures == (Failure("p1", -1, "missing_call"),)
 
 
 def test_schedule_without_definitions_is_rejected():

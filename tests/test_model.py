@@ -15,9 +15,11 @@ from shopfloor.model import (
     PrecedenceSet,
     Robot,
     Scene,
+    SkillCall,
     Workpiece,
     at_label,
     canonical_json,
+    classify_args,
     device_name,
     parse_at_label,
     parse_task_instance,
@@ -59,6 +61,64 @@ def test_non_role_args_are_not_placeholders():
     assert point_name("{point:Photo_Point}") == "Photo_Point"
     assert device_name("{device:camera}") == "camera"
     assert point_name("{device:camera}") is None
+
+
+def test_classify_args_kinds_and_point_context():
+    call = SkillCall("convert_to_robot",
+                     ("{robot}", "{machine_2}", "{point:Drop_Point}", "{device:camera}", "on"))
+    assert classify_args(call) == (
+        ("role", "robot", None),
+        ("role", "machine_2", None),
+        ("point", "Drop_Point", "machine_2"),
+        ("device", "camera", None),
+        ("literal", "on", None),
+    )
+    # without a machine-role placeholder a point lives on machine_1
+    assert classify_args(SkillCall("motion_plan", ("{point:Photo_Point}",))) == (
+        ("point", "Photo_Point", "machine_1"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# scene lookups
+
+
+def test_scene_lookups_with_duplicate_ids_return_the_first_entry():
+    first, second = make_robot("r1", devices=("camera",)), make_robot("r1", devices=())
+    m_first, m_second = make_machine("table_1", name="first"), make_machine("table_1", name="second")
+    w_first, w_second = make_workpiece("w1", kind="first"), make_workpiece("w1", kind="second")
+    scene = Scene(robots=(first, second), machines=(m_first, m_second),
+                  workpieces=(w_first, w_second))
+    assert scene.robot("r1") is first
+    assert scene.machine("table_1") is m_first
+    assert scene.workpiece("w1") is w_first
+
+
+def test_scene_unknown_ids_raise_key_error(scene):
+    for lookup in (scene.robot, scene.machine, scene.workpiece):
+        with pytest.raises(KeyError) as info:
+            lookup("nowhere")
+        assert info.value.args == ("nowhere",)
+
+
+def test_scene_has_agrees_with_lookups(scene):
+    ids = ["r1", "r2", "conveyor", "table_1", "pallet_1", "w1", "w2", "nowhere", ""]
+    for has, lookup in ((scene.has_robot, scene.robot),
+                        (scene.has_machine, scene.machine),
+                        (scene.has_workpiece, scene.workpiece)):
+        for entity_id in ids:
+            try:
+                lookup(entity_id)
+                found = True
+            except KeyError:
+                found = False
+            assert has(entity_id) is found
+
+
+def test_scene_equality_ignores_its_indexes(scene):
+    copy = Scene(robots=scene.robots, machines=scene.machines, workpieces=scene.workpieces)
+    assert copy == scene and hash(copy) == hash(scene)
+    assert "_robots" not in repr(scene)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shopfloor.errors import PlannerUnavailable
 from shopfloor.model import Allocation, GroundTruth, PrecedenceSet, TaskInstance
@@ -155,6 +156,24 @@ def test_render_parse_round_trip(case):
     assert output.precedence == prec
 
 
+@settings(max_examples=50, deadline=None)
+@given(case=plan_triples(), data=st.data())
+def test_parse_tolerates_crlf_and_blanks_after_section_tags(case, data):
+    ops, alloc, prec, scene = case
+    text = render_planner_text(ops, alloc, prec)
+    perturbed = ""
+    for line in text.splitlines():
+        if line.startswith("```") and len(line) > 3:
+            line += data.draw(st.text(alphabet=" \t", max_size=3))
+        perturbed += line + data.draw(st.sampled_from(["\n", "\r\n"]))
+    plain = parse_planner_text(text, scene)
+    sloppy = parse_planner_text(perturbed, scene)
+    assert sloppy.ok, sloppy.report.violations
+    assert (sloppy.operations, sloppy.allocation, sloppy.precedence, sloppy.report) == (
+        plain.operations, plain.allocation, plain.precedence, plain.report
+    )
+
+
 # ---------------------------------------------------------------------------
 # planners
 
@@ -187,6 +206,26 @@ def test_config_from_env_requires_endpoint():
     assert config.base_url == "http://localhost:8000/v1"
     assert config.timeout == 5.0
     assert config.api_key is None
+
+
+@pytest.mark.parametrize("timeout", ["abc", "-5", "0", "nan", "inf", ""])
+def test_config_from_env_rejects_bad_timeout(timeout):
+    env = {
+        "SHOPFLOOR_LLM_BASE_URL": "http://localhost:8000/v1",
+        "SHOPFLOOR_LLM_MODEL": "m",
+        "SHOPFLOOR_LLM_TIMEOUT": timeout,
+    }
+    with pytest.raises(PlannerUnavailable, match="SHOPFLOOR_LLM_TIMEOUT"):
+        config_from_env(env)
+
+
+def test_config_from_env_accepts_fractional_timeout():
+    env = {
+        "SHOPFLOOR_LLM_BASE_URL": "http://localhost:8000/v1",
+        "SHOPFLOOR_LLM_MODEL": "m",
+        "SHOPFLOOR_LLM_TIMEOUT": "2.5",
+    }
+    assert config_from_env(env).timeout == 2.5
 
 
 def test_prompt_carries_scene_and_instruction():

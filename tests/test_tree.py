@@ -6,11 +6,13 @@ import json
 
 import pytest
 
+from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from shopfloor.model import (
     Allocation,
     OperationType,
     PrecedenceSet,
+    Scene,
     SkillCall,
     program_from_json,
     program_to_json,
@@ -155,6 +157,19 @@ def test_unknown_skill_rejected(tree):
         parse_tree(canonical_json(doc))
 
 
+@pytest.mark.parametrize(
+    "condition", ["(or true true)", '(= op.speed "3")', "(and)", "true extra", ""]
+)
+def test_malformed_condition_in_tree_file_raises_parse_error(tree, condition):
+    with pytest.raises(ParseError) as expected:
+        parse_condition(condition)
+    doc = tree_to_json(tree)
+    doc["nodes"][2]["condition"] = condition
+    with pytest.raises(ParseError) as raised:
+        parse_tree(canonical_json(doc))
+    assert str(raised.value) == str(expected.value)
+
+
 def test_duplicate_index_rejected(tree):
     doc = tree_to_json(tree)
     doc["nodes"].append(dict(doc["nodes"][3]))
@@ -217,6 +232,63 @@ def test_both_camera_variants_are_ambiguous(tree):
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
     with pytest.raises(AmbiguousBranch, match="2 branches"):
         select_branch(tree, op, greedy)
+
+
+def reference_branch(tree, op, scene):
+    """select_branch's walk, re-parsing each condition where it is used."""
+    matches = []
+
+    def walk(index, path):
+        node = tree.nodes[index]
+        if node.op_type not in (None, op.op_type):
+            return
+        if not eval_condition(parse_condition(node.condition), op, scene):
+            return
+        path = path + (node.index,)
+        if not node.children:
+            matches.append(path)
+        for child in node.children:
+            walk(child, path)
+
+    walk(tree.root, ())
+    return matches
+
+
+CAMERAS = frozenset({"camera", "bracket_camera"})
+
+
+def refit(scene, change, robot_ids):
+    """scene with the devices of the named robots changed."""
+    robots = tuple(
+        make_robot(r.id, devices=change(r.devices), reachable=r.reachable_machines)
+        if r.id in robot_ids else r
+        for r in scene.robots
+    )
+    return Scene(robots=robots, machines=scene.machines, workpieces=scene.workpieces)
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_select_branch_matches_a_reparsing_walk(tree, tier):
+    outcomes = set()
+    for seed in range(4):
+        task = generate_instance(tier, seed, tree)
+        every = {r.id for r in task.scene.robots}
+        scenes = (
+            task.scene,
+            refit(task.scene, lambda d: d - CAMERAS, {task.scene.robots[0].id}),
+            refit(task.scene, lambda d: d | CAMERAS, every),
+        )
+        for scene in scenes:
+            for op in task.ground_truth.operations:
+                expected = reference_branch(tree, op, scene)
+                outcomes.add(min(len(expected), 2))
+                if len(expected) == 1:
+                    branch = select_branch(tree, op, scene)
+                    assert tuple(n.index for n in branch) == expected[0]
+                else:
+                    with pytest.raises(AmbiguousBranch if expected else NoBranch):
+                        select_branch(tree, op, scene)
+    assert outcomes == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
