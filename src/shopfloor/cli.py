@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-tier", type=int, default=5)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--tiers", help="comma-separated tier names for --suite")
-    p.set_defaults(func=_cmd_generate, needs_tier=True)
+    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("plan", help="produce the operation/allocation/precedence text")
     p.add_argument("task")

@@ -22,10 +22,6 @@ class ValidationError(ShopfloorError):
     """
 
 
-class IncompleteOrientation(ShopfloorError):
-    """Raised when an orientation decision map does not cover every disjunctive arc."""
-
-
 class InstanceTooLarge(ShopfloorError):
     """Raised when an instance exceeds the exhaustive solver's operation cap."""
 

@@ -3,9 +3,9 @@
 The world state tracks where every workpiece sits and which processing
 flags it has collected. Execution walks the schedule step by step: a step
 launches exactly the operations whose start step it is and whose schedule
-predecessors (conjunctive and oriented disjunctive alike) completed
-successfully. All operations of a step read the state as of the step's
-beginning; their effects land when the step ends.
+predecessors (the chain predecessor and every resource rival that starts
+earlier) completed successfully. All operations of a step read the state
+as of the step's beginning; their effects land when the step ends.
 
 An operation fails at the first offending skill and its effects are
 discarded; schedule descendants of a failed or blocked operation never
@@ -207,9 +207,7 @@ def execute(
     missing = sorted(set(schedule.start_steps) - set(by_id))
     if missing:
         raise ValueError(f"schedule covers operations without definitions: {missing}")
-    preds: dict[str, set[str]] = {op_id: set() for op_id in schedule.start_steps}
-    for u, v in schedule.oriented.op_arcs():
-        preds[v].add(u)
+    preds = schedule.predecessors()
     calls: dict[str, ProgramCall] = {}
     for call in program.calls:
         calls.setdefault(call.op_id, call)

@@ -7,15 +7,18 @@ same robot. A transport occupies both of its machines, so either end can
 collide. Pairs already ordered by a workpiece chain get no disjunctive arc:
 the chain is a total order on its workpiece, so only cross-workpiece pairs
 remain.
+
+The graph stays undirected on its disjunctive arcs: a schedule's start
+steps fix the order of every conflicting pair (see solve.ScheduleGraph).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .errors import IncompleteOrientation, ValidationError
+from .errors import ValidationError
 from .model import Allocation, Operation, PrecedenceSet, Scene
 
 SOURCE = "__source__"
@@ -53,23 +56,6 @@ class DisjunctiveGraph:
     @property
     def disjunctive(self) -> frozenset[DisjunctiveArc]:
         return self.machine_arcs | self.robot_arcs
-
-    def conjunctive_op_arcs(self) -> list[tuple[str, str]]:
-        """Conjunctive arcs between operations only (source/terminal dropped)."""
-        ends = {SOURCE, TERMINAL}
-        return [(u, v) for u, v in self.conjunctive if u not in ends and v not in ends]
-
-
-@dataclass(frozen=True)
-class OrientedGraph:
-    """Fully directed graph: conjunctive arcs plus one direction per choice."""
-
-    op_ids: tuple[str, ...]
-    arcs: frozenset[tuple[str, str]]
-
-    def op_arcs(self) -> list[tuple[str, str]]:
-        ends = {SOURCE, TERMINAL}
-        return [(u, v) for u, v in self.arcs if u not in ends and v not in ends]
 
 
 def _ordered_pair(a: str, b: str) -> tuple[str, str]:
@@ -155,56 +141,6 @@ def build_graph(
         machine_arcs=frozenset(machine_arcs),
         robot_arcs=frozenset(robot_arcs),
     )
-
-
-def orient(
-    graph: DisjunctiveGraph,
-    decisions: Mapping[DisjunctiveArc, tuple[str, str]],
-) -> OrientedGraph:
-    """Apply one direction per disjunctive arc.
-
-    decisions maps every arc to the (from, to) pair of its endpoints.
-    Missing arcs raise IncompleteOrientation; unknown arcs or directions
-    that are not a permutation of the endpoints raise ValueError.
-    """
-    all_arcs = graph.disjunctive
-    missing = sorted(
-        f"{arc.a}--{arc.b}" for arc in all_arcs if arc not in decisions
-    )
-    if missing:
-        raise IncompleteOrientation(
-            f"undirected disjunctive arcs remain: {', '.join(missing)}"
-        )
-    arcs: set[tuple[str, str]] = set(graph.conjunctive)
-    for arc, direction in decisions.items():
-        if arc not in all_arcs:
-            raise ValueError(f"decision for unknown arc {arc!r}")
-        if set(direction) != {arc.a, arc.b} or len(direction) != 2:
-            raise ValueError(
-                f"direction {direction!r} does not match arc endpoints {arc.a}, {arc.b}"
-            )
-        arcs.add((direction[0], direction[1]))
-    return OrientedGraph(op_ids=graph.op_ids, arcs=frozenset(arcs))
-
-
-def is_acyclic(graph: OrientedGraph) -> bool:
-    """Kahn's algorithm: the graph is acyclic iff all vertices drain."""
-    vertices = set(graph.op_ids) | {SOURCE, TERMINAL}
-    indegree: dict[str, int] = {v: 0 for v in vertices}
-    successors: dict[str, list[str]] = defaultdict(list)
-    for u, v in graph.arcs:
-        successors[u].append(v)
-        indegree[v] += 1
-    queue = deque(v for v in vertices if indegree[v] == 0)
-    drained = 0
-    while queue:
-        u = queue.popleft()
-        drained += 1
-        for v in successors[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    return drained == len(vertices)
 
 
 def conjunctive_predecessors(graph: DisjunctiveGraph) -> dict[str, set[str]]:

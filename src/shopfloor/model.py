@@ -198,24 +198,12 @@ class Allocation:
     def robot_for(self, op_id: str) -> str | None:
         return self.by_op.get(op_id)
 
-    def __len__(self) -> int:
-        return len(self.by_op)
-
 
 @dataclass(frozen=True)
 class PrecedenceSet:
     """Per-workpiece operation chains; each chain is a total order."""
 
     chains: Mapping[str, tuple[str, ...]]
-
-    def chain_for(self, workpiece_id: str) -> tuple[str, ...]:
-        return self.chains.get(workpiece_id, ())
-
-    def all_ops(self) -> list[str]:
-        out: list[str] = []
-        for chain in self.chains.values():
-            out.extend(chain)
-        return out
 
 
 # ---------------------------------------------------------------------------

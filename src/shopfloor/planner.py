@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
-import requests
-
 from .errors import PlannerUnavailable
 from .model import (
     Allocation,
@@ -271,7 +269,10 @@ Transport = Callable[[LlmConfig, str], str]
 
 def http_transport(config: LlmConfig, prompt: str) -> str:
     """One chat-completion call; any transport or shape problem becomes
-    PlannerUnavailable."""
+    PlannerUnavailable. requests is imported here, not with the module, so
+    commands that never call a remote planner do not load it."""
+    import requests
+
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"

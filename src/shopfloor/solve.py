@@ -3,8 +3,9 @@
 Operations take exactly one step. A schedule assigns each operation a
 0-based start step; conflicting operations (joined by a disjunctive arc)
 may never share a step, and an operation starts strictly after every
-predecessor finished. The solvers return a ScheduleGraph whose oriented
-graph records the direction induced on every disjunctive arc.
+predecessor finished. The start steps are the whole solution: every
+disjunctive arc points from the earlier start to the later one, so the
+solvers return a ScheduleGraph that holds only the graph and its steps.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InstanceTooLarge, ValidationError
-from .graph import (
-    DisjunctiveGraph,
-    OrientedGraph,
-    conjunctive_predecessors,
-    disjunctive_neighbours,
-    is_acyclic,
-    orient,
-)
+from .graph import DisjunctiveGraph, conjunctive_predecessors, disjunctive_neighbours
 from .model import ScheduleRecord
 
 DEFAULT_BRUTE_FORCE_CAP = 10
@@ -28,24 +22,28 @@ DEFAULT_BRUTE_FORCE_CAP = 10
 
 @dataclass(frozen=True)
 class ScheduleGraph:
-    """A fully oriented graph plus the start step of every operation."""
+    """The start step of every operation of the graph they solve."""
 
-    oriented: OrientedGraph
+    graph: DisjunctiveGraph
     start_steps: Mapping[str, int]
     makespan: int
 
+    def predecessors(self) -> dict[str, set[str]]:
+        """Operations that must finish before each operation may start: its
+        chain predecessor and every resource rival that starts earlier."""
+        steps = self.start_steps
+        preds = conjunctive_predecessors(self.graph)
+        for arc in self.graph.disjunctive:
+            if steps[arc.a] < steps[arc.b]:
+                preds[arc.b].add(arc.a)
+            else:
+                preds[arc.a].add(arc.b)
+        return preds
 
-def makespan(schedule: ScheduleGraph) -> int:
-    """Largest completion step; 0 when nothing is scheduled."""
-    if not schedule.start_steps:
-        return 0
-    return max(schedule.start_steps.values()) + 1
 
-
-def _oriented_from_steps(
-    graph: DisjunctiveGraph, start_steps: Mapping[str, int]
-) -> OrientedGraph:
-    decisions = {}
+def _schedule_from_steps(
+    graph: DisjunctiveGraph, start_steps: dict[str, int]
+) -> ScheduleGraph:
     for arc in graph.disjunctive:
         sa, sb = start_steps[arc.a], start_steps[arc.b]
         if sa == sb:
@@ -53,19 +51,8 @@ def _oriented_from_steps(
                 f"operations '{arc.a}' and '{arc.b}' share step {sa} "
                 "but compete for a resource"
             )
-        decisions[arc] = (arc.a, arc.b) if sa < sb else (arc.b, arc.a)
-    return orient(graph, decisions)
-
-
-def _schedule_from_steps(
-    graph: DisjunctiveGraph, start_steps: dict[str, int]
-) -> ScheduleGraph:
     span = max(start_steps.values()) + 1 if start_steps else 0
-    return ScheduleGraph(
-        oriented=_oriented_from_steps(graph, start_steps),
-        start_steps=start_steps,
-        makespan=span,
-    )
+    return ScheduleGraph(graph=graph, start_steps=start_steps, makespan=span)
 
 
 def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGraph:
@@ -189,27 +176,32 @@ def brute_force_optimal(
     return schedule
 
 
+def _chain_fault(graph: DisjunctiveGraph, steps: Mapping[str, int]) -> str | None:
+    """Why start steps covering the graph's operations break its chains:
+    a start before step 0, or an operation that starts no later than its
+    chain predecessor. None when neither happens."""
+    early = sorted(op for op, step in steps.items() if step < 0)
+    if early:
+        return f"starts operations before step 0: {', '.join(early)}"
+    preds = conjunctive_predecessors(graph)
+    backward = sorted(
+        f"'{u}' -> '{v}'" for v, us in preds.items() for u in us if steps[v] <= steps[u]
+    )
+    if backward:
+        return f"runs chain arcs backwards: {', '.join(backward)}"
+    return None
+
+
 def is_feasible(schedule: ScheduleGraph, graph: DisjunctiveGraph) -> bool:
-    """True iff the schedule is a consistent solution of the graph:
-    acyclic orientation covering every disjunctive arc, all arcs respected
-    by the start steps, starts total over the operations."""
+    """True iff the start steps solve the graph: they cover exactly its
+    operations, none is negative, every chain arc goes forward, no two
+    resource rivals share a step and the makespan matches the steps. Arcs
+    that all point forward in time cannot close a cycle, so acyclicity
+    needs no check of its own."""
     steps = schedule.start_steps
-    if set(steps) != set(graph.op_ids):
+    if set(steps) != set(graph.op_ids) or _chain_fault(graph, steps) is not None:
         return False
-    if any(s < 0 for s in steps.values()):
-        return False
-    arcs = schedule.oriented.arcs
-    if not set(graph.conjunctive) <= arcs:
-        return False
-    for arc in graph.disjunctive:
-        forward = (arc.a, arc.b) in arcs
-        backward = (arc.b, arc.a) in arcs
-        if forward == backward:  # unoriented, or oriented both ways
-            return False
-    for u, v in schedule.oriented.op_arcs():
-        if steps[v] < steps[u] + 1:
-            return False
-    if not is_acyclic(schedule.oriented):
+    if any(steps[arc.a] == steps[arc.b] for arc in graph.disjunctive):
         return False
     expected = max(steps.values()) + 1 if steps else 0
     return schedule.makespan == expected
@@ -228,16 +220,20 @@ def schedule_to_record(schedule: ScheduleGraph, source: str | None = None) -> Sc
 
 
 def schedule_from_record(graph: DisjunctiveGraph, record: ScheduleRecord) -> ScheduleGraph:
-    """Rebuild a full ScheduleGraph from stored start steps.
+    """Rebuild a ScheduleGraph from stored start steps.
 
-    Raises ValidationError when the record cannot orient the graph
-    (missing operations or a resource double-booked on one step).
+    Raises ValidationError when the record is not a feasible schedule of
+    the graph: missing operations, a negative start, a chain arc run
+    backwards, a resource double-booked on one step or a wrong makespan.
     """
     if set(record.start_steps) != set(graph.op_ids):
         raise ValidationError(
             "schedule record does not cover exactly the graph's operations"
         )
     start_steps = dict(record.start_steps)
+    fault = _chain_fault(graph, start_steps)
+    if fault is not None:
+        raise ValidationError(f"schedule record {fault}")
     schedule = _schedule_from_steps(graph, start_steps)
     if record.makespan != schedule.makespan:
         raise ValidationError(

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
@@ -47,7 +46,6 @@ from .model import (
     Scene,
     SkillCall,
     SKILLS,
-    ValidationReport,
     Wrapper,
     _as_dict,
     _as_int,
@@ -55,7 +53,6 @@ from .model import (
     _as_str,
     _check_keys,
     canonical_json,
-    classify_args,
     skill_call_from_json,
     skill_call_to_json,
 )
@@ -76,10 +73,6 @@ class TreeNode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "expr", parse_condition(self.condition))
-
-    @property
-    def is_general(self) -> bool:
-        return self.op_type is None
 
 
 @dataclass(frozen=True)
@@ -304,15 +297,6 @@ def parse_tree(text: str, path: str = "tree") -> ProcessTree:
     return tree_from_json(data, path)
 
 
-def load_tree(path: str | Path) -> ProcessTree:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{p}: cannot read tree file: {exc}") from None
-    return parse_tree(text, str(p))
-
-
 def load_reference_tree() -> ProcessTree:
     """The tree shipped with the package, covering all five operation types
     with bracket-camera and handheld-camera location variants."""
@@ -476,78 +460,3 @@ def assemble_program(
         calls.append(ProgramCall(op_id=op.id, wrapper=wrapper_name, args=binding))
     calls.sort(key=lambda c: c.op_id)
     return Program(calls=tuple(calls), wrappers=wrappers, executions=executions)
-
-
-# ---------------------------------------------------------------------------
-# program checking
-
-
-def check_program(program: Program, scene: Scene) -> ValidationReport:
-    """Static validity: vocabulary, binding completeness, resolvable
-    devices and points. Never raises."""
-    problems: list[str] = []
-    if len(program.calls) != len(program.wrappers):
-        problems.append(
-            f"{len(program.calls)} calls but {len(program.wrappers)} wrappers"
-        )
-    seen_ops: set[str] = set()
-    for call in program.calls:
-        if call.op_id in seen_ops:
-            problems.append(f"several calls for operation '{call.op_id}'")
-        seen_ops.add(call.op_id)
-        wrapper = program.wrappers.get(call.wrapper)
-        if wrapper is None:
-            problems.append(f"call '{call.op_id}' targets unknown wrapper '{call.wrapper}'")
-            continue
-        if dict(call.args) != dict(wrapper.binding):
-            problems.append(
-                f"call '{call.op_id}' passes arguments that differ from "
-                f"wrapper '{call.wrapper}' binding"
-            )
-    for name, wrapper in sorted(program.wrappers.items()):
-        skills = program.executions.get(wrapper.execution)
-        if skills is None:
-            problems.append(
-                f"wrapper '{name}' targets unknown execution '{wrapper.execution}'"
-            )
-            continue
-        binding = wrapper.binding
-        robot_id = binding.get("robot")
-        robot = None
-        if robot_id is not None:
-            if scene.has_robot(robot_id):
-                robot = scene.robot(robot_id)
-            else:
-                problems.append(f"wrapper '{name}' binds unknown robot '{robot_id}'")
-        for role in MACHINE_ROLES:
-            if role in binding and not scene.has_machine(binding[role]):
-                problems.append(
-                    f"wrapper '{name}' binds unknown machine '{binding[role]}'"
-                )
-        if "workpiece" in binding and not scene.has_workpiece(binding["workpiece"]):
-            problems.append(
-                f"wrapper '{name}' binds unknown workpiece '{binding['workpiece']}'"
-            )
-        for i, call in enumerate(skills):
-            where = f"wrapper '{name}', skill {i} ({call.skill})"
-            if call.skill not in SKILLS:
-                problems.append(f"{where}: unknown skill")
-            for kind, arg_name, machine_role in classify_args(call):
-                if kind == "role" and arg_name not in binding:
-                    problems.append(f"{where}: placeholder '{{{arg_name}}}' is unbound")
-                elif kind == "device" and robot is not None and arg_name not in robot.devices:
-                    problems.append(
-                        f"{where}: robot '{robot.id}' lacks device '{arg_name}'"
-                    )
-                elif kind == "point":
-                    machine_id = binding.get(machine_role)
-                    if machine_id is None:
-                        problems.append(
-                            f"{where}: point '{arg_name}' has no machine to live on"
-                        )
-                    elif scene.has_machine(machine_id):
-                        if arg_name not in scene.machine(machine_id).points:
-                            problems.append(
-                                f"{where}: machine '{machine_id}' lacks point '{arg_name}'"
-                            )
-    return ValidationReport(violations=tuple(problems))

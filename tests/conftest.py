@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from shopfloor.graph import DisjunctiveGraph
 from shopfloor.model import (
     Allocation,
     Machine,
@@ -98,3 +99,9 @@ def scene():
 @pytest.fixture
 def plan(scene):
     return simple_plan(scene)
+
+
+def arcless(*op_ids):
+    """A graph without arcs: every start step is allowed, nothing waits."""
+    return DisjunctiveGraph(op_ids=op_ids, conjunctive=(),
+                            machine_arcs=frozenset(), robot_arcs=frozenset())

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from hypothesis import strategies as st
 
 from conftest import FULL_KIT, make_machine, make_robot, make_workpiece
+from shopfloor.graph import SOURCE, TERMINAL
 from shopfloor.model import Allocation, Operation, OperationType, PrecedenceSet, Scene
 
 _TYPES = list(OperationType)
@@ -68,7 +67,7 @@ def optimal_by_enumeration(graph):
     n = len(ops)
     if n == 0:
         return 0, {}
-    conj = graph.conjunctive_op_arcs()
+    conj = [(u, v) for u, v in graph.conjunctive if u != SOURCE and v != TERMINAL]
     disj = [(arc.a, arc.b) for arc in graph.disjunctive]
     best = None
     for assignment in product(range(n), repeat=n):
@@ -82,24 +81,3 @@ def optimal_by_enumeration(graph):
             best = cand
     span, assignment = best
     return span, dict(zip(ops, assignment))
-
-
-def has_cycle_dfs(vertices, arcs) -> bool:
-    """Independent oracle: three-color depth-first cycle detection."""
-    adj = defaultdict(list)
-    for u, v in arcs:
-        adj[u].append(v)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-
-    def visit(u) -> bool:
-        color[u] = GREY
-        for v in adj[u]:
-            if color[v] == GREY:
-                return True
-            if color[v] == WHITE and visit(v):
-                return True
-        color[u] = BLACK
-        return False
-
-    return any(color[v] == WHITE and visit(v) for v in list(vertices))

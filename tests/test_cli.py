@@ -208,6 +208,28 @@ def test_execute_with_explicit_schedule_file(capsys, task_file, tmp_path):
     assert "executed fully: True" in err
 
 
+@pytest.mark.parametrize("fault", ["swap", "negative"])
+def test_execute_rejects_an_infeasible_schedule_file(capsys, task_file, tmp_path, fault):
+    task = load_task_instance(task_file)
+    first, second = next(
+        c for c in task.ground_truth.precedence.chains.values() if len(c) >= 2
+    )[:2]
+    record = json.loads(task_file.read_text())["ground_truth"]["schedule"]
+    steps = record["start_steps"]
+    if fault == "swap":
+        steps[first], steps[second] = steps[second], steps[first]
+        expected = f"chain arcs backwards: '{first}' -> '{second}'"
+    else:
+        steps[first] = -1
+        expected = f"before step 0: {first}"
+    record_file = tmp_path / "record.json"
+    record_file.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, "execute", str(task_file), "--schedule", str(record_file))
+    assert code == 1
+    assert out == ""
+    assert expected in err
+
+
 def test_gantt_text_to_stdout_and_svg_to_file(capsys, task_file, tmp_path):
     svg_file = tmp_path / "chart.svg"
     code, out, _ = run_cli(capsys, "gantt", str(task_file), "--svg", str(svg_file))

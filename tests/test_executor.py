@@ -22,7 +22,7 @@ from shopfloor.executor import (
     status_delta,
     trace_to_jsonl,
 )
-from shopfloor.graph import OrientedGraph, build_graph
+from shopfloor.graph import build_graph
 from shopfloor.model import (
     Allocation,
     OperationType,
@@ -38,6 +38,7 @@ from shopfloor.tree import assemble_program, load_reference_tree
 
 from conftest import (
     FULL_KIT,
+    arcless,
     make_machine,
     make_op,
     make_robot,
@@ -159,7 +160,7 @@ def test_concurrent_launches_read_step_start_state():
     )
     alloc = Allocation(by_op={"mv": "r1", "po": "r1"})
     schedule = ScheduleGraph(
-        oriented=OrientedGraph(op_ids=frozenset({"mv", "po"}), arcs=frozenset()),
+        graph=arcless("mv", "po"),
         start_steps={"mv": 0, "po": 0},
         makespan=1,
     )
@@ -179,7 +180,7 @@ def test_operations_sharing_a_step_launch_in_sorted_id_order():
     )
     alloc = Allocation(by_op={"mv": "r1", "po": "r1"})
     schedule = ScheduleGraph(
-        oriented=OrientedGraph(op_ids=frozenset({"mv", "po"}), arcs=frozenset()),
+        graph=arcless("mv", "po"),
         start_steps={"po": 0, "mv": 0},
         makespan=1,
     )
@@ -344,6 +345,65 @@ def test_failure_blocks_descendants_but_not_independents():
     assert outcome.trace[1].failures == ()
     assert outcome.final_state.locations["w1"] == "table_1"
     assert outcome.final_state.flags == {"w2": frozenset({"polished"})}
+
+
+def two_tables_scene(r1_devices=FULL_KIT, table_1_points=("Photo_Point",)):
+    """w1 waits on table_1 and w2 on table_2; both robots reach both tables."""
+    reach = ("table_1", "table_2")
+    return make_scene(
+        robots=(make_robot("r1", devices=r1_devices, reachable=reach),
+                make_robot("r2", reachable=reach)),
+        machines=(make_machine("table_1", held=("w1",), points=table_1_points),
+                  make_machine("table_2", held=("w2",))),
+    )
+
+
+def test_failure_blocks_a_later_rival_on_the_same_robot():
+    # a1 and b1 polish different workpieces on different tables; only the
+    # robot joins them, so a1's failure keeps b1 from launching
+    ops = (
+        make_op("a1", machine_1="table_1", workpiece="w1"),
+        make_op("b1", machine_1="table_2", workpiece="w2"),
+    )
+    alloc = Allocation(by_op={"a1": "r1", "b1": "r1"})
+    prec = PrecedenceSet(chains={"w1": ("a1",), "w2": ("b1",)})
+    planned = two_tables_scene()
+    assert fifo_schedule(ops, alloc, prec, planned).start_steps == {"a1": 0, "b1": 1}
+    assert run_plan(ops, alloc, prec, planned).executed_fully is True
+    outcome = run_plan(ops, alloc, prec, planned,
+                       exec_scene=two_tables_scene(table_1_points=()))
+    assert outcome.trace[0].failures == (Failure("a1", 0, "missing_point"),)
+    assert outcome.trace[1].operations == ()
+    assert outcome.trace[1].failures == ()
+    assert outcome.final_state.flags == {}
+
+
+def test_failure_blocks_a_later_rival_on_the_same_exclusive_machine():
+    # a1 and b1 share only table_1, each with its own robot and workpiece
+    ops = (
+        make_op("a1", machine_1="table_1", workpiece="w1"),
+        make_op("b1", machine_1="table_1", workpiece="w2"),
+    )
+    alloc = Allocation(by_op={"a1": "r1", "b1": "r2"})
+    prec = PrecedenceSet(chains={"w1": ("a1",), "w2": ("b1",)})
+    planned = make_scene(
+        robots=(make_robot("r1", reachable=("table_1",)),
+                make_robot("r2", reachable=("table_1",))),
+        machines=(make_machine("table_1", held=("w1", "w2")),),
+    )
+    assert fifo_schedule(ops, alloc, prec, planned).start_steps == {"a1": 0, "b1": 1}
+    assert run_plan(ops, alloc, prec, planned).executed_fully is True
+    broken = Scene(
+        robots=(make_robot("r1", devices=FULL_KIT - {"polisher"}, reachable=("table_1",)),
+                planned.robots[1]),
+        machines=planned.machines,
+        workpieces=planned.workpieces,
+    )
+    outcome = run_plan(ops, alloc, prec, planned, exec_scene=broken)
+    assert outcome.trace[0].failures == (Failure("a1", 7, "missing_device"),)
+    assert outcome.trace[1].operations == ()
+    assert outcome.trace[1].failures == ()
+    assert outcome.final_state.flags == {}
 
 
 def test_blocked_chain_leaves_trailing_steps_empty():

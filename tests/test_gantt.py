@@ -5,11 +5,11 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from shopfloor.gantt import render_gantt
-from shopfloor.graph import OrientedGraph, build_graph
+from shopfloor.graph import build_graph
 from shopfloor.model import Allocation
 from shopfloor.solve import ScheduleGraph, solve_fifo
 
-from conftest import make_scene, simple_plan
+from conftest import arcless, make_scene, simple_plan
 
 
 def chart_for_simple_plan():
@@ -57,7 +57,7 @@ def test_svg_is_well_formed_with_one_filled_cell_per_op():
 
 def test_empty_schedule_renders_placeholder():
     schedule = ScheduleGraph(
-        oriented=OrientedGraph(op_ids=frozenset(), arcs=frozenset()),
+        graph=arcless(),
         start_steps={},
         makespan=0,
     )
@@ -76,7 +76,7 @@ def test_rendering_is_deterministic():
 def test_colliding_cells_join_labels():
     ops, alloc, prec = simple_plan()
     schedule = ScheduleGraph(
-        oriented=OrientedGraph(op_ids=frozenset({"t1", "t3"}), arcs=frozenset()),
+        graph=arcless("t1", "t3"),
         start_steps={"t1": 0, "t3": 0},
         makespan=1,
     )
@@ -89,7 +89,7 @@ def test_colliding_cells_join_labels():
 def test_missing_allocation_renders_unassigned_row():
     ops, alloc, prec = simple_plan()
     schedule = ScheduleGraph(
-        oriented=OrientedGraph(op_ids=frozenset({"t1"}), arcs=frozenset()),
+        graph=arcless("t1"),
         start_steps={"t1": 0},
         makespan=1,
     )

@@ -1,28 +1,25 @@
-"""Disjunctive graph construction, orientation, and cycle checks."""
+"""Disjunctive graph construction, helper maps and GraphViz export."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 
-from shopfloor.errors import IncompleteOrientation, ValidationError
+from shopfloor.errors import ValidationError
 from shopfloor.graph import (
     SOURCE,
     TERMINAL,
     MachineArc,
-    OrientedGraph,
     RobotArc,
     build_graph,
     conjunctive_predecessors,
     disjunctive_neighbours,
-    is_acyclic,
-    orient,
     to_dot,
 )
 from shopfloor.model import Allocation, OperationType, PrecedenceSet
 
 from conftest import make_machine, make_op, make_robot, make_scene, make_workpiece, transport
-from strategies import has_cycle_dfs, plan_triples
+from strategies import plan_triples
 
 
 def _two_by_two():
@@ -132,62 +129,6 @@ def test_transport_occupies_both_machines():
     assert g.machine_arcs == {MachineArc("x1", "y1", "m_target")}
 
 
-def test_orient_requires_every_arc():
-    ops, alloc, prec, scene = _two_by_two()
-    g = build_graph(ops, prec, alloc, scene)
-    with pytest.raises(IncompleteOrientation, match="a1--b1"):
-        orient(g, {arc: (arc.a, arc.b) for arc in g.robot_arcs})
-
-
-def test_orient_rejects_foreign_arc():
-    ops, alloc, prec, scene = _two_by_two()
-    g = build_graph(ops, prec, alloc, scene)
-    decisions = {arc: (arc.a, arc.b) for arc in g.disjunctive}
-    decisions[RobotArc("a1", "zz", "r1")] = ("a1", "zz")
-    with pytest.raises(ValueError, match="unknown arc"):
-        orient(g, decisions)
-
-
-def test_orient_rejects_mismatched_direction():
-    ops, alloc, prec, scene = _two_by_two()
-    g = build_graph(ops, prec, alloc, scene)
-    decisions = {arc: (arc.a, arc.b) for arc in g.disjunctive}
-    some = next(iter(g.machine_arcs))
-    decisions[some] = (some.a, some.a)
-    with pytest.raises(ValueError, match="does not match arc endpoints"):
-        orient(g, decisions)
-
-
-def test_consistent_orientation_is_acyclic():
-    ops, alloc, prec, scene = _two_by_two()
-    g = build_graph(ops, prec, alloc, scene)
-    # Everything of w1 before everything of w2.
-    decisions = {}
-    for arc in g.disjunctive:
-        first, second = (arc.a, arc.b) if arc.a.startswith("a") else (arc.b, arc.a)
-        decisions[arc] = (first, second)
-    oriented = orient(g, decisions)
-    assert is_acyclic(oriented)
-
-
-def test_opposed_orientations_make_a_two_cycle():
-    ops, alloc, prec, scene = _two_by_two()
-    g = build_graph(ops, prec, alloc, scene)
-    machine_arc = MachineArc("a1", "b1", "m_shared")
-    robot_pair = RobotArc("a1", "b1", "r1")
-    decisions = {}
-    for arc in g.disjunctive:
-        if arc == machine_arc:
-            decisions[arc] = ("a1", "b1")
-        elif arc == robot_pair:
-            decisions[arc] = ("b1", "a1")
-        else:
-            decisions[arc] = (arc.a, arc.b)
-    oriented = orient(g, decisions)
-    assert ("a1", "b1") in oriented.arcs and ("b1", "a1") in oriented.arcs
-    assert not is_acyclic(oriented)
-
-
 def test_unchained_operation_rejected():
     ops, alloc, prec, scene = _two_by_two()
     broken = PrecedenceSet(chains={"w1": ("a1", "a2"), "w2": ("b1",)})
@@ -258,22 +199,6 @@ def test_build_graph_invariants(triple):
                 reached.add(v)
                 frontier.append(v)
     assert set(g.op_ids) <= reached
-
-
-@given(plan_triples())
-@settings(max_examples=100, deadline=None)
-def test_is_acyclic_matches_dfs_oracle(triple):
-    ops, alloc, prec, scene = triple
-    g = build_graph(ops, prec, alloc, scene)
-    # Orient every arc lexicographically except flip arcs whose endpoints
-    # hash oddly, to get a mix of acyclic and cyclic results.
-    decisions = {}
-    for arc in g.disjunctive:
-        flip = (hash((arc.a, arc.b)) & 1) == 1
-        decisions[arc] = (arc.b, arc.a) if flip else (arc.a, arc.b)
-    oriented = orient(g, decisions)
-    vertices = set(oriented.op_ids) | {SOURCE, TERMINAL}
-    assert is_acyclic(oriented) == (not has_cycle_dfs(vertices, oriented.arcs))
 
 
 @given(plan_triples(max_workpieces=3, max_ops_per=2))

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shopfloor
 from shopfloor.errors import PlannerUnavailable
 from shopfloor.model import Allocation, GroundTruth, PrecedenceSet, TaskInstance
 from shopfloor.planner import (
@@ -263,6 +269,21 @@ def test_recorded_transport_exhaustion_is_planner_unavailable():
     )
     with pytest.raises(PlannerUnavailable, match="no recorded response"):
         planner.plan(task)
+
+
+def test_importing_the_pipeline_leaves_requests_unloaded():
+    src = str(Path(shopfloor.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, shopfloor.cli, shopfloor.bench, shopfloor.planner; "
+        "print('requests' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_http_transport_unreachable_endpoint():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shopfloor.errors import InstanceTooLarge, ValidationError
 from shopfloor.graph import build_graph
@@ -12,7 +15,6 @@ from shopfloor.solve import (
     ScheduleGraph,
     brute_force_optimal,
     is_feasible,
-    makespan,
     schedule_from_record,
     schedule_to_record,
     solve_fifo,
@@ -76,7 +78,7 @@ def test_single_chain_runs_serially():
     g = _chain_of_three()
     s = solve_fifo(g, ["a", "b", "c"])
     assert s.start_steps == {"a": 0, "b": 1, "c": 2}
-    assert s.makespan == 3 == makespan(s)
+    assert s.makespan == 3
 
 
 def test_single_robot_serializes_everything():
@@ -107,10 +109,12 @@ def test_contention_resolved_by_emission_order():
 def test_fifo_orients_every_disjunctive_arc():
     g = _two_chains(shared_robot=True)
     s = solve_fifo(g, ["a1", "a2", "b1", "b2"])
+    preds = s.predecessors()
     for arc in g.disjunctive:
-        forward = (arc.a, arc.b) in s.oriented.arcs
-        backward = (arc.b, arc.a) in s.oriented.arcs
-        assert forward != backward
+        assert (arc.a in preds[arc.b]) != (arc.b in preds[arc.a])
+    # Steps a1=0, a2=1, b1=2, b2=3: w1 goes first on r1 and on the machine.
+    assert preds == {"a1": set(), "a2": {"a1"}, "b1": {"a1", "a2"},
+                     "b2": {"a1", "a2", "b1"}}
     assert is_feasible(s, g)
 
 
@@ -126,7 +130,7 @@ def test_empty_graph_schedules_to_nothing(scene):
     g = build_graph((), PrecedenceSet(chains={}), Allocation(by_op={}), scene)
     s = solve_fifo(g, [])
     assert s.start_steps == {}
-    assert s.makespan == 0 == makespan(s)
+    assert s.makespan == 0
     assert is_feasible(s, g)
 
 
@@ -211,7 +215,7 @@ def test_same_step_resource_clash_is_infeasible():
     good = solve_fifo(g, ["a1", "a2", "b1", "b2"])
     clashed = dict(good.start_steps)
     clashed["b1"] = clashed["a1"]  # both on r1 in one step
-    bogus = ScheduleGraph(oriented=good.oriented, start_steps=clashed, makespan=4)
+    bogus = ScheduleGraph(graph=good.graph, start_steps=clashed, makespan=4)
     assert not is_feasible(bogus, g)
 
 
@@ -219,7 +223,7 @@ def test_violated_chain_arc_is_infeasible():
     g = _chain_of_three()
     good = solve_fifo(g, ["a", "b", "c"])
     swapped = {"a": 1, "b": 0, "c": 2}
-    bogus = ScheduleGraph(oriented=good.oriented, start_steps=swapped, makespan=3)
+    bogus = ScheduleGraph(graph=good.graph, start_steps=swapped, makespan=3)
     assert not is_feasible(bogus, g)
 
 
@@ -227,7 +231,7 @@ def test_missing_operation_is_infeasible():
     g = _chain_of_three()
     good = solve_fifo(g, ["a", "b", "c"])
     partial = {k: v for k, v in good.start_steps.items() if k != "c"}
-    bogus = ScheduleGraph(oriented=good.oriented, start_steps=partial, makespan=2)
+    bogus = ScheduleGraph(graph=good.graph, start_steps=partial, makespan=2)
     assert not is_feasible(bogus, g)
 
 
@@ -241,8 +245,7 @@ def test_schedule_record_round_trip():
     record = schedule_to_record(s, source="fifo")
     assert record.makespan == 4 and record.source == "fifo"
     rebuilt = schedule_from_record(g, record)
-    assert rebuilt.start_steps == s.start_steps
-    assert rebuilt.oriented == s.oriented
+    assert rebuilt == s
 
 
 def test_schedule_record_rejects_double_booking():
@@ -250,6 +253,21 @@ def test_schedule_record_rejects_double_booking():
     record = ScheduleRecord(start_steps={"a1": 0, "a2": 1, "b1": 0, "b2": 2},
                             makespan=3)
     with pytest.raises(ValidationError, match="share step 0"):
+        schedule_from_record(g, record)
+
+
+@pytest.mark.parametrize(
+    "steps, fragment",
+    [
+        ({"a": 1, "b": 0, "c": 2}, "chain arcs backwards: 'a' -> 'b'"),
+        ({"a": 0, "b": 1, "c": 1}, "chain arcs backwards: 'b' -> 'c'"),
+        ({"a": -1, "b": 0, "c": 1}, "before step 0: a"),
+    ],
+)
+def test_schedule_record_rejects_an_infeasible_chain(steps, fragment):
+    g = _chain_of_three()
+    record = ScheduleRecord(start_steps=steps, makespan=max(steps.values()) + 1)
+    with pytest.raises(ValidationError, match=fragment):
         schedule_from_record(g, record)
 
 
@@ -288,6 +306,50 @@ def test_brute_force_matches_enumeration_oracle(triple):
     assert s.makespan == span
     assert dict(s.start_steps) == steps
     assert is_feasible(s, g)
+
+
+def _rivals(x, y, alloc, exclusive) -> bool:
+    """Operations of different workpieces that share a robot or an
+    exclusive machine, read straight from the plan."""
+    if x.workpiece == y.workpiece:
+        return False
+    if alloc.by_op[x.id] == alloc.by_op[y.id]:
+        return True
+    return bool(set(x.machines_used()) & set(y.machines_used()) & exclusive)
+
+
+@given(plan_triples(max_workpieces=3, max_ops_per=2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_feasible_matches_a_direct_predicate(triple, data):
+    ops, alloc, prec, scene = triple
+    g = build_graph(ops, prec, alloc, scene)
+    # Half the cases nudge one start of a FIFO schedule, so feasible and
+    # infeasible vectors both turn up; the rest draw every start at random.
+    steps = dict(solve_fifo(g, [op.id for op in ops]).start_steps)
+    if ops and data.draw(st.booleans()):
+        victim = data.draw(st.sampled_from(sorted(steps)))
+        steps[victim] += data.draw(st.integers(-2, 2))
+    else:
+        steps = {op.id: data.draw(st.integers(-1, len(ops))) for op in ops}
+    span = max(steps.values()) + 1 if steps else 0
+    claimed = data.draw(st.sampled_from([span, span + 1]))
+    exclusive = {m.id for m in scene.machines if m.exclusive}
+    expected = (
+        all(step >= 0 for step in steps.values())
+        and all(
+            steps[u] < steps[v]
+            for chain in prec.chains.values()
+            for u, v in zip(chain, chain[1:])
+        )
+        and all(
+            steps[x.id] != steps[y.id]
+            for x, y in combinations(ops, 2)
+            if _rivals(x, y, alloc, exclusive)
+        )
+        and claimed == span
+    )
+    schedule = ScheduleGraph(graph=g, start_steps=steps, makespan=claimed)
+    assert is_feasible(schedule, g) == expected
 
 
 @given(plan_triples(max_workpieces=3, max_ops_per=3))

@@ -22,7 +22,6 @@ from shopfloor.tree import (
     ProcessTree,
     TreeNode,
     assemble_program,
-    check_program,
     condition_holds,
     eval_condition,
     load_reference_tree,
@@ -33,7 +32,7 @@ from shopfloor.tree import (
     tree_to_json,
 )
 
-from conftest import FULL_KIT, make_machine, make_op, make_robot, make_scene, make_workpiece, simple_plan
+from conftest import FULL_KIT, make_op, make_robot, make_scene, make_workpiece, simple_plan
 
 HANDHELD_KIT = FULL_KIT  # camera in hand, no bracket_camera
 BRACKET_KIT = frozenset(
@@ -340,69 +339,3 @@ def test_program_json_round_trip(tree, scene):
     text = canonical_json(program_to_json(program))
     parsed = program_from_json(json.loads(text))
     assert canonical_json(program_to_json(parsed)) == text
-
-
-# ---------------------------------------------------------------------------
-# program checking
-
-
-def test_assembled_program_checks_clean(tree, scene):
-    ops, alloc, prec = simple_plan(scene)
-    program = assemble_program(tree, ops, alloc, scene)
-    report = check_program(program, scene)
-    assert report.ok, report.violations
-
-
-def test_check_flags_missing_device(tree, scene):
-    ops, alloc, prec = simple_plan(scene)
-    program = assemble_program(tree, ops, alloc, scene)
-    stripped = make_scene(robots=(
-        make_robot("r1", devices=frozenset({"camera", "magnetic_gripper"})),
-        make_robot("r2", devices=FULL_KIT),
-    ))
-    report = check_program(program, stripped)
-    assert any("lacks device 'polisher'" in v for v in report.violations)
-
-
-def test_check_flags_missing_point(tree, scene):
-    ops, alloc, prec = simple_plan(scene)
-    program = assemble_program(tree, ops, alloc, scene)
-    bare_machines = (
-        make_machine("conveyor", name="conveyor belt", exclusive=False,
-                     points=(), held=("w1", "w2")),
-        make_machine("table_1", points=()),
-        make_machine("pallet_1", name="pallet", points=()),
-        make_machine("pallet_2", name="pallet", points=()),
-    )
-    pointless = make_scene(machines=bare_machines)
-    report = check_program(program, pointless)
-    assert any("lacks point 'Photo_Point'" in v for v in report.violations)
-
-
-def test_check_flags_unbound_placeholder(tree, scene):
-    ops, alloc, prec = simple_plan(scene)
-    program = assemble_program(tree, ops, alloc, scene)
-    wrappers = dict(program.wrappers)
-    victim = wrappers["op_p1"]
-    wrappers["op_p1"] = type(victim)(
-        name=victim.name,
-        execution=victim.execution,
-        binding={k: v for k, v in victim.binding.items() if k != "workpiece"},
-    )
-    calls = tuple(
-        c if c.op_id != "p1" else type(c)(op_id=c.op_id, wrapper=c.wrapper,
-                                          args=wrappers["op_p1"].binding)
-        for c in program.calls
-    )
-    broken = type(program)(calls=calls, wrappers=wrappers, executions=program.executions)
-    report = check_program(broken, scene)
-    assert any("'{workpiece}' is unbound" in v for v in report.violations)
-
-
-def test_check_flags_call_count_mismatch(tree, scene):
-    ops, alloc, prec = simple_plan(scene)
-    program = assemble_program(tree, ops, alloc, scene)
-    short = type(program)(calls=program.calls[:-1], wrappers=program.wrappers,
-                          executions=program.executions)
-    report = check_program(short, scene)
-    assert any("calls but" in v for v in report.violations)
