@@ -8,7 +8,6 @@ input file cannot be read or parsed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -27,12 +26,14 @@ from .gantt import render_gantt
 from .graph import build_graph
 from .metrics import evaluate_instance, report_to_json
 from .model import (
+    PROGRAM,
+    SCHEDULE_RECORD,
+    Codec,
     TaskInstance,
     canonical_json,
     load_task_instance,
-    program_from_json,
+    parse_json,
     program_to_json,
-    schedule_record_from_json,
     schedule_record_to_json,
 )
 from .planner import GroundTruthPlanner, LlmPlanner, config_from_env
@@ -65,18 +66,16 @@ class _InputError(Exception):
 def _load_task(path: str) -> TaskInstance:
     try:
         return load_task_instance(path)
-    except OSError as exc:
-        raise _InputError(f"cannot read task file: {exc}") from None
     except (ParseError, ValidationError) as exc:
         raise _InputError(f"invalid task file {path}: {exc}") from None
 
 
-def _read_json(path: str, label: str):
+def _load_file(path: str, label: str, codec: Codec):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return codec.load(parse_json(Path(path).read_text(encoding="utf-8"), path), path)
     except OSError as exc:
         raise _InputError(f"cannot read {label} file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ParseError as exc:
         raise _InputError(f"invalid {label} file {path}: {exc}") from None
 
 
@@ -104,9 +103,7 @@ def _schedule_for(task: TaskInstance, schedule_path: str | None) -> ScheduleGrap
     gt = _ground_truth(task)
     graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
     if schedule_path:
-        record = schedule_record_from_json(
-            _read_json(schedule_path, "schedule"), path=schedule_path
-        )
+        record = _load_file(schedule_path, "schedule", SCHEDULE_RECORD)
         return schedule_from_record(graph, record)
     if gt.schedule is not None:
         return schedule_from_record(graph, gt.schedule)
@@ -179,9 +176,7 @@ def _cmd_execute(args) -> int:
     gt = _ground_truth(task)
     schedule = _schedule_for(task, args.schedule)
     if args.program:
-        program = program_from_json(
-            _read_json(args.program, "program"), path=args.program
-        )
+        program = _load_file(args.program, "program", PROGRAM)
     elif gt.program is not None:
         program = gt.program
     else:

@@ -17,6 +17,9 @@ since they precede the first skill.
 Each run indexes its inputs once: the call of every operation (the first
 call wins when a program holds several), the operations due at every
 step, and the classified arguments of every execution's skills.
+
+The trace line format is declared once, as a codec (STEP_RECORD) built
+from the strict-JSON combinators in model.
 """
 
 from __future__ import annotations
@@ -25,24 +28,25 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .errors import ParseError
 from .model import (
+    INT,
+    SKILL_CALL,
+    STR,
+    ArrayOf,
     Operation,
     OperationType,
     PROCESSING_FLAGS,
     Program,
     ProgramCall,
+    Record,
     Scene,
     SkillArg,
     SkillCall,
     SKILLS,
-    _as_dict,
-    _as_int,
-    _as_list,
-    _as_str,
-    _check_keys,
     at_label,
     classify_args,
+    parse_json,
+    req,
 )
 from .solve import ScheduleGraph
 
@@ -281,94 +285,28 @@ def status_delta(
 # trace files (JSON lines, one step per line)
 
 
+OPERATION_RUN = Record(
+    OperationRun, req("op_id", STR), req("robot", STR), req("skills", ArrayOf(SKILL_CALL))
+)
+FAILURE = Record(Failure, req("op_id", STR), req("skill_index", INT), req("reason", STR))
+STEP_RECORD = Record(
+    StepRecord,
+    req("step", INT),
+    req("operations", ArrayOf(OPERATION_RUN)),
+    req("failures", ArrayOf(FAILURE)),
+)
+
+
 def trace_to_jsonl(trace: Sequence[StepRecord]) -> str:
-    lines = []
-    for record in trace:
-        lines.append(
-            json.dumps(
-                {
-                    "step": record.step,
-                    "operations": [
-                        {
-                            "op_id": run.op_id,
-                            "robot": run.robot,
-                            "skills": [
-                                {"skill": s.skill, "args": list(s.args)}
-                                for s in run.skills
-                            ],
-                        }
-                        for run in record.operations
-                    ],
-                    "failures": [
-                        {
-                            "op_id": f.op_id,
-                            "skill_index": f.skill_index,
-                            "reason": f.reason,
-                        }
-                        for f in record.failures
-                    ],
-                },
-                ensure_ascii=False,
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        json.dumps(STEP_RECORD.dump(record), ensure_ascii=False) + "\n" for record in trace
+    )
 
 
 def parse_trace(text: str, path: str = "trace") -> tuple[StepRecord, ...]:
     records: list[StepRecord] = []
     for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        p = f"{path}:{i + 1}"
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{p}: invalid JSON: {exc}") from None
-        d = _as_dict(data, p)
-        _check_keys(d, p, ["step", "operations", "failures"])
-        runs = []
-        for j, item in enumerate(_as_list(d["operations"], f"{p}.operations")):
-            q = f"{p}.operations[{j}]"
-            obj = _as_dict(item, q)
-            _check_keys(obj, q, ["op_id", "robot", "skills"])
-            skills = []
-            for k, s in enumerate(_as_list(obj["skills"], f"{q}.skills")):
-                r = f"{q}.skills[{k}]"
-                sd = _as_dict(s, r)
-                _check_keys(sd, r, ["skill", "args"])
-                skills.append(
-                    SkillCall(
-                        skill=_as_str(sd["skill"], f"{r}.skill"),
-                        args=tuple(
-                            _as_str(a, f"{r}.args[{m}]")
-                            for m, a in enumerate(_as_list(sd["args"], f"{r}.args"))
-                        ),
-                    )
-                )
-            runs.append(
-                OperationRun(
-                    op_id=_as_str(obj["op_id"], f"{q}.op_id"),
-                    robot=_as_str(obj["robot"], f"{q}.robot"),
-                    skills=tuple(skills),
-                )
-            )
-        failures = []
-        for j, item in enumerate(_as_list(d["failures"], f"{p}.failures")):
-            q = f"{p}.failures[{j}]"
-            obj = _as_dict(item, q)
-            _check_keys(obj, q, ["op_id", "skill_index", "reason"])
-            failures.append(
-                Failure(
-                    op_id=_as_str(obj["op_id"], f"{q}.op_id"),
-                    skill_index=_as_int(obj["skill_index"], f"{q}.skill_index"),
-                    reason=_as_str(obj["reason"], f"{q}.reason"),
-                )
-            )
-        records.append(
-            StepRecord(
-                step=_as_int(d["step"], f"{p}.step"),
-                operations=tuple(runs),
-                failures=tuple(failures),
-            )
-        )
+        if line.strip():
+            p = f"{path}:{i + 1}"
+            records.append(STEP_RECORD.load(parse_json(line, p), p))
     return tuple(records)

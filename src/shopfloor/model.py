@@ -5,9 +5,14 @@ validation entry points (load_task_instance, validate_scene,
 validate_planner_output), not by the constructors, so tests and tools can
 build deliberately broken values and feed them to the validators.
 
-JSON serialization is canonical: fixed key order, sorted collections where
-order carries no meaning, two-space indent, trailing newline. Re-serializing
-a parsed document always reproduces it byte for byte.
+Each file format (task, scene, plan, program, schedule record) is declared
+once, as a codec built from the strict-JSON combinators below (STR, INT,
+BOOL, EnumOf, ArrayOf, MapOf, Wrap, Record); tree and executor declare the
+process tree and the trace line with them. A codec's load rejects every
+shape fault with a ParseError naming its path. Serialization is canonical:
+fixed key order, sorted collections where order carries no meaning,
+two-space indent, trailing newline. Re-serializing a parsed document always
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Protocol, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -259,7 +266,6 @@ class Wrapper:
     """Binds one operation's concrete robot/machines/workpiece into a shared
     execution function's placeholders."""
 
-    name: str
     execution: str
     binding: Mapping[str, str]
 
@@ -320,55 +326,171 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Strict JSON plumbing
+# Strict JSON codecs
+#
+# A codec's dump(value) gives the canonical JSON value; load(data, path)
+# checks data and builds the value, raising ParseError with the path of the
+# offending element. Records check missing keys first, then unknown keys.
 
 
 def _fail(path: str, message: str) -> NoReturn:
     raise ParseError(f"{path}: {message}")
 
 
-def _as_dict(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
+def _object(data: Any, path: str) -> dict:
+    if not isinstance(data, dict):
+        _fail(path, f"expected an object, got {type(data).__name__}")
+    return data
 
 
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected an array, got {type(value).__name__}")
-    return value
+class Codec(Protocol):
+    def dump(self, value: Any) -> Any: ...
+
+    def load(self, data: Any, path: str) -> Any: ...
 
 
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
-    return value
+class Scalar:
+    """A JSON string, integer or boolean. The type must match exactly, so a
+    boolean is not an integer."""
+
+    def __init__(self, kind: type, noun: str) -> None:
+        self.kind, self.noun = kind, noun
+
+    def dump(self, value: Any) -> Any:
+        return value
+
+    def load(self, data: Any, path: str) -> Any:
+        if type(data) is not self.kind:
+            _fail(path, f"expected {self.noun}, got {type(data).__name__}")
+        return data
 
 
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"expected a boolean, got {type(value).__name__}")
-    return value
+STR = Scalar(str, "a string")
+INT = Scalar(int, "an integer")
+BOOL = Scalar(bool, "a boolean")
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
-    return value
+class EnumOf:
+    """An enum member stored as its value text; extra texts map to further
+    values (the process tree's "general" node type is None)."""
+
+    def __init__(self, enum: type[Enum], noun: str, **extra: Any) -> None:
+        self.noun = noun
+        self.by_text = {member.value: member for member in enum} | extra
+        self.text_of = {value: text for text, value in self.by_text.items()}
+
+    def dump(self, value: Any) -> str:
+        return self.text_of[value]
+
+    def load(self, data: Any, path: str) -> Any:
+        text = STR.load(data, path)
+        if text not in self.by_text:
+            _fail(path, f"unknown {self.noun} '{text}'")
+        return self.by_text[text]
 
 
-def _as_str_list(value: Any, path: str) -> list[str]:
-    return [_as_str(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+class ArrayOf:
+    """A JSON array; load passes the items to build, dump lists them in the
+    order that order(value) gives, or as they come when order is None."""
+
+    def __init__(self, item: Codec, build: Callable = tuple, order: Callable | None = None) -> None:
+        self.item, self.build, self.order = item, build, order
+
+    def dump(self, value: Iterable[Any]) -> list:
+        if self.order is not None:
+            value = self.order(value)
+        dump = self.item.dump
+        return [dump(v) for v in value]
+
+    def load(self, data: Any, path: str) -> Any:
+        if not isinstance(data, list):
+            _fail(path, f"expected an array, got {type(data).__name__}")
+        load = self.item.load
+        return self.build([load(v, f"{path}[{i}]") for i, v in enumerate(data)])
 
 
-def _check_keys(d: dict, path: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
-    for key in required:
-        if key not in d:
-            _fail(path, f"missing required key '{key}'")
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys: {', '.join(unknown)}")
+class MapOf:
+    """A JSON object with free keys, dumped in key order."""
+
+    def __init__(self, item: Codec) -> None:
+        self.item = item
+
+    def dump(self, value: Mapping[str, Any]) -> dict:
+        return {k: self.item.dump(value[k]) for k in sorted(value)}
+
+    def load(self, data: Any, path: str) -> dict:
+        return {k: self.item.load(v, f"{path}.{k}") for k, v in _object(data, path).items()}
+
+
+class Wrap:
+    """A type with a single field, stored as that field alone."""
+
+    def __init__(self, cls: type, attr: str, inner: Codec) -> None:
+        self.cls, self.attr, self.inner = cls, attr, inner
+
+    def dump(self, value: Any) -> Any:
+        return self.inner.dump(getattr(value, self.attr))
+
+    def load(self, data: Any, path: str) -> Any:
+        return self.cls(**{self.attr: self.inner.load(data, path)})
+
+
+class Field(NamedTuple):
+    key: str
+    codec: Codec
+    attr: str
+    optional: bool
+
+
+def req(key: str, codec: Codec, attr: str | None = None) -> Field:
+    """A required record field; attr names the attribute when it differs."""
+    return Field(key, codec, attr or key, False)
+
+
+def opt(key: str, codec: Codec, attr: str | None = None) -> Field:
+    """An optional record field, omitted from the dump while None."""
+    return Field(key, codec, attr or key, True)
+
+
+class Record:
+    """A JSON object with fixed keys, dumped in declaration order and
+    loaded into cls by keyword."""
+
+    def __init__(self, cls: type, *fields: Field) -> None:
+        self.cls, self.fields = cls, fields
+        self.required = [f.key for f in fields if not f.optional]
+        self.keys = frozenset(f.key for f in fields)
+
+    def dump(self, value: Any) -> dict:
+        out = {}
+        for key, codec, attr, optional in self.fields:
+            item = getattr(value, attr)
+            if item is not None or not optional:
+                out[key] = codec.dump(item)
+        return out
+
+    def load(self, data: Any, path: str) -> Any:
+        obj = _object(data, path)
+        for key in self.required:
+            if key not in obj:
+                _fail(path, f"missing required key '{key}'")
+        unknown = obj.keys() - self.keys
+        if unknown:
+            _fail(path, f"unknown keys: {', '.join(sorted(unknown))}")
+        return self.cls(
+            **{
+                attr: codec.load(obj[key], f"{path}.{key}")
+                for key, codec, attr, _ in self.fields
+                if key in obj
+            }
+        )
+
+
+def parse_json(text: str, path: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def canonical_json(data: Any) -> str:
@@ -377,318 +499,99 @@ def canonical_json(data: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scene JSON
+# File formats
 
+STRS = ArrayOf(STR)
+STR_SET = ArrayOf(STR, build=frozenset, order=sorted)
+STR_MAP = MapOf(STR)
+_sorted_by_id = partial(sorted, key=attrgetter("id"))
 
-def scene_to_json(scene: Scene) -> dict:
-    return {
-        "robots": [
-            {
-                "id": r.id,
-                "devices": sorted(r.devices),
-                "reachable_machines": sorted(r.reachable_machines),
-            }
-            for r in sorted(scene.robots, key=lambda r: r.id)
-        ],
-        "machines": [
-            {
-                "id": m.id,
-                "name": m.name,
-                "exclusive": m.exclusive,
-                "points": sorted(m.points),
-                "held_workpieces": list(m.held_workpieces),
-            }
-            for m in sorted(scene.machines, key=lambda m: m.id)
-        ],
-        "workpieces": [
-            {
-                "id": w.id,
-                "kind": w.kind,
-                "state_sequence": list(w.state_sequence),
-            }
-            for w in sorted(scene.workpieces, key=lambda w: w.id)
-        ],
-    }
+ROBOT = Record(
+    Robot, req("id", STR), req("devices", STR_SET), req("reachable_machines", STR_SET)
+)
+MACHINE = Record(
+    Machine,
+    req("id", STR),
+    req("name", STR),
+    req("exclusive", BOOL),
+    req("points", STR_SET),
+    req("held_workpieces", STRS),
+)
+WORKPIECE = Record(Workpiece, req("id", STR), req("kind", STR), req("state_sequence", STRS))
+SCENE = Record(
+    Scene,
+    req("robots", ArrayOf(ROBOT, order=_sorted_by_id)),
+    req("machines", ArrayOf(MACHINE, order=_sorted_by_id)),
+    req("workpieces", ArrayOf(WORKPIECE, order=_sorted_by_id)),
+)
 
+OPERATION = Record(
+    Operation,
+    req("id", STR),
+    req("type", EnumOf(OperationType, "operation type"), attr="op_type"),
+    req("workpiece", STR),
+    req("machine_1", STR),
+    opt("machine_2", STR),
+)
+ALLOCATION = Wrap(Allocation, "by_op", STR_MAP)
+PRECEDENCE = Wrap(PrecedenceSet, "chains", MapOf(STRS))
 
-def scene_from_json(data: Any, path: str = "scene") -> Scene:
-    d = _as_dict(data, path)
-    _check_keys(d, path, ["robots", "machines", "workpieces"])
-    robots = []
-    for i, item in enumerate(_as_list(d["robots"], f"{path}.robots")):
-        p = f"{path}.robots[{i}]"
-        obj = _as_dict(item, p)
-        _check_keys(obj, p, ["id", "devices", "reachable_machines"])
-        robots.append(
-            Robot(
-                id=_as_str(obj["id"], f"{p}.id"),
-                devices=frozenset(_as_str_list(obj["devices"], f"{p}.devices")),
-                reachable_machines=frozenset(
-                    _as_str_list(obj["reachable_machines"], f"{p}.reachable_machines")
-                ),
-            )
-        )
-    machines = []
-    for i, item in enumerate(_as_list(d["machines"], f"{path}.machines")):
-        p = f"{path}.machines[{i}]"
-        obj = _as_dict(item, p)
-        _check_keys(obj, p, ["id", "name", "exclusive", "points", "held_workpieces"])
-        machines.append(
-            Machine(
-                id=_as_str(obj["id"], f"{p}.id"),
-                name=_as_str(obj["name"], f"{p}.name"),
-                exclusive=_as_bool(obj["exclusive"], f"{p}.exclusive"),
-                points=frozenset(_as_str_list(obj["points"], f"{p}.points")),
-                held_workpieces=tuple(
-                    _as_str_list(obj["held_workpieces"], f"{p}.held_workpieces")
-                ),
-            )
-        )
-    workpieces = []
-    for i, item in enumerate(_as_list(d["workpieces"], f"{path}.workpieces")):
-        p = f"{path}.workpieces[{i}]"
-        obj = _as_dict(item, p)
-        _check_keys(obj, p, ["id", "kind", "state_sequence"])
-        workpieces.append(
-            Workpiece(
-                id=_as_str(obj["id"], f"{p}.id"),
-                kind=_as_str(obj["kind"], f"{p}.kind"),
-                state_sequence=tuple(
-                    _as_str_list(obj["state_sequence"], f"{p}.state_sequence")
-                ),
-            )
-        )
-    return Scene(robots=tuple(robots), machines=tuple(machines), workpieces=tuple(workpieces))
+SKILL_CALL = Record(SkillCall, req("skill", STR), req("args", STRS))
+PROGRAM_CALL = Record(ProgramCall, req("op_id", STR), req("wrapper", STR), req("args", STR_MAP))
+WRAPPER = Record(Wrapper, req("execution", STR), req("binding", STR_MAP))
+PROGRAM = Record(
+    Program,
+    req("calls", ArrayOf(PROGRAM_CALL)),
+    req("wrappers", MapOf(WRAPPER)),
+    req("executions", MapOf(ArrayOf(SKILL_CALL))),
+)
 
+SCHEDULE_RECORD = Record(
+    ScheduleRecord, req("start_steps", MapOf(INT)), req("makespan", INT), opt("source", STR)
+)
 
-# ---------------------------------------------------------------------------
-# Operation / allocation / precedence JSON
+GROUND_TRUTH = Record(
+    GroundTruth,
+    req("operations", ArrayOf(OPERATION)),
+    req("allocation", ALLOCATION),
+    req("precedence", PRECEDENCE),
+    opt("program", PROGRAM),
+    opt("schedule", SCHEDULE_RECORD),
+)
+TASK = Record(
+    TaskInstance,
+    req("scene", SCENE),
+    req("instruction", STR),
+    opt("ground_truth", GROUND_TRUTH),
+)
 
-
-def operation_to_json(op: Operation) -> dict:
-    out = {
-        "id": op.id,
-        "type": op.op_type.value,
-        "workpiece": op.workpiece,
-        "machine_1": op.machine_1,
-    }
-    if op.machine_2 is not None:
-        out["machine_2"] = op.machine_2
-    return out
-
-
-def operation_from_json(data: Any, path: str = "operation") -> Operation:
-    d = _as_dict(data, path)
-    _check_keys(d, path, ["id", "type", "workpiece", "machine_1"], ["machine_2"])
-    type_text = _as_str(d["type"], f"{path}.type")
-    try:
-        op_type = OperationType(type_text)
-    except ValueError:
-        _fail(f"{path}.type", f"unknown operation type '{type_text}'")
-    machine_2 = None
-    if "machine_2" in d:
-        machine_2 = _as_str(d["machine_2"], f"{path}.machine_2")
-    return Operation(
-        id=_as_str(d["id"], f"{path}.id"),
-        op_type=op_type,
-        workpiece=_as_str(d["workpiece"], f"{path}.workpiece"),
-        machine_1=_as_str(d["machine_1"], f"{path}.machine_1"),
-        machine_2=machine_2,
-    )
-
-
-def allocation_to_json(alloc: Allocation) -> dict:
-    return {op_id: alloc.by_op[op_id] for op_id in sorted(alloc.by_op)}
-
-
-def allocation_from_json(data: Any, path: str = "allocation") -> Allocation:
-    d = _as_dict(data, path)
-    return Allocation(by_op={k: _as_str(v, f"{path}.{k}") for k, v in d.items()})
-
-
-def precedence_to_json(prec: PrecedenceSet) -> dict:
-    return {w: list(prec.chains[w]) for w in sorted(prec.chains)}
-
-
-def precedence_from_json(data: Any, path: str = "precedence") -> PrecedenceSet:
-    d = _as_dict(data, path)
-    return PrecedenceSet(
-        chains={k: tuple(_as_str_list(v, f"{path}.{k}")) for k, v in d.items()}
-    )
-
-
-# ---------------------------------------------------------------------------
-# Program JSON
-
-
-def skill_call_to_json(call: SkillCall) -> dict:
-    return {"skill": call.skill, "args": list(call.args)}
-
-
-def skill_call_from_json(data: Any, path: str = "skill_call") -> SkillCall:
-    d = _as_dict(data, path)
-    _check_keys(d, path, ["skill", "args"])
-    return SkillCall(
-        skill=_as_str(d["skill"], f"{path}.skill"),
-        args=tuple(_as_str_list(d["args"], f"{path}.args")),
-    )
-
-
-def program_to_json(program: Program) -> dict:
-    return {
-        "calls": [
-            {
-                "op_id": c.op_id,
-                "wrapper": c.wrapper,
-                "args": {k: c.args[k] for k in sorted(c.args)},
-            }
-            for c in program.calls
-        ],
-        "wrappers": {
-            name: {
-                "execution": w.execution,
-                "binding": {k: w.binding[k] for k in sorted(w.binding)},
-            }
-            for name, w in sorted(program.wrappers.items())
-        },
-        "executions": {
-            name: [skill_call_to_json(s) for s in skills]
-            for name, skills in sorted(program.executions.items())
-        },
-    }
+# Whole-document entry points.
+scene_to_json = SCENE.dump
+program_to_json = PROGRAM.dump
+schedule_record_to_json = SCHEDULE_RECORD.dump
+task_instance_to_json = TASK.dump
 
 
 def program_from_json(data: Any, path: str = "program") -> Program:
-    d = _as_dict(data, path)
-    _check_keys(d, path, ["calls", "wrappers", "executions"])
-    calls = []
-    for i, item in enumerate(_as_list(d["calls"], f"{path}.calls")):
-        p = f"{path}.calls[{i}]"
-        obj = _as_dict(item, p)
-        _check_keys(obj, p, ["op_id", "wrapper", "args"])
-        args = _as_dict(obj["args"], f"{p}.args")
-        calls.append(
-            ProgramCall(
-                op_id=_as_str(obj["op_id"], f"{p}.op_id"),
-                wrapper=_as_str(obj["wrapper"], f"{p}.wrapper"),
-                args={k: _as_str(v, f"{p}.args.{k}") for k, v in args.items()},
-            )
-        )
-    wrappers = {}
-    for name, item in _as_dict(d["wrappers"], f"{path}.wrappers").items():
-        p = f"{path}.wrappers.{name}"
-        obj = _as_dict(item, p)
-        _check_keys(obj, p, ["execution", "binding"])
-        binding = _as_dict(obj["binding"], f"{p}.binding")
-        wrappers[name] = Wrapper(
-            name=name,
-            execution=_as_str(obj["execution"], f"{p}.execution"),
-            binding={k: _as_str(v, f"{p}.binding.{k}") for k, v in binding.items()},
-        )
-    executions = {}
-    for name, item in _as_dict(d["executions"], f"{path}.executions").items():
-        p = f"{path}.executions.{name}"
-        executions[name] = tuple(
-            skill_call_from_json(s, f"{p}[{i}]")
-            for i, s in enumerate(_as_list(item, p))
-        )
-    return Program(calls=tuple(calls), wrappers=wrappers, executions=executions)
-
-
-# ---------------------------------------------------------------------------
-# Schedule record JSON
-
-
-def schedule_record_to_json(record: ScheduleRecord) -> dict:
-    out: dict[str, Any] = {
-        "start_steps": {k: record.start_steps[k] for k in sorted(record.start_steps)},
-        "makespan": record.makespan,
-    }
-    if record.source is not None:
-        out["source"] = record.source
-    return out
+    return PROGRAM.load(data, path)
 
 
 def schedule_record_from_json(data: Any, path: str = "schedule") -> ScheduleRecord:
-    d = _as_dict(data, path)
-    _check_keys(d, path, ["start_steps", "makespan"], ["source"])
-    steps = _as_dict(d["start_steps"], f"{path}.start_steps")
-    source = None
-    if "source" in d:
-        source = _as_str(d["source"], f"{path}.source")
-    return ScheduleRecord(
-        start_steps={k: _as_int(v, f"{path}.start_steps.{k}") for k, v in steps.items()},
-        makespan=_as_int(d["makespan"], f"{path}.makespan"),
-        source=source,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Task instance JSON
-
-
-def task_instance_to_json(task: TaskInstance) -> dict:
-    out: dict[str, Any] = {
-        "scene": scene_to_json(task.scene),
-        "instruction": task.instruction,
-    }
-    if task.ground_truth is not None:
-        gt = task.ground_truth
-        gt_json: dict[str, Any] = {
-            "operations": [operation_to_json(op) for op in gt.operations],
-            "allocation": allocation_to_json(gt.allocation),
-            "precedence": precedence_to_json(gt.precedence),
-        }
-        if gt.program is not None:
-            gt_json["program"] = program_to_json(gt.program)
-        if gt.schedule is not None:
-            gt_json["schedule"] = schedule_record_to_json(gt.schedule)
-        out["ground_truth"] = gt_json
-    return out
+    return SCHEDULE_RECORD.load(data, path)
 
 
 def task_instance_from_json(data: Any, path: str = "task") -> TaskInstance:
-    d = _as_dict(data, path)
-    _check_keys(d, path, ["scene", "instruction"], ["ground_truth"])
-    scene = scene_from_json(d["scene"], f"{path}.scene")
-    instruction = _as_str(d["instruction"], f"{path}.instruction")
-    ground_truth = None
-    if "ground_truth" in d:
-        p = f"{path}.ground_truth"
-        gt = _as_dict(d["ground_truth"], p)
-        _check_keys(gt, p, ["operations", "allocation", "precedence"], ["program", "schedule"])
-        operations = tuple(
-            operation_from_json(item, f"{p}.operations[{i}]")
-            for i, item in enumerate(_as_list(gt["operations"], f"{p}.operations"))
-        )
-        program = None
-        if "program" in gt:
-            program = program_from_json(gt["program"], f"{p}.program")
-        schedule = None
-        if "schedule" in gt:
-            schedule = schedule_record_from_json(gt["schedule"], f"{p}.schedule")
-        ground_truth = GroundTruth(
-            operations=operations,
-            allocation=allocation_from_json(gt["allocation"], f"{p}.allocation"),
-            precedence=precedence_from_json(gt["precedence"], f"{p}.precedence"),
-            program=program,
-            schedule=schedule,
-        )
-    return TaskInstance(scene=scene, instruction=instruction, ground_truth=ground_truth)
+    return TASK.load(data, path)
 
 
 def serialize_task_instance(task: TaskInstance) -> str:
-    return canonical_json(task_instance_to_json(task))
+    return canonical_json(TASK.dump(task))
 
 
 def parse_task_instance(text: str, path: str = "task") -> TaskInstance:
     """Parse and fully validate a task document. Raises ParseError on shape
     problems and ValidationError on invariant violations."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    task = task_instance_from_json(data, path)
+    task = TASK.load(parse_json(text, path), path)
     violations = validate_scene(task.scene)
     if task.ground_truth is not None:
         gt = task.ground_truth

@@ -44,13 +44,17 @@ class ScheduleGraph:
 def _schedule_from_steps(
     graph: DisjunctiveGraph, start_steps: dict[str, int]
 ) -> ScheduleGraph:
-    for arc in graph.disjunctive:
-        sa, sb = start_steps[arc.a], start_steps[arc.b]
-        if sa == sb:
-            raise ValidationError(
-                f"operations '{arc.a}' and '{arc.b}' share step {sa} "
-                "but compete for a resource"
-            )
+    clashes = [
+        (start_steps[arc.a], arc.a, arc.b)
+        for arc in graph.disjunctive
+        if start_steps[arc.a] == start_steps[arc.b]
+    ]
+    if clashes:
+        # The earliest clash, not the first in (hash-seeded) set order.
+        step, a, b = min(clashes)
+        raise ValidationError(
+            f"operations '{a}' and '{b}' share step {step} but compete for a resource"
+        )
     span = max(start_steps.values()) + 1 if start_steps else 0
     return ScheduleGraph(graph=graph, start_steps=start_steps, makespan=span)
 

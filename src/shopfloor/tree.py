@@ -13,7 +13,9 @@ structure is a rooted acyclic graph rather than a strict tree; paths are
 still what selection works on.
 
 Each node's condition is parsed once, when the node is built (so when a
-tree file is loaded); branch selection only evaluates the parsed form.
+tree file is loaded); branch selection only evaluates the parsed form. The
+tree file format is declared once, as a codec (TREE) built from the
+strict-JSON combinators in model.
 
 Conditions are s-expressions over a closed vocabulary:
 
@@ -30,34 +32,32 @@ Conditions are s-expressions over a closed vocabulary:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from .model import (
-    Allocation,
+    INT,
     MACHINE_ROLES,
+    SKILL_CALL,
+    SKILLS,
+    STR,
+    Allocation,
+    ArrayOf,
+    EnumOf,
     Operation,
     OperationType,
     Program,
     ProgramCall,
+    Record,
     Scene,
     SkillCall,
-    SKILLS,
     Wrapper,
-    _as_dict,
-    _as_int,
-    _as_list,
-    _as_str,
-    _check_keys,
     canonical_json,
-    skill_call_from_json,
-    skill_call_to_json,
+    parse_json,
+    req,
 )
-
-GENERAL = "general"
 
 
 @dataclass(frozen=True)
@@ -228,73 +228,45 @@ def condition_holds(node: TreeNode, op: Operation, scene: Scene) -> bool:
 # tree files
 
 
-def tree_to_json(tree: ProcessTree) -> dict:
-    return {
-        "root": tree.root,
-        "nodes": [
-            {
-                "index": node.index,
-                "type": GENERAL if node.op_type is None else node.op_type.value,
-                "description": node.description,
-                "condition": node.condition,
-                "snippet": [skill_call_to_json(s) for s in node.snippet],
-                "children": list(node.children),
-            }
-            for _, node in sorted(tree.nodes.items())
-        ],
-    }
+def _by_index(nodes: Iterable[TreeNode]) -> dict[int, TreeNode]:
+    table: dict[int, TreeNode] = {}
+    for node in nodes:
+        if node.index in table:
+            raise ValidationError(f"node index {node.index} is not unique")
+        table[node.index] = node
+    return table
+
+
+TREE_NODE = Record(
+    TreeNode,
+    req("index", INT),
+    req("type", EnumOf(OperationType, "node type", general=None), attr="op_type"),
+    req("description", STR),
+    req("condition", STR),
+    req("snippet", ArrayOf(SKILL_CALL)),
+    req("children", ArrayOf(INT)),
+)
+TREE = Record(
+    ProcessTree,
+    req("root", INT),
+    # A JSON array in index order, keyed by index on load.
+    req(
+        "nodes",
+        ArrayOf(TREE_NODE, build=_by_index, order=lambda nodes: [nodes[i] for i in sorted(nodes)]),
+    ),
+)
+
+tree_to_json = TREE.dump
 
 
 def serialize_tree(tree: ProcessTree) -> str:
-    return canonical_json(tree_to_json(tree))
-
-
-def tree_from_json(data: Any, path: str = "tree") -> ProcessTree:
-    d = _as_dict(data, path)
-    _check_keys(d, path, ["root", "nodes"])
-    nodes: dict[int, TreeNode] = {}
-    for i, item in enumerate(_as_list(d["nodes"], f"{path}.nodes")):
-        p = f"{path}.nodes[{i}]"
-        obj = _as_dict(item, p)
-        _check_keys(obj, p, ["index", "type", "description", "condition", "snippet", "children"])
-        index = _as_int(obj["index"], f"{p}.index")
-        type_text = _as_str(obj["type"], f"{p}.type")
-        if type_text == GENERAL:
-            op_type = None
-        else:
-            try:
-                op_type = OperationType(type_text)
-            except ValueError:
-                raise ParseError(f"{p}.type: unknown node type '{type_text}'") from None
-        snippet = tuple(
-            skill_call_from_json(s, f"{p}.snippet[{j}]")
-            for j, s in enumerate(_as_list(obj["snippet"], f"{p}.snippet"))
-        )
-        children = tuple(
-            _as_int(c, f"{p}.children[{j}]")
-            for j, c in enumerate(_as_list(obj["children"], f"{p}.children"))
-        )
-        if index in nodes:
-            raise ValidationError(f"node index {index} is not unique")
-        nodes[index] = TreeNode(
-            index=index,
-            op_type=op_type,
-            description=_as_str(obj["description"], f"{p}.description"),
-            condition=_as_str(obj["condition"], f"{p}.condition"),
-            snippet=snippet,
-            children=children,
-        )
-    tree = ProcessTree(root=_as_int(d["root"], f"{path}.root"), nodes=nodes)
-    _validate_tree(tree)
-    return tree
+    return canonical_json(TREE.dump(tree))
 
 
 def parse_tree(text: str, path: str = "tree") -> ProcessTree:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return tree_from_json(data, path)
+    tree = TREE.load(parse_json(text, path), path)
+    _validate_tree(tree)
+    return tree
 
 
 def load_reference_tree() -> ProcessTree:
@@ -454,9 +426,7 @@ def assemble_program(
         if op.machine_2 is not None:
             binding["machine_2"] = op.machine_2
         wrapper_name = f"op_{op.id}"
-        wrappers[wrapper_name] = Wrapper(
-            name=wrapper_name, execution=exec_name, binding=binding
-        )
+        wrappers[wrapper_name] = Wrapper(execution=exec_name, binding=binding)
         calls.append(ProgramCall(op_id=op.id, wrapper=wrapper_name, args=binding))
     calls.sort(key=lambda c: c.op_id)
     return Program(calls=tuple(calls), wrappers=wrappers, executions=executions)

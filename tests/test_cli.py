@@ -230,6 +230,26 @@ def test_execute_rejects_an_infeasible_schedule_file(capsys, task_file, tmp_path
     assert expected in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, doc, expected",
+    [
+        ("execute", "--schedule", {"start_steps": {}, "makespan": "x"},
+         "bad.json.makespan: expected an integer, got str"),
+        ("gantt", "--schedule", {"start_steps": {}, "makespan": "x"},
+         "bad.json.makespan: expected an integer, got str"),
+        ("execute", "--program", {"calls": [], "wrappers": {}},
+         "bad.json: missing required key 'executions'"),
+    ],
+)
+def test_mis_shaped_input_file_exits_2(capsys, task_file, tmp_path, command, flag, doc, expected):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(task_file), flag, str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"invalid {flag[2:]} file {bad}: " in err and expected in err
+
+
 def test_gantt_text_to_stdout_and_svg_to_file(capsys, task_file, tmp_path):
     svg_file = tmp_path / "chart.svg"
     code, out, _ = run_cli(capsys, "gantt", str(task_file), "--svg", str(svg_file))

@@ -1,0 +1,211 @@
+"""The strict-JSON file formats: one pinned message per fault kind and
+document kind, and a property over generated tasks, programs and traces."""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shopfloor.bench import Tier, generate_instance
+from shopfloor.errors import ParseError, ValidationError
+from shopfloor.executor import execute, parse_trace, trace_to_jsonl
+from shopfloor.graph import build_graph
+from shopfloor.model import (
+    canonical_json,
+    parse_task_instance,
+    program_from_json,
+    program_to_json,
+    schedule_record_from_json,
+    schedule_record_to_json,
+    serialize_task_instance,
+)
+from shopfloor.solve import schedule_from_record
+from shopfloor.tree import assemble_program, load_reference_tree, parse_tree, serialize_tree
+
+TREE = load_reference_tree()
+
+
+def _documents(tier: Tier, seed: int) -> dict[str, str]:
+    """Canonical task, program, schedule, tree and trace text of one task."""
+    task = generate_instance(tier, seed)
+    gt = task.ground_truth
+    program = assemble_program(TREE, gt.operations, gt.allocation, task.scene)
+    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+    schedule = schedule_from_record(graph, gt.schedule)
+    trace = execute(schedule, program, task.scene, gt.operations).trace
+    return {
+        "task": serialize_task_instance(task),
+        "program": canonical_json(program_to_json(program)),
+        "schedule": canonical_json(schedule_record_to_json(gt.schedule)),
+        "tree": serialize_tree(TREE),
+        "trace": trace_to_jsonl(trace),
+    }
+
+
+# Each document kind, read back to its canonical text through its public
+# entry point; a trace document is one of its lines.
+READ = {
+    "task": lambda doc: serialize_task_instance(parse_task_instance(canonical_json(doc))),
+    "program": lambda doc: canonical_json(program_to_json(program_from_json(doc))),
+    "schedule": lambda doc: canonical_json(schedule_record_to_json(schedule_record_from_json(doc))),
+    "tree": lambda doc: serialize_tree(parse_tree(canonical_json(doc))),
+    "trace": lambda doc: trace_to_jsonl(parse_trace(json.dumps(doc))),
+}
+
+DOCS = _documents(Tier.SINGLE_ROBOT, 3)
+
+
+def _doc(kind: str):
+    text = DOCS[kind]
+    return json.loads(text.splitlines()[0] if kind == "trace" else text)
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _delete(*path):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        # wrong type
+        ("task", _set(("scene", "machines", 0, "exclusive"), "yes"),
+         "task.scene.machines[0].exclusive: expected a boolean, got str"),
+        ("program", _set(("calls", 0, "args", "robot"), 3),
+         "program.calls[0].args.robot: expected a string, got int"),
+        ("schedule", _set(("makespan",), True),
+         "schedule.makespan: expected an integer, got bool"),
+        ("tree", _set(("nodes", 0, "children"), {}),
+         "tree.nodes[0].children: expected an array, got dict"),
+        ("trace", _set(("operations", 0, "skills"), "none"),
+         "trace:1.operations[0].skills: expected an array, got str"),
+        # missing key
+        ("task", _delete("ground_truth", "operations", 0, "workpiece"),
+         "task.ground_truth.operations[0]: missing required key 'workpiece'"),
+        ("program", _delete("calls", 0, "wrapper"),
+         "program.calls[0]: missing required key 'wrapper'"),
+        ("schedule", _delete("start_steps"),
+         "schedule: missing required key 'start_steps'"),
+        ("tree", _delete("nodes", 1, "condition"),
+         "tree.nodes[1]: missing required key 'condition'"),
+        ("trace", _delete("operations", 0, "robot"),
+         "trace:1.operations[0]: missing required key 'robot'"),
+        # unknown keys, reported sorted
+        ("task", _set(("scene", "robots", 0, "speed"), 3),
+         "task.scene.robots[0]: unknown keys: speed"),
+        ("program", _set(("executions",), {"exec_0": [{"skill": "attach", "args": [], "x": 1}]}),
+         "program.executions.exec_0[0]: unknown keys: x"),
+        ("schedule", _set(("note",), "b"),
+         "schedule: unknown keys: note"),
+        ("tree", _set(("nodes", 2, "weight"), 1),
+         "tree.nodes[2]: unknown keys: weight"),
+        ("trace", _set(("zz",), 1),
+         "trace:1: unknown keys: zz"),
+        # unknown enum value
+        ("task", _set(("ground_truth", "operations", 0, "type"), "painting"),
+         "task.ground_truth.operations[0].type: unknown operation type 'painting'"),
+        ("task", _set(("ground_truth", "operations", 0, "type"), "general"),
+         "task.ground_truth.operations[0].type: unknown operation type 'general'"),
+        ("tree", _set(("nodes", 1, "type"), "painting"),
+         "tree.nodes[1].type: unknown node type 'painting'"),
+    ],
+)
+def test_each_fault_kind_names_its_path(kind, edit, message):
+    doc = _doc(kind)
+    edit(doc)
+    with pytest.raises(ParseError) as exc:
+        READ[kind](doc)
+    assert str(exc.value) == message
+
+
+def test_missing_keys_are_reported_before_unknown_ones():
+    doc = _doc("schedule")
+    del doc["makespan"]
+    doc["extra"] = 1
+    with pytest.raises(ParseError, match=r"^schedule: missing required key 'makespan'$"):
+        READ["schedule"](doc)
+
+
+def test_general_node_type_loads_as_none():
+    # As an operation type, "general" is rejected (pinned above).
+    doc = _doc("tree")
+    typed = next(node for node in doc["nodes"] if node["type"] != "general")
+    typed["type"] = "general"
+    tree = parse_tree(canonical_json(doc))
+    assert tree.node(typed["index"]).op_type is None
+
+
+def _leaves(doc, path=()):
+    """(path, value) of every scalar in doc."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path, doc
+
+
+# A value of another JSON type for each leaf type; no codec accepts it.
+_OTHER_TYPE = {str: [7, None, ["x"]], int: ["7", True, 1.5, None], bool: [1, "true", None]}
+# A value of the same type, which may break an invariant; a bool is flipped.
+_SAME_TYPE = {str: ["zz", ""], int: [-1, 10**6]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tier=st.sampled_from(list(Tier)),
+    seed=st.integers(0, 200),
+    kind=st.sampled_from(["task", "program", "trace"]),
+    data=st.data(),
+)
+def test_single_leaf_mutations_fail_cleanly(tier, seed, kind, data):
+    text = _documents(tier, seed)[kind]
+    if kind == "trace":
+        # Every document reads back byte for byte; the trace as a whole too.
+        assert trace_to_jsonl(parse_trace(text)) == text
+        lines = text.splitlines()
+        line = data.draw(st.integers(0, len(lines) - 1), label="line")
+        doc = json.loads(lines[line])
+        assert READ[kind](doc) == lines[line] + "\n"
+    else:
+        doc = json.loads(text)
+        assert READ[kind](doc) == text
+    path, value = data.draw(st.sampled_from(list(_leaves(doc))), label="leaf")
+    same_type = data.draw(st.booleans(), label="same type")
+    if not same_type:
+        choices = _OTHER_TYPE[type(value)]
+    elif type(value) is bool:
+        choices = [not value]
+    else:
+        choices = _SAME_TYPE[type(value)]
+    replacement = data.draw(st.sampled_from(choices), label="value")
+    mutated = copy.deepcopy(doc)
+    _set(path, replacement)(mutated)
+    if same_type:
+        # Shape holds, so it loads or breaks an invariant; nothing else.
+        try:
+            READ[kind](mutated)
+        except (ParseError, ValidationError):
+            pass
+    else:
+        with pytest.raises(ParseError, match=r"expected an? \w+, got \w+"):
+            READ[kind](mutated)

@@ -254,7 +254,7 @@ def hand_program(execution):
     binding = {"robot": "r1", "machine_1": "table_1", "workpiece": "w1"}
     return Program(
         calls=(ProgramCall(op_id="p1", wrapper="op_p1", args=binding),),
-        wrappers={"op_p1": Wrapper(name="op_p1", execution="exec_x", binding=binding)},
+        wrappers={"op_p1": Wrapper(execution="exec_x", binding=binding)},
         executions={"exec_x": tuple(execution)},
     )
 

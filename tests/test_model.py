@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from shopfloor.errors import ParseError, ValidationError
 from shopfloor.model import (
+    SCENE,
     Allocation,
     Machine,
     OperationType,
@@ -25,7 +26,6 @@ from shopfloor.model import (
     parse_task_instance,
     point_name,
     role_placeholder,
-    scene_from_json,
     scene_to_json,
     serialize_task_instance,
     task_instance_from_json,
@@ -381,6 +381,6 @@ def test_scene_round_trip_property(pieces):
     scene = Scene(robots=(make_robot("r1", reachable=("m1",)),),
                   machines=machines, workpieces=workpieces)
     text = canonical_json(scene_to_json(scene))
-    parsed = scene_from_json(json.loads(text))
+    parsed = SCENE.load(json.loads(text), "scene")
     assert canonical_json(scene_to_json(parsed)) == text
-    assert scene_from_json(json.loads(canonical_json(scene_to_json(parsed)))) == parsed
+    assert SCENE.load(json.loads(canonical_json(scene_to_json(parsed))), "scene") == parsed

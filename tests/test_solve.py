@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shopfloor
 from shopfloor.errors import InstanceTooLarge, ValidationError
 from shopfloor.graph import build_graph
 from shopfloor.model import Allocation, OperationType, PrecedenceSet, ScheduleRecord
@@ -254,6 +259,42 @@ def test_schedule_record_rejects_double_booking():
                             makespan=3)
     with pytest.raises(ValidationError, match="share step 0"):
         schedule_from_record(g, record)
+
+
+_MANY_CLASHES = """
+from shopfloor.bench import Tier, generate_instance
+from shopfloor.graph import build_graph
+from shopfloor.model import ScheduleRecord
+from shopfloor.solve import schedule_from_record
+
+task = generate_instance(Tier.SIMPLE_MULTI, 3)
+gt = task.ground_truth
+graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+steps = {op: i for chain in gt.precedence.chains.values() for i, op in enumerate(chain)}
+try:
+    schedule_from_record(graph, ScheduleRecord(steps, max(steps.values()) + 1))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_double_booking_message_does_not_depend_on_the_hash_seed():
+    # Every chain placed at steps 0, 1, ... double-books several resources;
+    # string hashing orders the graph's arc set, so each seed runs apart.
+    src = str(Path(shopfloor.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _MANY_CLASHES],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "3")
+    }
+    assert outputs == {
+        "ValidationError operations 'o1' and 'o6' share step 0 "
+        "but compete for a resource\n"
+    }
 
 
 @pytest.mark.parametrize(
