@@ -260,13 +260,12 @@ def _acceptable(task: TaskInstance, tree: ProcessTree) -> bool:
 def generate_instance(
     tier: Tier,
     seed: int,
-    tree: ProcessTree | None = None,
     attempts: int = 8,
 ) -> TaskInstance:
     """Deterministic instance for (tier, seed): same arguments, same bytes.
-    Candidates that fail self-validation are re-rolled a bounded number of
-    times before giving up."""
-    tree = tree if tree is not None else load_reference_tree()
+    Candidates that fail self-validation against the reference tree are
+    re-rolled a bounded number of times before giving up."""
+    tree = load_reference_tree()
     for attempt in range(attempts):
         task = _candidate(tier, seed, attempt)
         if _acceptable(task, tree):
@@ -324,13 +323,14 @@ def _tier_from_stem(stem: str, name: str) -> Tier:
 
 
 def load_bench_task(path: str | Path) -> BenchTask:
+    """A task file of a suite; scoring needs its ground truth, so a file
+    without one raises ValidationError."""
     path = Path(path)
-    stem = path.stem
-    return BenchTask(
-        task_id=stem,
-        tier=_tier_from_stem(stem, path.name),
-        instance=load_task_instance(path),
-    )
+    tier = _tier_from_stem(path.stem, path.name)
+    instance = load_task_instance(path)
+    if instance.ground_truth is None:
+        raise ValidationError(f"{path}: task file carries no ground truth")
+    return BenchTask(task_id=path.stem, tier=tier, instance=instance)
 
 
 def load_bundled_tasks() -> list[BenchTask]:

@@ -75,8 +75,20 @@ def _load_file(path: str, label: str, codec: Codec):
         return codec.load(parse_json(Path(path).read_text(encoding="utf-8"), path), path)
     except OSError as exc:
         raise _InputError(f"cannot read {label} file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"invalid {label} file {path}: not UTF-8: {exc}") from None
     except ParseError as exc:
         raise _InputError(f"invalid {label} file {path}: {exc}") from None
+
+
+def _tier_list(text: str) -> tuple[Tier, ...]:
+    try:
+        return tuple(Tier(t) for t in text.split(","))
+    except ValueError:
+        valid = ", ".join(t.value for t in Tier)
+        raise argparse.ArgumentTypeError(
+            f"invalid tiers {text!r}; choose from {valid}"
+        ) from None
 
 
 def _planner(name: str):
@@ -120,7 +132,7 @@ def _cmd_generate(args) -> int:
             Path(args.suite),
             per_tier=args.per_tier,
             base_seed=args.base_seed,
-            tiers=tuple(Tier(t) for t in args.tiers.split(",")) if args.tiers else tuple(Tier),
+            tiers=args.tiers or tuple(Tier),
         )
         print(f"wrote {len(paths)} task files to {args.suite}")
         return 0
@@ -137,6 +149,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_plan(args) -> int:
     task = _load_task(args.task)
+    if args.planner == "gt":
+        _ground_truth(task)
     output = _planner(args.planner).plan(task)
     _emit(output.raw, args.out)
     if not output.ok:
@@ -196,6 +210,7 @@ def _cmd_execute(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     task = _load_task(args.task)
+    _ground_truth(task)
     from .bench import _run_pipeline
 
     report, error = _run_pipeline(task, _planner(args.planner), load_reference_tree())
@@ -254,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", help="directory to fill with a full suite")
     p.add_argument("--per-tier", type=int, default=5)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--tiers", help="comma-separated tier names for --suite")
+    p.add_argument("--tiers", type=_tier_list, help="comma-separated tier names for --suite")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("plan", help="produce the operation/allocation/precedence text")

@@ -1,22 +1,27 @@
 """Extended disjunctive graph over a validated plan triple.
 
 Vertices are the operations plus a source and a terminal. Conjunctive arcs
-chain each workpiece's operations in precedence order; disjunctive arcs
-connect unordered pairs that compete for the same exclusive machine or the
-same robot. A transport occupies both of its machines, so either end can
-collide. Pairs already ordered by a workpiece chain get no disjunctive arc:
-the chain is a total order on its workpiece, so only cross-workpiece pairs
-remain.
+chain each workpiece's operations in precedence order, so the graph keeps
+them as the chains themselves; to_dot alone adds the source and terminal.
+Disjunctive arcs connect unordered pairs that compete for the same
+exclusive machine or the same robot, one arc per shared resource. A
+transport occupies both of its machines, so either end can collide. Pairs
+already ordered by a workpiece chain get no disjunctive arc: the chain is a
+total order on its workpiece, so only cross-workpiece pairs remain.
 
-The graph stays undirected on its disjunctive arcs: a schedule's start
-steps fix the order of every conflicting pair (see solve.ScheduleGraph).
+The graph derives, once, the two relations the solvers need: each
+operation's chain predecessor (preds) and the operations it shares a
+resource with (rivals). The graph stays undirected on its disjunctive arcs:
+a schedule's start steps fix the order of every conflicting pair (see
+solve.ScheduleGraph).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Literal, Sequence
 
 from .errors import ValidationError
 from .model import Allocation, Operation, PrecedenceSet, Scene
@@ -24,42 +29,46 @@ from .model import Allocation, Operation, PrecedenceSet, Scene
 SOURCE = "__source__"
 TERMINAL = "__terminal__"
 
-
-@dataclass(frozen=True, slots=True)
-class MachineArc:
-    """Undirected scheduling choice between two operations on one machine."""
-
-    a: str
-    b: str
-    machine: str
+_COLOR = {"machine": "firebrick", "robot": "steelblue"}
 
 
 @dataclass(frozen=True, slots=True)
-class RobotArc:
-    """Undirected scheduling choice between two operations of one robot."""
+class DisjunctiveArc:
+    """Undirected scheduling choice between two operations (a < b) that
+    compete for one exclusive machine or one robot."""
 
     a: str
     b: str
-    robot: str
-
-
-DisjunctiveArc = MachineArc | RobotArc
+    kind: Literal["machine", "robot"]
+    resource: str
 
 
 @dataclass(frozen=True)
 class DisjunctiveGraph:
+    """op_ids in plan order; chains one per workpiece in workpiece order,
+    empty chains dropped; disjunctive the resource conflicts."""
+
     op_ids: tuple[str, ...]
-    conjunctive: tuple[tuple[str, str], ...]
-    machine_arcs: frozenset[MachineArc]
-    robot_arcs: frozenset[RobotArc]
+    chains: tuple[tuple[str, ...], ...]
+    disjunctive: frozenset[DisjunctiveArc]
 
-    @property
-    def disjunctive(self) -> frozenset[DisjunctiveArc]:
-        return self.machine_arcs | self.robot_arcs
+    @cached_property
+    def preds(self) -> dict[str, frozenset[str]]:
+        """Each operation's chain predecessor (empty for a chain head)."""
+        preds = dict.fromkeys(self.op_ids, frozenset())
+        for chain in self.chains:
+            for u, v in zip(chain, chain[1:]):
+                preds[v] = frozenset((u,))
+        return preds
 
-
-def _ordered_pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
+    @cached_property
+    def rivals(self) -> dict[str, frozenset[str]]:
+        """The operations each operation shares a disjunctive arc with."""
+        rivals: dict[str, list[str]] = {op: [] for op in self.op_ids}
+        for arc in self.disjunctive:
+            rivals[arc.a].append(arc.b)
+            rivals[arc.b].append(arc.a)
+        return {op: frozenset(others) for op, others in rivals.items()}
 
 
 def build_graph(
@@ -80,7 +89,7 @@ def build_graph(
         if op.id in (SOURCE, TERMINAL):
             raise ValidationError(f"operation id '{op.id}' collides with a reserved vertex")
 
-    conjunctive: list[tuple[str, str]] = []
+    chains: list[tuple[str, ...]] = []
     chained: set[str] = set()
     for w in sorted(precedence.chains):
         chain = precedence.chains[w]
@@ -92,10 +101,7 @@ def build_graph(
             if op_id in chained:
                 raise ValidationError(f"operation '{op_id}' appears in more than one chain")
             chained.add(op_id)
-        conjunctive.append((SOURCE, chain[0]))
-        for u, v in zip(chain, chain[1:]):
-            conjunctive.append((u, v))
-        conjunctive.append((chain[-1], TERMINAL))
+        chains.append(tuple(chain))
     unchained = sorted(set(by_id) - chained)
     if unchained:
         raise ValidationError(
@@ -103,62 +109,32 @@ def build_graph(
         )
 
     exclusive = {m.id for m in scene.machines if m.exclusive}
-    machine_users: dict[str, list[str]] = defaultdict(list)
+    users: dict[tuple[str, str], list[str]] = defaultdict(list)
     for op in operations:
         for m in op.machines_used():
             if m in exclusive:
-                machine_users[m].append(op.id)
-
-    # Ops of one workpiece are totally ordered by its chain, so a disjunctive
-    # arc would duplicate a conjunctive ordering; only cross-workpiece pairs count.
-    machine_arcs: set[MachineArc] = set()
-    for machine_id, users in machine_users.items():
-        for i, a in enumerate(users):
-            for b in users[i + 1:]:
-                if by_id[a].workpiece == by_id[b].workpiece:
-                    continue
-                u, v = _ordered_pair(a, b)
-                machine_arcs.add(MachineArc(a=u, b=v, machine=machine_id))
-
-    robot_users: dict[str, list[str]] = defaultdict(list)
-    for op in operations:
+                users["machine", m].append(op.id)
         robot = allocation.robot_for(op.id)
         if robot is None:
             raise ValidationError(f"operation '{op.id}' has no allocated robot")
-        robot_users[robot].append(op.id)
-    robot_arcs: set[RobotArc] = set()
-    for robot_id, users in robot_users.items():
-        for i, a in enumerate(users):
-            for b in users[i + 1:]:
-                if by_id[a].workpiece == by_id[b].workpiece:
-                    continue
-                u, v = _ordered_pair(a, b)
-                robot_arcs.add(RobotArc(a=u, b=v, robot=robot_id))
+        users["robot", robot].append(op.id)
+
+    # Ops of one workpiece are totally ordered by its chain, so a disjunctive
+    # arc would duplicate a conjunctive ordering; only cross-workpiece pairs count.
+    arcs: set[DisjunctiveArc] = set()
+    for (kind, resource), ops in users.items():
+        for i, a in enumerate(ops):
+            workpiece = by_id[a].workpiece
+            for b in ops[i + 1:]:
+                if by_id[b].workpiece != workpiece:
+                    u, v = (a, b) if a < b else (b, a)
+                    arcs.add(DisjunctiveArc(u, v, kind, resource))
 
     return DisjunctiveGraph(
         op_ids=tuple(op.id for op in operations),
-        conjunctive=tuple(conjunctive),
-        machine_arcs=frozenset(machine_arcs),
-        robot_arcs=frozenset(robot_arcs),
+        chains=tuple(chains),
+        disjunctive=frozenset(arcs),
     )
-
-
-def conjunctive_predecessors(graph: DisjunctiveGraph) -> dict[str, set[str]]:
-    """Immediate conjunctive predecessor operations per operation."""
-    preds: dict[str, set[str]] = {op: set() for op in graph.op_ids}
-    for u, v in graph.conjunctive:
-        if u != SOURCE and v != TERMINAL:
-            preds[v].add(u)
-    return preds
-
-
-def disjunctive_neighbours(graph: DisjunctiveGraph) -> dict[str, set[str]]:
-    """Adjacency over disjunctive arcs (conflict relation between ops)."""
-    adj: dict[str, set[str]] = {op: set() for op in graph.op_ids}
-    for arc in graph.disjunctive:
-        adj[arc.a].add(arc.b)
-        adj[arc.b].add(arc.a)
-    return adj
 
 
 def to_dot(graph: DisjunctiveGraph) -> str:
@@ -169,17 +145,14 @@ def to_dot(graph: DisjunctiveGraph) -> str:
     lines.append(f'  "{TERMINAL}" [label="terminal", shape=doublecircle];')
     for op_id in graph.op_ids:
         lines.append(f'  "{op_id}" [shape=box];')
-    for u, v in graph.conjunctive:
-        lines.append(f'  "{u}" -> "{v}";')
-    for arc in sorted(graph.machine_arcs, key=lambda a: (a.machine, a.a, a.b)):
+    for chain in graph.chains:
+        path = (SOURCE, *chain, TERMINAL)
+        for u, v in zip(path, path[1:]):
+            lines.append(f'  "{u}" -> "{v}";')
+    for arc in sorted(graph.disjunctive, key=lambda a: (a.kind, a.resource, a.a, a.b)):
         lines.append(
-            f'  "{arc.a}" -> "{arc.b}" [dir=none, style=dashed, color=firebrick, '
-            f'label="machine {arc.machine}"];'
-        )
-    for arc in sorted(graph.robot_arcs, key=lambda a: (a.robot, a.a, a.b)):
-        lines.append(
-            f'  "{arc.a}" -> "{arc.b}" [dir=none, style=dashed, color=steelblue, '
-            f'label="robot {arc.robot}"];'
+            f'  "{arc.a}" -> "{arc.b}" [dir=none, style=dashed, color={_COLOR[arc.kind]}, '
+            f'label="{arc.kind} {arc.resource}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

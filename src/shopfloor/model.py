@@ -617,6 +617,8 @@ def load_task_instance(path: str | Path) -> TaskInstance:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{p}: cannot read task file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: task file is not UTF-8: {exc}") from None
     return parse_task_instance(text, str(p))
 
 

@@ -6,6 +6,12 @@ may never share a step, and an operation starts strictly after every
 predecessor finished. The start steps are the whole solution: every
 disjunctive arc points from the earlier start to the later one, so the
 solvers return a ScheduleGraph that holds only the graph and its steps.
+
+The solvers read each operation's chain predecessor and resource rivals
+from the graph (DisjunctiveGraph.preds and .rivals); ScheduleGraph adds the
+order its steps give every disjunctive arc. One fault finder states the
+feasibility rules: every schedule a solver returns or schedule_from_record
+rebuilds passes it, and is_feasible asks it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InstanceTooLarge, ValidationError
-from .graph import DisjunctiveGraph, conjunctive_predecessors, disjunctive_neighbours
+from .graph import DisjunctiveGraph
 from .model import ScheduleRecord
 
 DEFAULT_BRUTE_FORCE_CAP = 10
@@ -32,7 +38,7 @@ class ScheduleGraph:
         """Operations that must finish before each operation may start: its
         chain predecessor and every resource rival that starts earlier."""
         steps = self.start_steps
-        preds = conjunctive_predecessors(self.graph)
+        preds = {op: set(chain_pred) for op, chain_pred in self.graph.preds.items()}
         for arc in self.graph.disjunctive:
             if steps[arc.a] < steps[arc.b]:
                 preds[arc.b].add(arc.a)
@@ -41,9 +47,25 @@ class ScheduleGraph:
         return preds
 
 
-def _schedule_from_steps(
-    graph: DisjunctiveGraph, start_steps: dict[str, int]
-) -> ScheduleGraph:
+def _fault(graph: DisjunctiveGraph, start_steps: Mapping[str, int], makespan: int) -> str | None:
+    """Why start steps and a makespan do not solve the graph, or None when
+    they do: they must cover exactly its operations, none may be negative,
+    every chain arc must go forward, no two resource rivals may share a step
+    and the makespan must match the steps. Arcs that all point forward in
+    time cannot close a cycle, so acyclicity needs no check of its own."""
+    if set(start_steps) != set(graph.op_ids):
+        return "schedule record does not cover exactly the graph's operations"
+    early = sorted(op for op, step in start_steps.items() if step < 0)
+    if early:
+        return f"schedule record starts operations before step 0: {', '.join(early)}"
+    backward = sorted(
+        f"'{u}' -> '{v}'"
+        for v, us in graph.preds.items()
+        for u in us
+        if start_steps[v] <= start_steps[u]
+    )
+    if backward:
+        return f"schedule record runs chain arcs backwards: {', '.join(backward)}"
     clashes = [
         (start_steps[arc.a], arc.a, arc.b)
         for arc in graph.disjunctive
@@ -52,11 +74,20 @@ def _schedule_from_steps(
     if clashes:
         # The earliest clash, not the first in (hash-seeded) set order.
         step, a, b = min(clashes)
-        raise ValidationError(
-            f"operations '{a}' and '{b}' share step {step} but compete for a resource"
-        )
+        return f"operations '{a}' and '{b}' share step {step} but compete for a resource"
     span = max(start_steps.values()) + 1 if start_steps else 0
-    return ScheduleGraph(graph=graph, start_steps=start_steps, makespan=span)
+    if makespan != span:
+        return f"schedule record claims makespan {makespan}, start steps imply {span}"
+    return None
+
+
+def _checked(
+    graph: DisjunctiveGraph, start_steps: dict[str, int], makespan: int
+) -> ScheduleGraph:
+    fault = _fault(graph, start_steps, makespan)
+    if fault is not None:
+        raise ValidationError(fault)
+    return ScheduleGraph(graph=graph, start_steps=start_steps, makespan=makespan)
 
 
 def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGraph:
@@ -70,8 +101,8 @@ def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGra
     if sorted(ops_order) != sorted(graph.op_ids):
         raise ValueError("ops_order must be a permutation of the graph's operations")
     position = {op_id: i for i, op_id in enumerate(ops_order)}
-    preds = conjunctive_predecessors(graph)
-    conflicts = disjunctive_neighbours(graph)
+    preds = graph.preds
+    conflicts = graph.rivals
 
     start_steps: dict[str, int] = {}
     completed: set[str] = set()
@@ -92,11 +123,11 @@ def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGra
             remaining.discard(op)
         completed.update(dispatched)
         step += 1
-    return _schedule_from_steps(graph, start_steps)
+    return _checked(graph, start_steps, step)
 
 
 def _maximal_conflict_free_subsets(
-    ready: Sequence[str], conflicts: Mapping[str, set[str]]
+    ready: Sequence[str], conflicts: Mapping[str, frozenset[str]]
 ) -> Iterator[frozenset[str]]:
     """All maximal independent subsets of ready under the conflict relation."""
     n = len(ready)
@@ -142,8 +173,8 @@ def brute_force_optimal(
             f"{len(ops)} operations exceed the exhaustive solver cap of {cap}"
         )
     order = sorted(ops)
-    preds = conjunctive_predecessors(graph)
-    conflicts = disjunctive_neighbours(graph)
+    preds = graph.preds
+    conflicts = graph.rivals
     everything = frozenset(ops)
 
     # memo: completed set -> (remaining makespan, start offsets of the
@@ -174,41 +205,12 @@ def brute_force_optimal(
         return champion
 
     span, vec = best(frozenset())
-    start_steps = dict(zip(order, vec))
-    schedule = _schedule_from_steps(graph, start_steps)
-    assert schedule.makespan == span
-    return schedule
-
-
-def _chain_fault(graph: DisjunctiveGraph, steps: Mapping[str, int]) -> str | None:
-    """Why start steps covering the graph's operations break its chains:
-    a start before step 0, or an operation that starts no later than its
-    chain predecessor. None when neither happens."""
-    early = sorted(op for op, step in steps.items() if step < 0)
-    if early:
-        return f"starts operations before step 0: {', '.join(early)}"
-    preds = conjunctive_predecessors(graph)
-    backward = sorted(
-        f"'{u}' -> '{v}'" for v, us in preds.items() for u in us if steps[v] <= steps[u]
-    )
-    if backward:
-        return f"runs chain arcs backwards: {', '.join(backward)}"
-    return None
+    return _checked(graph, dict(zip(order, vec)), span)
 
 
 def is_feasible(schedule: ScheduleGraph, graph: DisjunctiveGraph) -> bool:
-    """True iff the start steps solve the graph: they cover exactly its
-    operations, none is negative, every chain arc goes forward, no two
-    resource rivals share a step and the makespan matches the steps. Arcs
-    that all point forward in time cannot close a cycle, so acyclicity
-    needs no check of its own."""
-    steps = schedule.start_steps
-    if set(steps) != set(graph.op_ids) or _chain_fault(graph, steps) is not None:
-        return False
-    if any(steps[arc.a] == steps[arc.b] for arc in graph.disjunctive):
-        return False
-    expected = max(steps.values()) + 1 if steps else 0
-    return schedule.makespan == expected
+    """True iff the schedule's start steps and makespan solve the graph."""
+    return _fault(graph, schedule.start_steps, schedule.makespan) is None
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +232,4 @@ def schedule_from_record(graph: DisjunctiveGraph, record: ScheduleRecord) -> Sch
     the graph: missing operations, a negative start, a chain arc run
     backwards, a resource double-booked on one step or a wrong makespan.
     """
-    if set(record.start_steps) != set(graph.op_ids):
-        raise ValidationError(
-            "schedule record does not cover exactly the graph's operations"
-        )
-    start_steps = dict(record.start_steps)
-    fault = _chain_fault(graph, start_steps)
-    if fault is not None:
-        raise ValidationError(f"schedule record {fault}")
-    schedule = _schedule_from_steps(graph, start_steps)
-    if record.makespan != schedule.makespan:
-        raise ValidationError(
-            f"schedule record claims makespan {record.makespan}, "
-            f"start steps imply {schedule.makespan}"
-        )
-    return schedule
+    return _checked(graph, dict(record.start_steps), record.makespan)

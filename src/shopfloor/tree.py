@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
@@ -269,9 +270,11 @@ def parse_tree(text: str, path: str = "tree") -> ProcessTree:
     return tree
 
 
+@cache
 def load_reference_tree() -> ProcessTree:
     """The tree shipped with the package, covering all five operation types
-    with bracket-camera and handheld-camera location variants."""
+    with bracket-camera and handheld-camera location variants. Parsed once
+    per process; callers share it and must not mutate it."""
     from importlib import resources
 
     text = (

@@ -103,5 +103,4 @@ def plan(scene):
 
 def arcless(*op_ids):
     """A graph without arcs: every start step is allowed, nothing waits."""
-    return DisjunctiveGraph(op_ids=op_ids, conjunctive=(),
-                            machine_arcs=frozenset(), robot_arcs=frozenset())
+    return DisjunctiveGraph(op_ids=op_ids, chains=(), disjunctive=frozenset())

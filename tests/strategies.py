@@ -5,7 +5,6 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from conftest import FULL_KIT, make_machine, make_robot, make_workpiece
-from shopfloor.graph import SOURCE, TERMINAL
 from shopfloor.model import Allocation, Operation, OperationType, PrecedenceSet, Scene
 
 _TYPES = list(OperationType)
@@ -67,7 +66,7 @@ def optimal_by_enumeration(graph):
     n = len(ops)
     if n == 0:
         return 0, {}
-    conj = [(u, v) for u, v in graph.conjunctive if u != SOURCE and v != TERMINAL]
+    conj = [(u, v) for chain in graph.chains for u, v in zip(chain, chain[1:])]
     disj = [(arc.a, arc.b) for arc in graph.disjunctive]
     best = None
     for assignment in product(range(n), repeat=n):

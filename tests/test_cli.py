@@ -16,6 +16,7 @@ from shopfloor.model import (
     load_task_instance,
     schedule_record_from_json,
 )
+from shopfloor.planner import LlmConfig, LlmPlanner, RecordedTransport, render_planner_text
 
 
 @pytest.fixture
@@ -69,6 +70,54 @@ def test_unparseable_task_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", str(bad))
     assert code == 2
     assert "invalid task file" in err
+
+
+def test_non_utf8_input_file_exits_2(capsys, task_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "solve", str(bad))
+    assert (code, out) == (2, "")
+    assert f"invalid task file {bad}: {bad}: task file is not UTF-8" in err
+    code, out, err = run_cli(capsys, "execute", str(task_file), "--schedule", str(bad))
+    assert (code, out) == (2, "")
+    assert f"invalid schedule file {bad}: not UTF-8" in err
+
+
+@pytest.fixture
+def bare_task_file(task_file):
+    """The generated task with its ground truth removed."""
+    doc = json.loads(task_file.read_text(encoding="utf-8"))
+    del doc["ground_truth"]
+    bare = task_file.parent / "bare" / "single_robot_bare.json"
+    bare.parent.mkdir()
+    bare.write_text(json.dumps(doc), encoding="utf-8")
+    return bare
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["plan"], ["evaluate"], ["solve"], ["solve", "--optimal"], ["assemble"],
+     ["execute"], ["gantt"]],
+)
+def test_task_without_ground_truth_exits_2(capsys, bare_task_file, argv):
+    code, out, err = run_cli(capsys, argv[0], str(bare_task_file), *argv[1:])
+    assert (code, out) == (2, "")
+    assert "task file carries no ground truth" in err
+
+
+def test_run_over_a_task_without_ground_truth_exits_2(capsys, bare_task_file):
+    code, out, err = run_cli(capsys, "run", "--tasks", str(bare_task_file.parent))
+    assert (code, out) == (2, "")
+    assert f"{bare_task_file}: task file carries no ground truth" in err
+
+
+def test_llm_plan_needs_no_ground_truth(capsys, task_file, bare_task_file, monkeypatch):
+    gt = load_task_instance(task_file).ground_truth
+    reply = render_planner_text(gt.operations, gt.allocation, gt.precedence)
+    planner = LlmPlanner(LlmConfig(base_url="http://x", model="m"), RecordedTransport([reply]))
+    monkeypatch.setattr("shopfloor.cli._planner", lambda name: planner)
+    code, out, _ = run_cli(capsys, "plan", str(bare_task_file), "--planner", "llm")
+    assert (code, out) == (0, reply)
 
 
 def test_run_needs_a_task_source(capsys):
@@ -143,6 +192,16 @@ def test_generate_suite_tier_filter(tmp_path, capsys):
     )
     assert code == 0
     assert [p.name for p in sorted(suite.glob("*.json"))] == ["single_robot_0000.json"]
+
+
+def test_generate_suite_unknown_tier_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "generate", "--suite", str(tmp_path / "suite"), "--tiers", "single_robot,bogus"
+    )
+    assert (code, out) == (1, "")
+    assert "invalid tiers 'single_robot,bogus'" in err
+    assert "single_robot, simple_multi, complex_multi" in err
+    assert not (tmp_path / "suite").exists()
 
 
 # ---------------------------------------------------------------------------

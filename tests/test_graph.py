@@ -1,4 +1,4 @@
-"""Disjunctive graph construction, helper maps and GraphViz export."""
+"""Disjunctive graph construction, derived relations and GraphViz export."""
 
 from __future__ import annotations
 
@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from shopfloor.errors import ValidationError
-from shopfloor.graph import (
-    SOURCE,
-    TERMINAL,
-    MachineArc,
-    RobotArc,
-    build_graph,
-    conjunctive_predecessors,
-    disjunctive_neighbours,
-    to_dot,
-)
+from shopfloor.graph import DisjunctiveArc, DisjunctiveGraph, build_graph, to_dot
 from shopfloor.model import Allocation, OperationType, PrecedenceSet
 
 from conftest import make_machine, make_op, make_robot, make_scene, make_workpiece, transport
@@ -54,19 +45,19 @@ def _two_by_two():
 def test_empty_plan_gives_bare_graph(scene):
     g = build_graph((), PrecedenceSet(chains={}), Allocation(by_op={}), scene)
     assert g.op_ids == ()
-    assert g.conjunctive == ()
-    assert not g.machine_arcs and not g.robot_arcs
+    assert g.chains == ()
+    assert g.disjunctive == frozenset()
 
 
 def test_shared_machine_and_robot_arc_counts():
     ops, alloc, prec, scene = _two_by_two()
     g = build_graph(ops, prec, alloc, scene)
-    assert g.machine_arcs == {MachineArc("a1", "b1", "m_shared")}
-    assert g.robot_arcs == {
-        RobotArc("a1", "b1", "r1"),
-        RobotArc("a1", "b2", "r1"),
-        RobotArc("a2", "b1", "r1"),
-        RobotArc("a2", "b2", "r1"),
+    assert g.disjunctive == {
+        DisjunctiveArc("a1", "b1", "machine", "m_shared"),
+        DisjunctiveArc("a1", "b1", "robot", "r1"),
+        DisjunctiveArc("a1", "b2", "robot", "r1"),
+        DisjunctiveArc("a2", "b1", "robot", "r1"),
+        DisjunctiveArc("a2", "b2", "robot", "r1"),
     }
     # A pair sharing both a machine and the robot carries one arc per resource.
     pair_arcs = [arc for arc in g.disjunctive if {arc.a, arc.b} == {"a1", "b1"}]
@@ -76,12 +67,19 @@ def test_shared_machine_and_robot_arc_counts():
 def test_conjunctive_chains_wrap_source_and_terminal():
     ops, alloc, prec, scene = _two_by_two()
     g = build_graph(ops, prec, alloc, scene)
-    assert (SOURCE, "a1") in g.conjunctive
-    assert ("a1", "a2") in g.conjunctive
-    assert ("a2", TERMINAL) in g.conjunctive
-    assert (SOURCE, "b1") in g.conjunctive
-    assert ("b2", TERMINAL) in g.conjunctive
-    assert len(g.conjunctive) == 6
+    assert g.chains == (("a1", "a2"), ("b1", "b2"))
+    # The graph keeps the bare chains; to_dot wraps each in source and terminal.
+    conjunctive = [
+        line for line in to_dot(g).splitlines() if "->" in line and "dir=none" not in line
+    ]
+    assert conjunctive == [
+        '  "__source__" -> "a1";',
+        '  "a1" -> "a2";',
+        '  "a2" -> "__terminal__";',
+        '  "__source__" -> "b1";',
+        '  "b1" -> "b2";',
+        '  "b2" -> "__terminal__";',
+    ]
 
 
 def test_non_exclusive_machine_creates_no_arc():
@@ -104,8 +102,7 @@ def test_non_exclusive_machine_creates_no_arc():
     )
     g = build_graph(ops, prec, alloc, scene)
     # Both transports load from the shared dock, but it admits concurrency.
-    assert g.machine_arcs == frozenset()
-    assert g.robot_arcs == frozenset()
+    assert g.disjunctive == frozenset()
 
 
 def test_transport_occupies_both_machines():
@@ -126,7 +123,7 @@ def test_transport_occupies_both_machines():
         workpieces=(make_workpiece("w1", states=()), make_workpiece("w2", states=())),
     )
     g = build_graph(ops, prec, alloc, scene)
-    assert g.machine_arcs == {MachineArc("x1", "y1", "m_target")}
+    assert g.disjunctive == {DisjunctiveArc("x1", "y1", "machine", "m_target")}
 
 
 def test_unchained_operation_rejected():
@@ -139,12 +136,38 @@ def test_unchained_operation_rejected():
 def test_dot_export_styles():
     ops, alloc, prec, scene = _two_by_two()
     g = build_graph(ops, prec, alloc, scene)
-    dot = to_dot(g)
-    assert dot.startswith("digraph plan {")
-    assert '"__source__" -> "a1";' in dot
-    assert 'style=dashed' in dot
-    assert 'label="machine m_shared"' in dot
-    assert 'label="robot r1"' in dot
+    assert to_dot(g) == """\
+digraph plan {
+  rankdir=LR;
+  "__source__" [label="source", shape=circle];
+  "__terminal__" [label="terminal", shape=doublecircle];
+  "a1" [shape=box];
+  "a2" [shape=box];
+  "b1" [shape=box];
+  "b2" [shape=box];
+  "__source__" -> "a1";
+  "a1" -> "a2";
+  "a2" -> "__terminal__";
+  "__source__" -> "b1";
+  "b1" -> "b2";
+  "b2" -> "__terminal__";
+  "a1" -> "b1" [dir=none, style=dashed, color=firebrick, label="machine m_shared"];
+  "a1" -> "b1" [dir=none, style=dashed, color=steelblue, label="robot r1"];
+  "a1" -> "b2" [dir=none, style=dashed, color=steelblue, label="robot r1"];
+  "a2" -> "b1" [dir=none, style=dashed, color=steelblue, label="robot r1"];
+  "a2" -> "b2" [dir=none, style=dashed, color=steelblue, label="robot r1"];
+}
+"""
+
+
+def test_hand_built_graph_derives_its_relations():
+    g = DisjunctiveGraph(
+        op_ids=("a", "b", "c"),
+        chains=(("a", "b"),),
+        disjunctive=frozenset({DisjunctiveArc("a", "c", "robot", "r1")}),
+    )
+    assert g.preds == {"a": set(), "b": {"a"}, "c": set()}
+    assert g.rivals == {"a": {"c"}, "b": set(), "c": {"a"}}
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +190,14 @@ def test_build_graph_invariants(triple):
         assert by_id[arc.a].workpiece != by_id[arc.b].workpiece
         assert arc.a < arc.b
 
-    for arc in g.machine_arcs:
-        assert arc.machine in exclusive
-        assert arc.machine in by_id[arc.a].machines_used()
-        assert arc.machine in by_id[arc.b].machines_used()
-    for arc in g.robot_arcs:
-        assert alloc.robot_for(arc.a) == arc.robot == alloc.robot_for(arc.b)
+    for arc in g.disjunctive:
+        if arc.kind == "machine":
+            assert arc.resource in exclusive
+            assert arc.resource in by_id[arc.a].machines_used()
+            assert arc.resource in by_id[arc.b].machines_used()
+        else:
+            assert arc.kind == "robot"
+            assert alloc.robot_for(arc.a) == arc.resource == alloc.robot_for(arc.b)
 
     # Completeness: every conflicting cross-workpiece pair is covered.
     for i, a in enumerate(ops):
@@ -182,23 +207,14 @@ def test_build_graph_invariants(triple):
             shared = set(a.machines_used()) & set(b.machines_used()) & exclusive
             u, v = (a.id, b.id) if a.id < b.id else (b.id, a.id)
             for m in shared:
-                assert MachineArc(u, v, m) in g.machine_arcs
+                assert DisjunctiveArc(u, v, "machine", m) in g.disjunctive
             if alloc.robot_for(a.id) == alloc.robot_for(b.id):
-                assert RobotArc(u, v, alloc.robot_for(a.id)) in g.robot_arcs
+                assert DisjunctiveArc(u, v, "robot", alloc.robot_for(a.id)) in g.disjunctive
 
-    # Every operation is reachable from the source along conjunctive arcs.
-    reached: set[str] = set()
-    frontier = [SOURCE]
-    succ: dict[str, list[str]] = {}
-    for u, v in g.conjunctive:
-        succ.setdefault(u, []).append(v)
-    while frontier:
-        u = frontier.pop()
-        for v in succ.get(u, ()):
-            if v not in reached:
-                reached.add(v)
-                frontier.append(v)
-    assert set(g.op_ids) <= reached
+    # The chains are the plan's non-empty chains in workpiece order, so the
+    # source reaches every operation along them.
+    assert g.chains == tuple(prec.chains[w] for w in sorted(prec.chains) if prec.chains[w])
+    assert sorted(op for chain in g.chains for op in chain) == sorted(g.op_ids)
 
 
 @given(plan_triples(max_workpieces=3, max_ops_per=2))
@@ -206,10 +222,13 @@ def test_build_graph_invariants(triple):
 def test_helper_maps_agree_with_arcs(triple):
     ops, alloc, prec, scene = triple
     g = build_graph(ops, prec, alloc, scene)
-    preds = conjunctive_predecessors(g)
-    for w, chain in prec.chains.items():
+    expected_preds = {op.id: set() for op in ops}
+    for chain in prec.chains.values():
         for u, v in zip(chain, chain[1:]):
-            assert u in preds[v]
-    adj = disjunctive_neighbours(g)
+            expected_preds[v].add(u)
+    assert g.preds == expected_preds
+    expected_rivals = {op.id: set() for op in ops}
     for arc in g.disjunctive:
-        assert arc.b in adj[arc.a] and arc.a in adj[arc.b]
+        expected_rivals[arc.a].add(arc.b)
+        expected_rivals[arc.b].add(arc.a)
+    assert g.rivals == expected_rivals

@@ -123,6 +123,15 @@ def test_fifo_orients_every_disjunctive_arc():
     assert is_feasible(s, g)
 
 
+def test_predecessors_of_rivals_on_one_step_point_from_the_larger_id():
+    # An infeasible schedule built by hand: a1/b1 and a2/b2 share steps.
+    g = _two_chains(shared_robot=True)
+    clashed = ScheduleGraph(graph=g, start_steps={"a1": 0, "b1": 0, "a2": 1, "b2": 1},
+                            makespan=2)
+    assert clashed.predecessors() == {"a1": {"b1"}, "a2": {"a1", "b1", "b2"},
+                                      "b1": set(), "b2": {"a1", "b1"}}
+
+
 def test_fifo_rejects_wrong_order_set():
     g = _chain_of_three()
     with pytest.raises(ValueError, match="permutation"):
@@ -391,6 +400,14 @@ def test_is_feasible_matches_a_direct_predicate(triple, data):
     )
     schedule = ScheduleGraph(graph=g, start_steps=steps, makespan=claimed)
     assert is_feasible(schedule, g) == expected
+    # The stored form is checked by the same rules: a record rebuilds
+    # exactly when it is feasible.
+    record = schedule_to_record(schedule)
+    if expected:
+        assert schedule_from_record(g, record) == schedule
+    else:
+        with pytest.raises(ValidationError):
+            schedule_from_record(g, record)
 
 
 @given(plan_triples(max_workpieces=3, max_ops_per=3))

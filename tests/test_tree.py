@@ -270,7 +270,7 @@ def refit(scene, change, robot_ids):
 def test_select_branch_matches_a_reparsing_walk(tree, tier):
     outcomes = set()
     for seed in range(4):
-        task = generate_instance(tier, seed, tree)
+        task = generate_instance(tier, seed)
         every = {r.id for r in task.scene.robots}
         scenes = (
             task.scene,
