@@ -8,7 +8,9 @@ them first-in-first-out reproduces the recorded makespan.
 
 run_benchmark drives planner output through graph building, solving,
 assembly and symbolic execution, scoring stages that fail as zero instead
-of aborting the suite.
+of aborting the suite. A task whose own ground truth cannot be replayed
+or scored against scores zero on every metric, with an error that starts
+with GROUND_TRUTH_INVALID.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     AmbiguousBranch,
+    EmptyGtStatus,
     GenerationRetryExhausted,
     InstanceTooLarge,
     NoBranch,
@@ -371,6 +374,8 @@ class BenchmarkResult:
     summary: dict
 
 
+GROUND_TRUTH_INVALID = "ground truth invalid: "
+
 METRIC_FIELDS = (
     "operation_consistency",
     "scheduling_efficiency",
@@ -404,10 +409,18 @@ def _run_pipeline(
     elif output is not None:
         shown = "; ".join(output.report.violations[:3])
         error = f"planner output invalid: {shown}"
-    report = evaluate_instance(
-        task, operations, allocation, schedule, execution, tree,
-        degenerate_se=0.0,
-    )
+    try:
+        report = evaluate_instance(
+            task, operations, allocation, schedule, execution, tree,
+            degenerate_se=0.0,
+        )
+    except (ValidationError, EmptyGtStatus, NoBranch, AmbiguousBranch) as exc:
+        # Only the ground-truth replay and its status set raise these here.
+        zero = EvaluationReport(
+            0.0, 0.0, 0.0, 0.0, 0.0,
+            metadata={"gt_operation_count": len(task.ground_truth.operations)},
+        )
+        return zero, GROUND_TRUTH_INVALID + str(exc)
     if report.metadata["degenerate_efficiency"] and error is None:
         error = "efficiency scale degenerate; scored 0"
     return report, error

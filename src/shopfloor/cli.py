@@ -1,8 +1,9 @@
 """Command-line front end for the scheduling pipeline.
 
 Exit codes: 0 on success, 1 for usage problems and runtime failures
-(unavailable planner, oversized exact solve, invalid plan), 2 when an
-input file cannot be read or parsed.
+(unavailable planner, oversized exact solve, invalid plan, a suite task
+whose ground truth cannot be replayed), 2 when an input file cannot be
+read or parsed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    GROUND_TRUTH_INVALID,
     Tier,
     generate_instance,
     generate_suite,
@@ -23,7 +25,7 @@ from .bench import (
 from .errors import ParseError, ShopfloorError, ValidationError
 from .executor import execute, initial_state, status_delta, trace_to_jsonl
 from .gantt import render_gantt
-from .graph import build_graph
+from .graph import build_graph, to_dot
 from .metrics import evaluate_instance, report_to_json
 from .model import (
     PROGRAM,
@@ -160,6 +162,14 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _cmd_graph(args) -> int:
+    task = _load_task(args.task)
+    gt = _ground_truth(task)
+    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+    _emit(to_dot(graph), args.out)
+    return 0
+
+
 def _cmd_solve(args) -> int:
     task = _load_task(args.task)
     gt = _ground_truth(task)
@@ -251,6 +261,13 @@ def _cmd_run(args) -> int:
         out_dir=Path(args.out) if args.out else None,
     )
     sys.stdout.write(canonical_json(result.summary))
+    invalid = [
+        row.task_id for row in result.results
+        if row.error is not None and row.error.startswith(GROUND_TRUTH_INVALID)
+    ]
+    if invalid:
+        print(f"ground truth invalid in: {', '.join(invalid)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -277,6 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planner", choices=["gt", "llm"], default="gt")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_plan)
+
+    p = sub.add_parser("graph", help="the ground-truth plan's disjunctive graph as GraphViz dot")
+    p.add_argument("task")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("solve", help="schedule the task's ground-truth plan")
     p.add_argument("task")

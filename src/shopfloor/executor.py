@@ -3,13 +3,15 @@
 The world state tracks where every workpiece sits and which processing
 flags it has collected. Execution walks the schedule step by step: a step
 launches exactly the operations whose start step it is and whose schedule
-predecessors (the chain predecessor and every resource rival that starts
-earlier) completed successfully. All operations of a step read the state
-as of the step's beginning; their effects land when the step ends.
+predecessors (the chain predecessor and the previous user of each resource
+the operation holds, see ScheduleGraph.predecessors) completed
+successfully. All operations of a step read the state as of the step's
+beginning; their effects land when the step ends.
 
 An operation fails at the first offending skill and its effects are
 discarded; schedule descendants of a failed or blocked operation never
-launch, while independent operations carry on. Failures never raise, they
+launch, so a failure blocks every later user of its resources, while
+independent operations carry on. Failures never raise, they
 become trace entries. Operation-level precondition failures (no call in
 the program, workpiece not at machine_1) are recorded with skill index -1
 since they precede the first skill.

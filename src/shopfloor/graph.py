@@ -9,11 +9,11 @@ transport occupies both of its machines, so either end can collide. Pairs
 already ordered by a workpiece chain get no disjunctive arc: the chain is a
 total order on its workpiece, so only cross-workpiece pairs remain.
 
-The graph derives, once, the two relations the solvers need: each
-operation's chain predecessor (preds) and the operations it shares a
-resource with (rivals). The graph stays undirected on its disjunctive arcs:
-a schedule's start steps fix the order of every conflicting pair (see
-solve.ScheduleGraph).
+The graph stores each resource's users, not their pairs, which grow
+with the square of the users. It derives, once, each operation's chain
+predecessor (preds) and held resources (held), and the arcs (disjunctive)
+only for to_dot and tests. It stays undirected on its disjunctive arcs: a
+schedule's start steps fix the order of every conflicting pair.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from itertools import combinations
+from typing import Literal, Mapping, Sequence
 
 from .errors import ValidationError
 from .model import Allocation, Operation, PrecedenceSet, Scene
 
 SOURCE = "__source__"
 TERMINAL = "__terminal__"
+Resource = tuple[Literal["machine", "robot"], str]  # (kind, id) of a resource
 
 _COLOR = {"machine": "firebrick", "robot": "steelblue"}
 
@@ -45,12 +47,12 @@ class DisjunctiveArc:
 
 @dataclass(frozen=True)
 class DisjunctiveGraph:
-    """op_ids in plan order; chains one per workpiece in workpiece order,
-    empty chains dropped; disjunctive the resource conflicts."""
+    """op_ids and each resource's users in plan order; chains one per
+    workpiece in workpiece order, empty chains dropped."""
 
     op_ids: tuple[str, ...]
     chains: tuple[tuple[str, ...], ...]
-    disjunctive: frozenset[DisjunctiveArc]
+    resources: Mapping[Resource, tuple[str, ...]]
 
     @cached_property
     def preds(self) -> dict[str, frozenset[str]]:
@@ -62,13 +64,26 @@ class DisjunctiveGraph:
         return preds
 
     @cached_property
-    def rivals(self) -> dict[str, frozenset[str]]:
-        """The operations each operation shares a disjunctive arc with."""
-        rivals: dict[str, list[str]] = {op: [] for op in self.op_ids}
-        for arc in self.disjunctive:
-            rivals[arc.a].append(arc.b)
-            rivals[arc.b].append(arc.a)
-        return {op: frozenset(others) for op, others in rivals.items()}
+    def held(self) -> dict[str, tuple[Resource, ...]]:
+        """The resources each operation occupies during its step."""
+        held: dict[str, tuple[Resource, ...]] = dict.fromkeys(self.op_ids, ())
+        for resource, users in self.resources.items():
+            for op in users:
+                held[op] += (resource,)
+        return held
+
+    @cached_property
+    def disjunctive(self) -> frozenset[DisjunctiveArc]:
+        """One arc per resource for every cross-workpiece pair of its users."""
+        workpiece = {op: i for i, chain in enumerate(self.chains) for op in chain}
+        arcs: set[DisjunctiveArc] = set()
+        for (kind, resource), users in self.resources.items():
+            for a, b in combinations(users, 2):
+                # Ops of one workpiece are totally ordered by its chain, so
+                # an arc between them would duplicate that ordering.
+                if workpiece[a] != workpiece[b]:
+                    arcs.add(DisjunctiveArc(min(a, b), max(a, b), kind, resource))
+        return frozenset(arcs)
 
 
 def build_graph(
@@ -109,7 +124,7 @@ def build_graph(
         )
 
     exclusive = {m.id for m in scene.machines if m.exclusive}
-    users: dict[tuple[str, str], list[str]] = defaultdict(list)
+    users: dict[Resource, list[str]] = defaultdict(list)
     for op in operations:
         for m in op.machines_used():
             if m in exclusive:
@@ -119,21 +134,10 @@ def build_graph(
             raise ValidationError(f"operation '{op.id}' has no allocated robot")
         users["robot", robot].append(op.id)
 
-    # Ops of one workpiece are totally ordered by its chain, so a disjunctive
-    # arc would duplicate a conjunctive ordering; only cross-workpiece pairs count.
-    arcs: set[DisjunctiveArc] = set()
-    for (kind, resource), ops in users.items():
-        for i, a in enumerate(ops):
-            workpiece = by_id[a].workpiece
-            for b in ops[i + 1:]:
-                if by_id[b].workpiece != workpiece:
-                    u, v = (a, b) if a < b else (b, a)
-                    arcs.add(DisjunctiveArc(u, v, kind, resource))
-
     return DisjunctiveGraph(
         op_ids=tuple(op.id for op in operations),
         chains=tuple(chains),
-        disjunctive=frozenset(arcs),
+        resources={resource: tuple(ops) for resource, ops in users.items()},
     )
 
 

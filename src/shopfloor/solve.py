@@ -1,26 +1,28 @@
 """Schedule construction: FIFO dispatching and exhaustive optimal search.
 
 Operations take exactly one step. A schedule assigns each operation a
-0-based start step; conflicting operations (joined by a disjunctive arc)
+0-based start step; conflicting operations (two users of one resource)
 may never share a step, and an operation starts strictly after every
 predecessor finished. The start steps are the whole solution: every
 disjunctive arc points from the earlier start to the later one, so the
 solvers return a ScheduleGraph that holds only the graph and its steps.
 
-The solvers read each operation's chain predecessor and resource rivals
-from the graph (DisjunctiveGraph.preds and .rivals); ScheduleGraph adds the
-order its steps give every disjunctive arc. One fault finder states the
-feasibility rules: every schedule a solver returns or schedule_from_record
-rebuilds passes it, and is_feasible asks it.
+The solvers read each operation's chain predecessor and held resources
+(DisjunctiveGraph.preds and .held): operations ready together are chain
+heads of distinct workpieces, so they conflict exactly when they share a
+resource. One fault finder states the feasibility rules: every schedule a
+solver returns or schedule_from_record rebuilds passes it, and
+is_feasible asks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InstanceTooLarge, ValidationError
-from .graph import DisjunctiveGraph
+from .graph import DisjunctiveGraph, Resource
 from .model import ScheduleRecord
 
 DEFAULT_BRUTE_FORCE_CAP = 10
@@ -36,23 +38,23 @@ class ScheduleGraph:
 
     def predecessors(self) -> dict[str, set[str]]:
         """Operations that must finish before each operation may start: its
-        chain predecessor and every resource rival that starts earlier."""
+        chain predecessor and the previous user, in step order (ties in plan
+        order), of each resource it holds: earlier users already wait in turn."""
         steps = self.start_steps
         preds = {op: set(chain_pred) for op, chain_pred in self.graph.preds.items()}
-        for arc in self.graph.disjunctive:
-            if steps[arc.a] < steps[arc.b]:
-                preds[arc.b].add(arc.a)
-            else:
-                preds[arc.a].add(arc.b)
+        for users in self.graph.resources.values():
+            for u, v in pairwise(sorted(users, key=steps.__getitem__)):
+                preds[v].add(u)
         return preds
 
 
 def _fault(graph: DisjunctiveGraph, start_steps: Mapping[str, int], makespan: int) -> str | None:
     """Why start steps and a makespan do not solve the graph, or None when
     they do: they must cover exactly its operations, none may be negative,
-    every chain arc must go forward, no two resource rivals may share a step
-    and the makespan must match the steps. Arcs that all point forward in
-    time cannot close a cycle, so acyclicity needs no check of its own."""
+    every chain arc must go forward, no two users of a resource may share a
+    step and the makespan must match the steps. Arcs that all point forward
+    in time cannot close a cycle, so acyclicity needs no check of its own.
+    Users of one workpiece on one step run a chain arc backwards first."""
     if set(start_steps) != set(graph.op_ids):
         return "schedule record does not cover exactly the graph's operations"
     early = sorted(op for op, step in start_steps.items() if step < 0)
@@ -66,13 +68,16 @@ def _fault(graph: DisjunctiveGraph, start_steps: Mapping[str, int], makespan: in
     )
     if backward:
         return f"schedule record runs chain arcs backwards: {', '.join(backward)}"
+    # Each resource's users by step, then id: a shared step's first pair is
+    # its two smallest ids.
     clashes = [
-        (start_steps[arc.a], arc.a, arc.b)
-        for arc in graph.disjunctive
-        if start_steps[arc.a] == start_steps[arc.b]
+        (start_steps[a], a, b)
+        for users in graph.resources.values()
+        for a, b in pairwise(sorted(users, key=lambda op: (start_steps[op], op)))
+        if start_steps[a] == start_steps[b]
     ]
     if clashes:
-        # The earliest clash, not the first in (hash-seeded) set order.
+        # The earliest clash, not the first in resource order.
         step, a, b = min(clashes)
         return f"operations '{a}' and '{b}' share step {step} but compete for a resource"
     span = max(start_steps.values()) + 1 if start_steps else 0
@@ -102,7 +107,7 @@ def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGra
         raise ValueError("ops_order must be a permutation of the graph's operations")
     position = {op_id: i for i, op_id in enumerate(ops_order)}
     preds = graph.preds
-    conflicts = graph.rivals
+    held = graph.held
 
     start_steps: dict[str, int] = {}
     completed: set[str] = set()
@@ -114,43 +119,41 @@ def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGra
             key=position.__getitem__,
         )
         assert ready, "a workpiece chain always exposes a ready operation"
-        dispatched: list[str] = []
+        busy: set[Resource] = set()
         for op in ready:
-            if not (conflicts[op] & set(dispatched)):
-                dispatched.append(op)
-        for op in dispatched:
-            start_steps[op] = step
-            remaining.discard(op)
-        completed.update(dispatched)
+            if busy.isdisjoint(held[op]):
+                busy.update(held[op])
+                start_steps[op] = step
+                remaining.discard(op)
+                completed.add(op)
         step += 1
     return _checked(graph, start_steps, step)
 
 
 def _maximal_conflict_free_subsets(
-    ready: Sequence[str], conflicts: Mapping[str, frozenset[str]]
+    ready: Sequence[str], held: Mapping[str, tuple[Resource, ...]]
 ) -> Iterator[frozenset[str]]:
-    """All maximal independent subsets of ready under the conflict relation."""
+    """All maximal subsets of ready whose operations share no resource."""
     n = len(ready)
     results: list[frozenset[str]] = []
 
-    def rec(i: int, chosen: list[str], excluded: list[str]) -> None:
+    def rec(i: int, chosen: list[str], excluded: list[str], busy: frozenset[Resource]) -> None:
         if i == n:
-            chosen_set = set(chosen)
-            if all(conflicts[x] & chosen_set for x in excluded):
+            if all(not busy.isdisjoint(held[x]) for x in excluded):
                 results.append(frozenset(chosen))
             return
         op = ready[i]
-        if conflicts[op] & set(chosen):
-            rec(i + 1, chosen, excluded)
+        if not busy.isdisjoint(held[op]):
+            rec(i + 1, chosen, excluded, busy)
         else:
             chosen.append(op)
-            rec(i + 1, chosen, excluded)
+            rec(i + 1, chosen, excluded, busy.union(held[op]))
             chosen.pop()
             excluded.append(op)
-            rec(i + 1, chosen, excluded)
+            rec(i + 1, chosen, excluded, busy)
             excluded.pop()
 
-    rec(0, [], [])
+    rec(0, [], [], frozenset())
     return iter(results)
 
 
@@ -174,7 +177,7 @@ def brute_force_optimal(
         )
     order = sorted(ops)
     preds = graph.preds
-    conflicts = graph.rivals
+    held = graph.held
     everything = frozenset(ops)
 
     # memo: completed set -> (remaining makespan, start offsets of the
@@ -190,7 +193,7 @@ def brute_force_optimal(
         remaining_here = [o for o in order if o not in completed]
         ready = [o for o in remaining_here if preds[o] <= completed]
         champion: tuple[int, tuple[int, ...]] | None = None
-        for subset in _maximal_conflict_free_subsets(ready, conflicts):
+        for subset in _maximal_conflict_free_subsets(ready, held):
             rem_span, rem_vec = best(completed | subset)
             remaining_next = [o for o in remaining_here if o not in subset]
             offsets = dict(zip(remaining_next, rem_vec))

@@ -103,4 +103,4 @@ def plan(scene):
 
 def arcless(*op_ids):
     """A graph without arcs: every start step is allowed, nothing waits."""
-    return DisjunctiveGraph(op_ids=op_ids, chains=(), disjunctive=frozenset())
+    return DisjunctiveGraph(op_ids=op_ids, chains=(), resources={})

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from conftest import FULL_KIT, make_machine, make_robot, make_workpiece
+from shopfloor.bench import Tier, generate_instance
 from shopfloor.model import Allocation, Operation, OperationType, PrecedenceSet, Scene
 
 _TYPES = list(OperationType)
@@ -53,6 +54,58 @@ def plan_triples(draw, max_workpieces=4, max_ops_per=3, n_machines=4, n_robots=3
         workpieces=tuple(make_workpiece(f"w{j}", states=()) for j in range(n_wp)),
     )
     return tuple(order), Allocation(by_op=alloc), PrecedenceSet(chains=chains), scene
+
+
+def _ground_truth_triple(tier, seed):
+    task = generate_instance(tier, seed)
+    gt = task.ground_truth
+    return gt.operations, gt.allocation, gt.precedence, task.scene
+
+
+def generated_triples(max_seed=30):
+    """The (ops, alloc, prec, scene) of a generated task's ground truth, its
+    operations in stored (start-step) order."""
+    return st.builds(_ground_truth_triple, st.sampled_from(list(Tier)), st.integers(0, max_seed))
+
+
+def predecessors_by_rivals(schedule):
+    """Oracle for ScheduleGraph.predecessors: the chain predecessor and every
+    resource rival that starts earlier, read from the pairwise arcs (of two
+    rivals on one step, the smaller id waits for the larger)."""
+    steps = schedule.start_steps
+    preds = {op: set(chain_pred) for op, chain_pred in schedule.graph.preds.items()}
+    for arc in schedule.graph.disjunctive:
+        if steps[arc.a] < steps[arc.b]:
+            preds[arc.b].add(arc.a)
+        else:
+            preds[arc.a].add(arc.b)
+    return preds
+
+
+def transitive_closure(relation):
+    """Every operation's ancestors under a predecessor relation (acyclic)."""
+    closed: dict[str, frozenset[str]] = {}
+
+    def ancestors(op):
+        if op not in closed:
+            closed[op] = frozenset().union(*({p} | ancestors(p) for p in relation[op]))
+        return closed[op]
+
+    return {op: ancestors(op) for op in relation}
+
+
+def earliest_clash_by_arcs(graph, start_steps):
+    """Oracle for the clash rule: the message naming the earliest (step, a, b)
+    over the disjunctive arcs whose ends share a step, or None."""
+    clashes = [
+        (start_steps[arc.a], arc.a, arc.b)
+        for arc in graph.disjunctive
+        if start_steps[arc.a] == start_steps[arc.b]
+    ]
+    if not clashes:
+        return None
+    step, a, b = min(clashes)
+    return f"operations '{a}' and '{b}' share step {step} but compete for a resource"
 
 
 def optimal_by_enumeration(graph):

@@ -12,6 +12,7 @@ import pytest
 
 from shopfloor.cli import main
 from shopfloor.executor import parse_trace
+from shopfloor.graph import build_graph, to_dot
 from shopfloor.model import (
     load_task_instance,
     schedule_record_from_json,
@@ -233,6 +234,22 @@ def test_solve_optimal_matches_generated_record(capsys, task_file):
     assert record.makespan == task.ground_truth.schedule.makespan
 
 
+def test_graph_prints_the_ground_truth_dot(capsys, task_file, bare_task_file, tmp_path):
+    task = load_task_instance(task_file)
+    gt = task.ground_truth
+    dot = to_dot(build_graph(gt.operations, gt.precedence, gt.allocation, task.scene))
+    assert run_cli(capsys, "graph", str(task_file)) == (0, dot, "")
+    out_file = tmp_path / "graph.dot"
+    assert run_cli(capsys, "graph", str(task_file), "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text(encoding="utf-8") == dot
+    code, out, err = run_cli(capsys, "graph", str(bare_task_file))
+    assert (code, out) == (2, "")
+    assert "task file carries no ground truth" in err
+    code, out, err = run_cli(capsys, "graph", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "")
+    assert "cannot read task file" in err
+
+
 def test_assemble_emits_program_json(capsys, task_file):
     code, out, _ = run_cli(capsys, "assemble", str(task_file))
     assert code == 0
@@ -359,6 +376,38 @@ def test_run_on_generated_directory(capsys, tmp_path):
     assert summary["task_count"] == 3
     assert summary["overall"]["success_rate"] == 1.0
     assert summary["errors"] == 0
+
+
+def test_run_scores_a_task_with_invalid_ground_truth_zero_and_exits_1(capsys, tmp_path):
+    suite = tmp_path / "suite"
+    assert main(["generate", "--suite", str(suite), "--per-tier", "2",
+                 "--tiers", "single_robot"]) == 0
+    capsys.readouterr()
+    # Swapping the first two chain steps leaves the stored schedule running
+    # that chain backwards, so the ground truth cannot be replayed.
+    broken = suite / "single_robot_0001.json"
+    doc = json.loads(broken.read_text(encoding="utf-8"))
+    chain = doc["ground_truth"]["precedence"]["w1"]
+    chain[0], chain[1] = chain[1], chain[0]
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "results"
+    code, out, err = run_cli(capsys, "run", "--tasks", str(suite), "--out", str(out_dir))
+    assert code == 1
+    assert "ground truth invalid in: single_robot_0001" in err
+    summary = json.loads(out)
+    assert summary == json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert (summary["task_count"], summary["errors"]) == (2, 1)
+    assert summary["overall"]["success_rate"] == 0.5
+    valid = json.loads((out_dir / "single_robot_0000.metrics.json").read_text(encoding="utf-8"))
+    assert (valid["error"], valid["success_rate"]) == (None, 1.0)
+    invalid = json.loads((out_dir / "single_robot_0001.metrics.json").read_text(encoding="utf-8"))
+    assert invalid["error"] == (
+        f"ground truth invalid: schedule record runs chain arcs backwards: "
+        f"'{chain[0]}' -> '{chain[1]}'"
+    )
+    for key in ("operation_consistency", "scheduling_efficiency", "executability",
+                "goal_condition_recall", "success_rate"):
+        assert invalid[key] == 0.0
 
 
 def test_run_rejects_oddly_named_task_files(capsys, tmp_path):

@@ -406,6 +406,50 @@ def test_failure_blocks_a_later_rival_on_the_same_exclusive_machine():
     assert outcome.final_state.flags == {}
 
 
+@pytest.mark.parametrize("shared", ["robot", "table"])
+def test_failure_blocks_every_later_user_of_a_resource(shared):
+    # Three workpieces polish in turn on one robot (each at its own table)
+    # or at one table (each with its own robot). a1 fails; c1 waits directly
+    # only on b1, which never launches, so c1 never launches either.
+    wps = ("w1", "w2", "w3")
+    if shared == "robot":
+        tables = {"a1": "table_1", "b1": "table_2", "c1": "table_3"}
+        robots = dict.fromkeys(tables, "r1")
+    else:
+        tables = dict.fromkeys(("a1", "b1", "c1"), "table_1")
+        robots = {"a1": "r1", "b1": "r2", "c1": "r3"}
+    ops = tuple(make_op(op, machine_1=tables[op], workpiece=w) for op, w in zip(tables, wps))
+    alloc = Allocation(by_op=robots)
+    prec = PrecedenceSet(chains={op.workpiece: (op.id,) for op in ops})
+
+    def floor(r1_devices=FULL_KIT, table_1_points=("Photo_Point",)):
+        reach = sorted(set(tables.values()))
+        return make_scene(
+            robots=(make_robot("r1", devices=r1_devices, reachable=reach),
+                    make_robot("r2", reachable=reach), make_robot("r3", reachable=reach)),
+            machines=tuple(
+                make_machine(t, points=table_1_points if t == "table_1" else ("Photo_Point",),
+                             held=tuple(op.workpiece for op in ops if tables[op.id] == t))
+                for t in reach
+            ),
+            workpieces=tuple(make_workpiece(w) for w in wps),
+        )
+
+    planned = floor()
+    schedule = fifo_schedule(ops, alloc, prec, planned)
+    assert schedule.start_steps == {"a1": 0, "b1": 1, "c1": 2}
+    assert schedule.predecessors() == {"a1": set(), "b1": {"a1"}, "c1": {"b1"}}
+    assert run_plan(ops, alloc, prec, planned).executed_fully is True
+    # a1 alone breaks: table_1 loses its point, or r1 its polisher.
+    broken = floor(table_1_points=()) if shared == "robot" else floor(FULL_KIT - {"polisher"})
+    outcome = run_plan(ops, alloc, prec, planned, exec_scene=broken)
+    assert [f.op_id for f in outcome.trace[0].failures] == ["a1"]
+    for later in outcome.trace[1:]:
+        assert later.operations == ()
+        assert later.failures == ()
+    assert outcome.final_state.flags == {}
+
+
 def test_blocked_chain_leaves_trailing_steps_empty():
     scene = one_piece_scene(held_at="table_1")  # transport claims conveyor
     ops = (

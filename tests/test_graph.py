@@ -163,11 +163,20 @@ digraph plan {
 def test_hand_built_graph_derives_its_relations():
     g = DisjunctiveGraph(
         op_ids=("a", "b", "c"),
-        chains=(("a", "b"),),
-        disjunctive=frozenset({DisjunctiveArc("a", "c", "robot", "r1")}),
+        chains=(("a", "b"), ("c",)),
+        resources={("robot", "r1"): ("a", "b", "c"), ("machine", "m1"): ("b",)},
     )
     assert g.preds == {"a": set(), "b": {"a"}, "c": set()}
-    assert g.rivals == {"a": {"c"}, "b": set(), "c": {"a"}}
+    assert g.held == {
+        "a": (("robot", "r1"),),
+        "b": (("robot", "r1"), ("machine", "m1")),
+        "c": (("robot", "r1"),),
+    }
+    # a and b share the robot but are ordered by their chain: no arc.
+    assert g.disjunctive == {
+        DisjunctiveArc("a", "c", "robot", "r1"),
+        DisjunctiveArc("b", "c", "robot", "r1"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +236,23 @@ def test_helper_maps_agree_with_arcs(triple):
         for u, v in zip(chain, chain[1:]):
             expected_preds[v].add(u)
     assert g.preds == expected_preds
-    expected_rivals = {op.id: set() for op in ops}
-    for arc in g.disjunctive:
-        expected_rivals[arc.a].add(arc.b)
-        expected_rivals[arc.b].add(arc.a)
-    assert g.rivals == expected_rivals
+    # Each operation holds its exclusive machines and its robot, and each
+    # resource lists its users in plan order.
+    exclusive = {m.id for m in scene.machines if m.exclusive}
+    expected_held = {
+        op.id: {("machine", m) for m in op.machines_used() if m in exclusive}
+        | {("robot", alloc.robot_for(op.id))}
+        for op in ops
+    }
+    assert {op: set(held) for op, held in g.held.items()} == expected_held
+    for resource, users in g.resources.items():
+        assert users == tuple(op.id for op in ops if resource in expected_held[op.id])
+    # The arcs are exactly the cross-workpiece pairs that hold one resource.
+    by_id = {op.id: op for op in ops}
+    assert g.disjunctive == {
+        DisjunctiveArc(a, b, kind, resource)
+        for a in g.op_ids
+        for b in g.op_ids
+        if a < b and by_id[a].workpiece != by_id[b].workpiece
+        for kind, resource in set(g.held[a]) & set(g.held[b])
+    }

@@ -13,20 +13,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shopfloor
+from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import InstanceTooLarge, ValidationError
+from shopfloor.executor import execute
 from shopfloor.graph import build_graph
 from shopfloor.model import Allocation, OperationType, PrecedenceSet, ScheduleRecord
 from shopfloor.solve import (
+    DEFAULT_BRUTE_FORCE_CAP,
     ScheduleGraph,
+    _fault,
     brute_force_optimal,
     is_feasible,
     schedule_from_record,
     schedule_to_record,
     solve_fifo,
 )
+from shopfloor.tree import assemble_program, load_reference_tree
 
 from conftest import make_machine, make_op, make_robot, make_scene, make_workpiece
-from strategies import optimal_by_enumeration, plan_triples
+from strategies import (
+    earliest_clash_by_arcs,
+    generated_triples,
+    optimal_by_enumeration,
+    plan_triples,
+    predecessors_by_rivals,
+    transitive_closure,
+)
 
 
 def _chain_of_three():
@@ -115,21 +127,25 @@ def test_fifo_orients_every_disjunctive_arc():
     g = _two_chains(shared_robot=True)
     s = solve_fifo(g, ["a1", "a2", "b1", "b2"])
     preds = s.predecessors()
+    ancestors = transitive_closure(preds)
     for arc in g.disjunctive:
-        assert (arc.a in preds[arc.b]) != (arc.b in preds[arc.a])
+        assert (arc.a in ancestors[arc.b]) != (arc.b in ancestors[arc.a])
     # Steps a1=0, a2=1, b1=2, b2=3: w1 goes first on r1 and on the machine.
-    assert preds == {"a1": set(), "a2": {"a1"}, "b1": {"a1", "a2"},
-                     "b2": {"a1", "a2", "b1"}}
+    # b1 waits on a1 (the machine) and a2 (the robot); b2 waits only on b1,
+    # its chain predecessor and the robot's previous user.
+    assert preds == {"a1": set(), "a2": {"a1"}, "b1": {"a1", "a2"}, "b2": {"b1"}}
     assert is_feasible(s, g)
 
 
-def test_predecessors_of_rivals_on_one_step_point_from_the_larger_id():
+def test_predecessors_of_rivals_on_one_step_follow_plan_order():
     # An infeasible schedule built by hand: a1/b1 and a2/b2 share steps.
+    # Plan order is a1, a2, b1, b2, so r1's users (steps 0, 1, 0, 1) queue
+    # as a1, b1, a2, b2.
     g = _two_chains(shared_robot=True)
     clashed = ScheduleGraph(graph=g, start_steps={"a1": 0, "b1": 0, "a2": 1, "b2": 1},
                             makespan=2)
-    assert clashed.predecessors() == {"a1": {"b1"}, "a2": {"a1", "b1", "b2"},
-                                      "b1": set(), "b2": {"a1", "b1"}}
+    assert clashed.predecessors() == {"a1": set(), "b1": {"a1"}, "a2": {"a1", "b1"},
+                                      "b2": {"a2", "b1"}}
 
 
 def test_fifo_rejects_wrong_order_set():
@@ -431,3 +447,65 @@ def test_order_insensitive_when_conflict_free(triple):
     backward = solve_fifo(g, [op.id for op in reversed(ops)])
     assert forward.makespan == backward.makespan
     assert forward.start_steps == backward.start_steps
+
+@given(st.one_of(plan_triples(), generated_triples()), st.data())
+@settings(max_examples=120, deadline=None)
+def test_predecessors_close_to_every_earlier_rival(triple, data):
+    # The executor waits on predecessors(); on a feasible schedule their
+    # closure must equal that of waiting on every rival that starts earlier,
+    # so the same operations launch and block.
+    ops, alloc, prec, scene = triple
+    g = build_graph(ops, prec, alloc, scene)
+    schedules = [solve_fifo(g, data.draw(st.permutations([op.id for op in ops])))]
+    if len(ops) <= DEFAULT_BRUTE_FORCE_CAP:
+        schedules.append(brute_force_optimal(g))
+    for s in schedules:
+        assert is_feasible(s, g)
+        assert transitive_closure(s.predecessors()) == transitive_closure(
+            predecessors_by_rivals(s)
+        )
+
+
+@given(st.one_of(plan_triples(n_robots=2), generated_triples()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fault_names_the_earliest_clash_of_the_arcs(triple, data):
+    # Chains run forward from a few low steps, so the clash rule decides and
+    # three or more users often meet on one step.
+    ops, alloc, prec, scene = triple
+    g = build_graph(ops, prec, alloc, scene)
+    steps = {}
+    for chain in g.chains:
+        step = data.draw(st.integers(0, 2))
+        for op in chain:
+            steps[op] = step
+            step += data.draw(st.integers(1, 2))
+    span = max(steps.values()) + 1 if steps else 0
+    assert _fault(g, steps, span) == earliest_clash_by_arcs(g, steps)
+
+
+def test_three_users_on_one_step_name_the_two_smallest_ids():
+    # In plan order a, c, b the two smallest ids are not neighbours.
+    ops = tuple(make_op(op, OperationType.POLISHING, f"w{op}", f"m{op}") for op in "acb")
+    alloc = Allocation(by_op=dict.fromkeys("acb", "r1"))
+    prec = PrecedenceSet(chains={f"w{op}": (op,) for op in "acb"})
+    scene = make_scene(
+        robots=(make_robot("r1", reachable=("ma", "mb", "mc")),),
+        machines=tuple(make_machine(f"m{op}", held=(f"w{op}",)) for op in "abc"),
+        workpieces=tuple(make_workpiece(f"w{op}", states=()) for op in "abc"),
+    )
+    g = build_graph(ops, prec, alloc, scene)
+    record = ScheduleRecord(start_steps={"c": 0, "a": 0, "b": 0}, makespan=1)
+    with pytest.raises(ValidationError, match="'a' and 'b' share step 0"):
+        schedule_from_record(g, record)
+
+
+def test_scoring_path_never_builds_the_arc_set():
+    task = generate_instance(Tier.COMPLEX_MULTI, 0)
+    gt = task.ground_truth
+    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+    schedule = solve_fifo(graph, [op.id for op in gt.operations])
+    program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
+    assert execute(schedule, program, task.scene, gt.operations).executed_fully
+    assert _fault(graph, schedule.start_steps, schedule.makespan) is None
+    assert schedule_from_record(graph, gt.schedule).makespan == gt.schedule.makespan
+    assert "disjunctive" not in graph.__dict__
