@@ -3,8 +3,13 @@
 Instances come in three size tiers. Every generated task follows the same
 workshop archetype: a conveyor feeds workpieces to exclusive work tables
 and finished pieces land on pallets. The ground truth embeds the solved
-schedule; its operations are listed in start-step order, so dispatching
-them first-in-first-out reproduces the recorded makespan.
+schedule that solve.reference_schedule picks: exact for up to
+DEFAULT_BRUTE_FORCE_CAP operations, first-in-first-out beyond. Its
+operations are listed in start-step order, so dispatching them
+first-in-first-out reproduces the recorded schedule: both solvers launch a
+maximal conflict-free set of the ready operations at each step, so FIFO
+launches that set first and every ready operation listed after it
+conflicts with one of them.
 
 run_benchmark drives planner output through graph building, solving,
 assembly and symbolic execution, scoring stages that fail as zero instead
@@ -28,7 +33,6 @@ from .errors import (
     AmbiguousBranch,
     EmptyGtStatus,
     GenerationRetryExhausted,
-    InstanceTooLarge,
     NoBranch,
     PlannerUnavailable,
     ValidationError,
@@ -61,13 +65,7 @@ from .model import (
     validate_planner_output,
     validate_scene,
 )
-from .solve import (
-    DEFAULT_BRUTE_FORCE_CAP,
-    ScheduleGraph,
-    brute_force_optimal,
-    schedule_to_record,
-    solve_fifo,
-)
+from .solve import ScheduleGraph, reference_schedule, schedule_to_record, solve_fifo
 from .tree import ProcessTree, assemble_program, load_reference_tree
 
 
@@ -216,21 +214,9 @@ def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
     precedence = PrecedenceSet(chains=chains)
 
     graph = build_graph(operations, precedence, allocation, scene)
-    emission = [op.id for op in operations]
-    if len(operations) <= DEFAULT_BRUTE_FORCE_CAP:
-        schedule = brute_force_optimal(graph)
-        source = "optimal"
-    else:
-        schedule = solve_fifo(graph, emission)
-        source = "fifo"
-    position = {op_id: i for i, op_id in enumerate(emission)}
-    ordered = tuple(
-        sorted(operations,
-               key=lambda op: (schedule.start_steps[op.id], position[op.id]))
-    )
-    if source == "fifo":
-        # re-solve in the stored order so the record matches a replay exactly
-        schedule = solve_fifo(graph, [op.id for op in ordered])
+    schedule, source = reference_schedule(graph, [op.id for op in operations])
+    # A stable sort: operations of one step keep their emission order.
+    ordered = tuple(sorted(operations, key=lambda op: schedule.start_steps[op.id]))
 
     return TaskInstance(
         scene=scene,
@@ -255,7 +241,7 @@ def _acceptable(task: TaskInstance, tree: ProcessTree) -> bool:
         return False
     try:
         run = ground_truth_run(task, tree)
-    except (ValidationError, NoBranch, AmbiguousBranch, InstanceTooLarge):
+    except (ValidationError, NoBranch, AmbiguousBranch):
         return False
     return run.outcome.executed_fully and bool(run.status)
 

@@ -23,10 +23,10 @@ from .bench import (
     task_id_for,
 )
 from .errors import ParseError, ShopfloorError, ValidationError
-from .executor import execute, initial_state, status_delta, trace_to_jsonl
+from .executor import trace_to_jsonl
 from .gantt import render_gantt
 from .graph import build_graph, to_dot
-from .metrics import evaluate_instance, report_to_json
+from .metrics import ground_truth_run, ground_truth_schedule, report_to_json
 from .model import (
     PROGRAM,
     SCHEDULE_RECORD,
@@ -39,13 +39,7 @@ from .model import (
     schedule_record_to_json,
 )
 from .planner import GroundTruthPlanner, LlmPlanner, config_from_env
-from .solve import (
-    ScheduleGraph,
-    brute_force_optimal,
-    schedule_from_record,
-    schedule_to_record,
-    solve_fifo,
-)
+from .solve import brute_force_optimal, schedule_to_record, solve_fifo
 from .tree import assemble_program, load_reference_tree
 
 
@@ -72,7 +66,10 @@ def _load_task(path: str) -> TaskInstance:
         raise _InputError(f"invalid task file {path}: {exc}") from None
 
 
-def _load_file(path: str, label: str, codec: Codec):
+def _load_file(path: str | None, label: str, codec: Codec):
+    """An optional input file: None when no path is given."""
+    if not path:
+        return None
     try:
         return codec.load(parse_json(Path(path).read_text(encoding="utf-8"), path), path)
     except OSError as exc:
@@ -111,17 +108,6 @@ def _ground_truth(task: TaskInstance):
     if gt is None:
         raise _InputError("task file carries no ground truth")
     return gt
-
-
-def _schedule_for(task: TaskInstance, schedule_path: str | None) -> ScheduleGraph:
-    gt = _ground_truth(task)
-    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
-    if schedule_path:
-        record = _load_file(schedule_path, "schedule", SCHEDULE_RECORD)
-        return schedule_from_record(graph, record)
-    if gt.schedule is not None:
-        return schedule_from_record(graph, gt.schedule)
-    return solve_fifo(graph, [op.id for op in gt.operations])
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +183,16 @@ def _cmd_assemble(args) -> int:
 
 def _cmd_execute(args) -> int:
     task = _load_task(args.task)
-    gt = _ground_truth(task)
-    schedule = _schedule_for(task, args.schedule)
-    if args.program:
-        program = _load_file(args.program, "program", PROGRAM)
-    elif gt.program is not None:
-        program = gt.program
-    else:
-        program = assemble_program(
-            load_reference_tree(), gt.operations, gt.allocation, task.scene
-        )
-    outcome = execute(schedule, program, task.scene, gt.operations)
-    _emit(trace_to_jsonl(outcome.trace), args.trace)
-    delta = sorted(status_delta(outcome.final_state, initial_state(task.scene)))
+    _ground_truth(task)
+    run = ground_truth_run(
+        task,
+        record=_load_file(args.schedule, "schedule", SCHEDULE_RECORD),
+        program=_load_file(args.program, "program", PROGRAM),
+    )
+    _emit(trace_to_jsonl(run.outcome.trace), args.trace)
     print(
-        f"executed fully: {outcome.executed_fully}; makespan {schedule.makespan}; "
-        f"status delta: {delta}",
+        f"executed fully: {run.outcome.executed_fully}; makespan {run.schedule.makespan}; "
+        f"status delta: {sorted(run.status)}",
         file=sys.stderr,
     )
     return 0
@@ -233,7 +213,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_gantt(args) -> int:
     task = _load_task(args.task)
     gt = _ground_truth(task)
-    schedule = _schedule_for(task, args.schedule)
+    schedule = ground_truth_schedule(
+        task, _load_file(args.schedule, "schedule", SCHEDULE_RECORD)
+    )
     chart = render_gantt(schedule, gt.allocation, gt.operations)
     sys.stdout.write(chart.text)
     if args.svg:

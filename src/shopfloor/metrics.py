@@ -18,16 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .errors import DegenerateDenominator, EmptyGtStatus, InstanceTooLarge
+from .errors import DegenerateDenominator, EmptyGtStatus
 from .executor import ExecutionOutcome, execute, initial_state, status_delta
 from .graph import build_graph
-from .model import Allocation, Operation, TaskInstance
-from .solve import (
-    ScheduleGraph,
-    brute_force_optimal,
-    schedule_from_record,
-    solve_fifo,
-)
+from .model import Allocation, Operation, Program, ScheduleRecord, TaskInstance
+from .solve import ScheduleGraph, reference_schedule, schedule_from_record
 from .tree import ProcessTree, assemble_program, load_reference_tree
 
 
@@ -122,22 +117,36 @@ class GroundTruthRun:
     status: frozenset[tuple[str, str]]
 
 
-def ground_truth_run(task: TaskInstance, tree: ProcessTree | None = None) -> GroundTruthRun:
-    """Replay the task's ground truth: schedule it (stored record if present,
-    otherwise exact solve with a first-in-first-out fallback for large
-    instances), assemble its program if none is stored, and execute."""
+def ground_truth_schedule(
+    task: TaskInstance, record: ScheduleRecord | None = None
+) -> ScheduleGraph:
+    """The schedule the task's ground truth is scored with: the given record,
+    else the stored one, else reference_schedule over the stored operation
+    order. Raises ValidationError for a record that does not solve the
+    ground truth's graph."""
     gt = task.ground_truth
     if gt is None:
         raise ValueError("task carries no ground truth to evaluate against")
     graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
-    if gt.schedule is not None:
-        schedule = schedule_from_record(graph, gt.schedule)
-    else:
-        try:
-            schedule = brute_force_optimal(graph)
-        except InstanceTooLarge:
-            schedule = solve_fifo(graph, [op.id for op in gt.operations])
-    program = gt.program
+    record = record if record is not None else gt.schedule
+    if record is not None:
+        return schedule_from_record(graph, record)
+    return reference_schedule(graph, [op.id for op in gt.operations])[0]
+
+
+def ground_truth_run(
+    task: TaskInstance,
+    tree: ProcessTree | None = None,
+    record: ScheduleRecord | None = None,
+    program: Program | None = None,
+) -> GroundTruthRun:
+    """Replay the task's ground truth: schedule it with ground_truth_schedule,
+    run the given program, else the stored one, else one assembled from tree
+    (the reference tree by default), and take the status delta."""
+    schedule = ground_truth_schedule(task, record)
+    gt = task.ground_truth
+    if program is None:
+        program = gt.program
     if program is None:
         program = assemble_program(
             tree if tree is not None else load_reference_tree(),

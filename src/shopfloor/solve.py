@@ -6,6 +6,7 @@ may never share a step, and an operation starts strictly after every
 predecessor finished. The start steps are the whole solution: every
 disjunctive arc points from the earlier start to the later one, so the
 solvers return a ScheduleGraph that holds only the graph and its steps.
+reference_schedule alone picks which solver stands for a ground truth.
 
 The solvers read each operation's chain predecessor and held resources
 (DisjunctiveGraph.preds and .held): operations ready together are chain
@@ -99,8 +100,8 @@ def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGra
     """Greedy unit-step dispatcher.
 
     Each step launches a maximal conflict-free subset of the ready
-    operations (those whose chain predecessors are done), scanning them in
-    ops_order so that earlier emission wins every resource contention.
+    operations (each chain's first operation not yet launched), scanning
+    them in ops_order so that earlier emission wins every resource contention.
     Always terminates with a feasible schedule.
     """
     if sorted(ops_order) != sorted(graph.op_ids):
@@ -108,24 +109,26 @@ def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGra
     position = {op_id: i for i, op_id in enumerate(ops_order)}
     preds = graph.preds
     held = graph.held
+    successor = {u: v for chain in graph.chains for u, v in pairwise(chain)}
 
     start_steps: dict[str, int] = {}
-    completed: set[str] = set()
-    remaining = set(graph.op_ids)
+    # Ready operations as positions in ops_order, so they sort without a key.
+    ready = [i for i, op in enumerate(ops_order) if not preds[op]]
     step = 0
-    while remaining:
-        ready = sorted(
-            (op for op in remaining if preds[op] <= completed),
-            key=position.__getitem__,
-        )
-        assert ready, "a workpiece chain always exposes a ready operation"
+    while ready:
         busy: set[Resource] = set()
-        for op in ready:
+        waiting: list[int] = []
+        for i in ready:
+            op = ops_order[i]
             if busy.isdisjoint(held[op]):
                 busy.update(held[op])
                 start_steps[op] = step
-                remaining.discard(op)
-                completed.add(op)
+                if op in successor:
+                    waiting.append(position[successor[op]])
+            else:
+                waiting.append(i)
+        waiting.sort()
+        ready = waiting
         step += 1
     return _checked(graph, start_steps, step)
 
@@ -209,6 +212,18 @@ def brute_force_optimal(
 
     span, vec = best(frozenset())
     return _checked(graph, dict(zip(order, vec)), span)
+
+
+def reference_schedule(
+    graph: DisjunctiveGraph, order: Sequence[str]
+) -> tuple[ScheduleGraph, str]:
+    """The schedule that stands for a ground truth, and its source: the
+    exact optimum ("optimal") when the graph is within
+    DEFAULT_BRUTE_FORCE_CAP, otherwise first-in-first-out over order
+    ("fifo")."""
+    if len(graph.op_ids) <= DEFAULT_BRUTE_FORCE_CAP:
+        return brute_force_optimal(graph), "optimal"
+    return solve_fifo(graph, order), "fifo"
 
 
 def is_feasible(schedule: ScheduleGraph, graph: DisjunctiveGraph) -> bool:

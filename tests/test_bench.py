@@ -115,8 +115,7 @@ def test_fifo_replay_of_stored_order_reaches_the_recorded_makespan():
         graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
         replay = solve_fifo(graph, [op.id for op in gt.operations])
         assert replay.makespan == gt.schedule.makespan
-        if gt.schedule.source == "fifo":
-            assert replay.start_steps == gt.schedule.start_steps
+        assert replay.start_steps == gt.schedule.start_steps
 
 
 def test_generated_ground_truth_executes_fully():

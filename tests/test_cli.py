@@ -14,10 +14,19 @@ from shopfloor.cli import main
 from shopfloor.executor import parse_trace
 from shopfloor.graph import build_graph, to_dot
 from shopfloor.model import (
+    Allocation,
+    GroundTruth,
+    OperationType,
+    PrecedenceSet,
+    TaskInstance,
+    at_label,
     load_task_instance,
     schedule_record_from_json,
+    serialize_task_instance,
 )
 from shopfloor.planner import LlmConfig, LlmPlanner, RecordedTransport, render_planner_text
+
+from conftest import make_op, make_robot, make_scene, make_workpiece, transport
 
 
 @pytest.fixture
@@ -332,6 +341,48 @@ def test_gantt_text_to_stdout_and_svg_to_file(capsys, task_file, tmp_path):
     assert code == 0
     assert "robot" in out
     assert svg_file.read_text().startswith("<svg")
+
+
+def test_a_task_without_a_stored_schedule_shows_the_scored_schedule(capsys, tmp_path):
+    # b1 and a1 share robot r1 and the plan lists b1 first, so FIFO in plan
+    # order delays the chain a1 -> a2 -> a3 by one step; the exact solve
+    # that evaluate scores against does not.
+    ops = (
+        transport("b1", "w2", "conveyor", "pallet_2"),
+        transport("a1", "w1", "conveyor", "table_1"),
+        make_op("a2", OperationType.POLISHING, "w1", "table_1"),
+        transport("a3", "w1", "table_1", "pallet_1"),
+    )
+    task = TaskInstance(
+        scene=make_scene(
+            robots=(make_robot("r1"), make_robot("r2"), make_robot("r3")),
+            workpieces=(
+                make_workpiece("w1", states=("polished", at_label("pallet_1"))),
+                make_workpiece("w2", states=(at_label("pallet_2"),)),
+            ),
+        ),
+        instruction="polish w1 and palletize both workpieces",
+        ground_truth=GroundTruth(
+            operations=ops,
+            allocation=Allocation(by_op={"b1": "r1", "a1": "r1", "a2": "r2", "a3": "r3"}),
+            precedence=PrecedenceSet(chains={"w1": ("a1", "a2", "a3"), "w2": ("b1",)}),
+        ),
+    )
+    task_file = tmp_path / "task.json"
+    task_file.write_text(serialize_task_instance(task), encoding="utf-8")
+
+    code, out, _ = run_cli(capsys, "evaluate", str(task_file))
+    assert code == 0
+    makespan = json.loads(out)["metadata"]["gt_makespan"]
+    assert makespan == 3
+    code, out, err = run_cli(capsys, "execute", str(task_file))
+    assert code == 0
+    assert len(parse_trace(out)) == makespan
+    assert f"executed fully: True; makespan {makespan};" in err
+    code, out, _ = run_cli(capsys, "gantt", str(task_file))
+    assert code == 0
+    header = out.splitlines()[0]
+    assert [cell.strip() for cell in header.split("|")[1:]] == [str(s) for s in range(makespan)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import shopfloor
 from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import InstanceTooLarge, ValidationError
 from shopfloor.executor import execute
-from shopfloor.graph import build_graph
+from shopfloor.graph import DisjunctiveGraph, build_graph
 from shopfloor.model import Allocation, OperationType, PrecedenceSet, ScheduleRecord
 from shopfloor.solve import (
     DEFAULT_BRUTE_FORCE_CAP,
@@ -24,6 +24,7 @@ from shopfloor.solve import (
     _fault,
     brute_force_optimal,
     is_feasible,
+    reference_schedule,
     schedule_from_record,
     schedule_to_record,
     solve_fifo,
@@ -226,6 +227,23 @@ def test_brute_force_cap_enforced():
         brute_force_optimal(g)
     with pytest.raises(InstanceTooLarge):
         brute_force_optimal(_chain_of_three(), cap=2)
+
+
+@pytest.mark.parametrize(
+    "size, source, makespan",
+    [(DEFAULT_BRUTE_FORCE_CAP, "optimal", 3), (DEFAULT_BRUTE_FORCE_CAP + 1, "fifo", 4)],
+)
+def test_reference_schedule_is_exact_up_to_the_cap(size, source, makespan):
+    # b1 and a1 share a robot and b1 comes first, so FIFO delays the chain
+    # a1 -> a2 -> a3 by one step; idle operations pad the graph to size.
+    padding = tuple(f"p{i}" for i in range(size - 4))
+    g = DisjunctiveGraph(
+        op_ids=("b1", "a1", "a2", "a3") + padding,
+        chains=(("a1", "a2", "a3"), ("b1",)),
+        resources={("robot", "r1"): ("b1", "a1")},
+    )
+    schedule, got = reference_schedule(g, g.op_ids)
+    assert (got, schedule.makespan) == (source, makespan)
 
 
 def test_brute_force_matches_enumeration_oracle_on_fixed_case():
@@ -464,6 +482,24 @@ def test_predecessors_close_to_every_earlier_rival(triple, data):
         assert transitive_closure(s.predecessors()) == transitive_closure(
             predecessors_by_rivals(s)
         )
+
+
+@given(st.one_of(plan_triples(), generated_triples()), st.data())
+@settings(max_examples=120, deadline=None)
+def test_fifo_in_start_step_order_replays_the_schedule(triple, data):
+    # Both solvers launch a maximal conflict-free set of the ready operations
+    # at each step, so FIFO over the operations sorted by start step launches
+    # that set first and finds every ready operation listed after it blocked.
+    # Generated ground truths rely on this to be replayed from their order.
+    ops, alloc, prec, scene = triple
+    g = build_graph(ops, prec, alloc, scene)
+    order = data.draw(st.permutations([op.id for op in ops]))
+    schedules = [solve_fifo(g, order)]
+    if len(ops) <= DEFAULT_BRUTE_FORCE_CAP:
+        schedules.append(brute_force_optimal(g))
+    for s in schedules:
+        replay = solve_fifo(g, sorted(order, key=s.start_steps.__getitem__))
+        assert replay.start_steps == s.start_steps
 
 
 @given(st.one_of(plan_triples(n_robots=2), generated_triples()), st.data())
