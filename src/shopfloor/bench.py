@@ -64,6 +64,7 @@ from .model import (
     serialize_task_instance,
     validate_planner_output,
     validate_scene,
+    write_file,
 )
 from .solve import ScheduleGraph, reference_schedule, schedule_to_record, solve_fifo
 from .tree import ProcessTree, assemble_program, load_reference_tree
@@ -293,7 +294,7 @@ def generate_suite(
             seed = base_seed + i
             task = generate_instance(tier, seed)
             path = out_dir / f"{task_id_for(tier, seed)}.json"
-            path.write_text(serialize_task_instance(task), encoding="utf-8")
+            write_file(path, serialize_task_instance(task))
             paths.append(path)
     return paths
 
@@ -473,6 +474,12 @@ def suite_csv(results: Sequence[TaskResult]) -> str:
 def write_outputs(
     out_dir: Path, results: Sequence[TaskResult], summary: dict
 ) -> None:
+    """Write <task_id>.metrics.json per task, suite.csv and summary.json.
+
+    Files already in out_dir are overwritten in place through
+    model.write_file, not replaced atomically, and other files are left
+    alone.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in results:
         doc = {
@@ -481,8 +488,6 @@ def write_outputs(
             "error": row.error,
             **report_to_json(row.report),
         }
-        (out_dir / f"{row.task_id}.metrics.json").write_text(
-            canonical_json(doc), encoding="utf-8"
-        )
-    (out_dir / "suite.csv").write_text(suite_csv(results), encoding="utf-8")
-    (out_dir / "summary.json").write_text(canonical_json(summary), encoding="utf-8")
+        write_file(out_dir / f"{row.task_id}.metrics.json", canonical_json(doc))
+    write_file(out_dir / "suite.csv", suite_csv(results))
+    write_file(out_dir / "summary.json", canonical_json(summary))

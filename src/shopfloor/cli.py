@@ -37,6 +37,7 @@ from .model import (
     parse_json,
     program_to_json,
     schedule_record_to_json,
+    write_file,
 )
 from .planner import GroundTruthPlanner, LlmPlanner, config_from_env
 from .solve import brute_force_optimal, schedule_to_record, solve_fifo
@@ -98,7 +99,7 @@ def _planner(name: str):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -130,7 +131,7 @@ def _cmd_generate(args) -> int:
 
     text = serialize_task_instance(task)
     out = args.out or f"{task_id_for(tier, args.seed)}.json"
-    Path(out).write_text(text, encoding="utf-8")
+    write_file(out, text)
     print(f"wrote {out}")
     return 0
 
@@ -219,7 +220,7 @@ def _cmd_gantt(args) -> int:
     chart = render_gantt(schedule, gt.allocation, gt.operations)
     sys.stdout.write(chart.text)
     if args.svg:
-        Path(args.svg).write_text(chart.svg, encoding="utf-8")
+        write_file(args.svg, chart.svg)
     return 0
 
 

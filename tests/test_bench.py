@@ -155,6 +155,24 @@ def test_generate_suite_writes_stable_files(tmp_path):
     }
 
 
+def _junk_files(directory, names):
+    """Create each named file with content longer than any output."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        (directory / name).write_bytes(b"stale tail " * 4000)
+
+
+def _file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_generate_suite_over_longer_files_matches_a_fresh_suite(tmp_path):
+    fresh = generate_suite(tmp_path / "fresh", per_tier=2)
+    _junk_files(tmp_path / "reused", [p.name for p in fresh])
+    generate_suite(tmp_path / "reused", per_tier=2)
+    assert _file_bytes(tmp_path / "reused") == _file_bytes(tmp_path / "fresh")
+
+
 def test_load_bench_task_reads_tier_from_name(tmp_path):
     (path,) = generate_suite(tmp_path, per_tier=1, tiers=(Tier.SINGLE_ROBOT,))
     bench_task = load_bench_task(path)
@@ -217,6 +235,15 @@ def test_run_benchmark_writes_metrics_csv_and_summary(tmp_path):
         assert doc["task_id"] == task.task_id
         assert doc["error"] is None
         assert doc["success_rate"] == 1.0
+
+
+def test_run_benchmark_over_longer_files_matches_a_fresh_directory(tmp_path):
+    tasks = small_suite(tmp_path)
+    run_benchmark(tasks, GroundTruthPlanner(), out_dir=tmp_path / "fresh")
+    names = [f"{t.task_id}.metrics.json" for t in tasks] + ["suite.csv", "summary.json"]
+    _junk_files(tmp_path / "reused", names)
+    run_benchmark(tasks, GroundTruthPlanner(), out_dir=tmp_path / "reused")
+    assert _file_bytes(tmp_path / "reused") == _file_bytes(tmp_path / "fresh")
 
 
 class RefusingPlanner:

@@ -7,6 +7,7 @@ stdout/stderr are what a shell user would see.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -176,6 +177,14 @@ def test_generate_default_filename(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "simple_multi_0007.json").exists()
 
 
+def test_generate_to_dev_null_exits_0(capsys):
+    code, out, _ = run_cli(
+        capsys, "generate", "--tier", "single_robot", "--seed", "0", "--out", os.devnull
+    )
+    assert code == 0
+    assert out == f"wrote {os.devnull}\n"
+
+
 def test_generate_suite_writes_all_tiers(tmp_path, capsys):
     suite = tmp_path / "suite"
     code, out, _ = run_cli(
@@ -257,6 +266,15 @@ def test_graph_prints_the_ground_truth_dot(capsys, task_file, bare_task_file, tm
     code, out, err = run_cli(capsys, "graph", str(tmp_path / "missing.json"))
     assert (code, out) == (2, "")
     assert "cannot read task file" in err
+
+
+def test_out_over_a_longer_file_leaves_no_stale_tail(capsys, task_file, tmp_path):
+    _, printed, _ = run_cli(capsys, "solve", str(task_file))
+    out = tmp_path / "schedule.json"
+    out.write_text(printed * 20, encoding="utf-8")
+    code, _, _ = run_cli(capsys, "solve", str(task_file), "--out", str(out))
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_assemble_emits_program_json(capsys, task_file):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shopfloor.bench import METRIC_FIELDS, Tier, _run_pipeline, generate_instance
 from shopfloor.errors import DegenerateDenominator, EmptyGtStatus
 from shopfloor.executor import execute, initial_state, status_delta
 from shopfloor.graph import build_graph
@@ -25,9 +29,15 @@ from shopfloor.model import (
     GroundTruth,
     OperationType,
     PrecedenceSet,
+    Scene,
     ScheduleRecord,
     TaskInstance,
+    at_label,
+    parse_at_label,
+    parse_task_instance,
+    serialize_task_instance,
 )
+from shopfloor.planner import parse_planner_text, render_planner_text
 from shopfloor.solve import solve_fifo
 from shopfloor.tree import assemble_program, load_reference_tree
 
@@ -388,3 +398,124 @@ def test_oc_is_symmetric_and_bounded(a, b):
     assert forward == backward
     assert 0.0 <= forward <= 1.0
     assert operation_consistency(ops_a, alloc_a, ops_a, alloc_a) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: ids are names, not meaning
+
+
+def _renaming(ids, prefix):
+    """Fresh names whose sort order is the reverse of the old ids'."""
+    ordered = sorted(set(ids))
+    return {old: f"{prefix}{len(ordered) - i:02d}" for i, old in enumerate(ordered)}
+
+
+def _rename_plan(ops, alloc, prec, op_ids, robot_ids, machine_ids):
+    renamed = tuple(
+        replace(
+            op,
+            id=op_ids[op.id],
+            machine_1=machine_ids[op.machine_1],
+            machine_2=None if op.machine_2 is None else machine_ids[op.machine_2],
+        )
+        for op in ops
+    )
+    allocation = Allocation(
+        by_op={op_ids[o]: robot_ids[r] for o, r in alloc.by_op.items()}
+    )
+    precedence = PrecedenceSet(
+        chains={w: tuple(op_ids[o] for o in chain) for w, chain in prec.chains.items()}
+    )
+    return renamed, allocation, precedence
+
+
+def _rename_task(task, op_ids, robot_ids, machine_ids):
+    def label(state):
+        machine = parse_at_label(state)
+        return state if machine is None else at_label(machine_ids[machine])
+
+    scene = task.scene
+    renamed_scene = Scene(
+        robots=tuple(
+            replace(
+                r,
+                id=robot_ids[r.id],
+                reachable_machines=frozenset(machine_ids[m] for m in r.reachable_machines),
+            )
+            for r in scene.robots
+        ),
+        machines=tuple(replace(m, id=machine_ids[m.id]) for m in scene.machines),
+        workpieces=tuple(
+            replace(w, state_sequence=tuple(map(label, w.state_sequence)))
+            for w in scene.workpieces
+        ),
+    )
+    gt = task.ground_truth
+    assert gt.program is None  # generated tasks store no program
+    ops, alloc, prec = _rename_plan(
+        gt.operations, gt.allocation, gt.precedence, op_ids, robot_ids, machine_ids
+    )
+    schedule = replace(
+        gt.schedule, start_steps={op_ids[o]: s for o, s in gt.schedule.start_steps.items()}
+    )
+    renamed = replace(
+        task, scene=renamed_scene, ground_truth=GroundTruth(ops, alloc, prec, None, schedule)
+    )
+    # the renamed task must still be a valid task file
+    return parse_task_instance(serialize_task_instance(renamed))
+
+
+def _mutate(kind, task):
+    gt = task.ground_truth
+    ops, alloc, prec = list(gt.operations), dict(gt.allocation.by_op), dict(gt.precedence.chains)
+    if kind == "shuffle":
+        random.Random(0).shuffle(ops)
+    elif kind == "drop":
+        workpiece, chain = next((w, c) for w, c in sorted(prec.items()) if c)
+        dropped = chain[-1]
+        ops = [op for op in ops if op.id != dropped]
+        del alloc[dropped]
+        prec[workpiece] = chain[:-1]
+    elif kind == "reassign":
+        robots = [r.id for r in task.scene.robots]
+        first = ops[0].id
+        alloc[first] = robots[(robots.index(alloc[first]) + 1) % len(robots)]
+    return tuple(ops), Allocation(by_op=alloc), PrecedenceSet(chains=prec)
+
+
+class _FixedPlanner:
+    def __init__(self, ops, alloc, prec):
+        self.text = render_planner_text(ops, alloc, prec)
+
+    def plan(self, task):
+        return parse_planner_text(self.text, task.scene)
+
+
+def _scores(report):
+    return tuple(getattr(report, field) for field in METRIC_FIELDS)
+
+
+@pytest.mark.parametrize("kind", ["none", "shuffle", "drop", "reassign"])
+@pytest.mark.parametrize(
+    "tier,seed", [(t, s) for t in Tier for s in range(3)] + [(Tier.COMPLEX_MULTI, 20)]
+)
+def test_renaming_ids_leaves_every_metric_unchanged(tier, seed, kind):
+    task = generate_instance(tier, seed)
+    gt = task.ground_truth
+    op_ids = _renaming([op.id for op in gt.operations], "op")
+    robot_ids = _renaming([r.id for r in task.scene.robots], "bot")
+    machine_ids = _renaming([m.id for m in task.scene.machines], "station")
+    plan = _mutate(kind, task)
+
+    report, _ = _run_pipeline(task, _FixedPlanner(*plan), TREE)
+    renamed_report, _ = _run_pipeline(
+        _rename_task(task, op_ids, robot_ids, machine_ids),
+        _FixedPlanner(*_rename_plan(*plan, op_ids, robot_ids, machine_ids)),
+        TREE,
+    )
+    assert _scores(renamed_report) == _scores(report)
+    # the cases reach below 1 on recall and on efficiency, not only on consistency
+    if kind == "drop":
+        assert report.goal_condition_recall < 1.0
+    if (tier, seed, kind) == (Tier.COMPLEX_MULTI, 20, "shuffle"):
+        assert 0.0 < report.scheduling_efficiency < 1.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,7 @@ from shopfloor.model import (
     task_instance_to_json,
     validate_planner_output,
     validate_scene,
+    write_file,
 )
 
 from conftest import make_machine, make_op, make_robot, make_scene, make_workpiece, simple_plan
@@ -384,3 +386,33 @@ def test_scene_round_trip_property(pieces):
     parsed = SCENE.load(json.loads(text), "scene")
     assert canonical_json(scene_to_json(parsed)) == text
     assert SCENE.load(json.loads(canonical_json(scene_to_json(parsed))), "scene") == parsed
+
+
+# ---------------------------------------------------------------------------
+# writing files
+
+
+def test_write_file_over_a_longer_file_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"stale " * 1000)
+    write_file(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+
+
+def test_write_file_over_a_shorter_file_writes_every_byte(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"x")
+    write_file(path, "longer\n" * 100)
+    assert path.read_bytes() == b"longer\n" * 100
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_write_file_to_a_pipe_delivers_the_exact_bytes():
+    text = "line \u00e9\n" * 1000  # well under a pipe's buffer, so no reader thread
+    read_end, write_end = os.pipe()
+    try:
+        write_file(f"/dev/fd/{write_end}", text)
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.read() == text.encode("utf-8")
