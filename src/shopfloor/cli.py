@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 for usage problems and runtime failures
 (unavailable planner, oversized exact solve, invalid plan, a suite task
-whose ground truth cannot be replayed), 2 when an input file cannot be
-read or parsed.
+whose ground truth cannot be replayed, an output that cannot be written),
+2 when an input file cannot be read or parsed.
 """
 
 from __future__ import annotations
@@ -340,6 +340,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ShopfloorError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # Every input read is caught above as an _InputError, so an OSError
+        # here comes from writing an output.
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,8 @@ since they precede the first skill.
 
 Each run indexes its inputs once: the call of every operation (the first
 call wins when a program holds several), the operations due at every
-step, and the classified arguments of every execution's skills.
+step, and every execution's skills paired with their classified arguments,
+which model.classify_args computes once per distinct skill call.
 
 The trace line format is declared once, as a codec (STEP_RECORD) built
 from the strict-JSON combinators in model.
@@ -218,7 +219,7 @@ def execute(
     for call in program.calls:
         calls.setdefault(call.op_id, call)
     executions = {
-        name: tuple((skill, classify_args(skill)) for skill in skills)
+        name: tuple(zip(skills, map(classify_args, skills)))
         for name, skills in program.executions.items()
     }
     due_at: dict[int, list[str]] = {}

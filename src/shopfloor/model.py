@@ -23,7 +23,7 @@ import re
 import stat
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Protocol, Sequence
@@ -231,12 +231,15 @@ class SkillCall:
 # name, or the literal text. machine_role is None except for a point, where
 # it names the machine that must carry it: the first machine-role
 # placeholder in the same call, else machine_1. Plain tuples, because the
-# executor classifies every skill of a program on each run.
+# executor reads them for every skill it runs.
 SkillArg = tuple[str, str, str | None]
 
 
+@cache
 def classify_args(call: SkillCall) -> tuple[SkillArg, ...]:
-    """The arguments of call, classified in order; see SkillArg."""
+    """The arguments of call, classified in order; see SkillArg. Memoized:
+    each distinct skill call, whether from the tree or a program file, is
+    classified once per process."""
     context = next(
         (role for role in map(role_placeholder, call.args) if role in MACHINE_ROLES),
         "machine_1",

@@ -13,7 +13,14 @@ structure is a rooted acyclic graph rather than a strict tree; paths are
 still what selection works on.
 
 Each node's condition is parsed once, when the node is built (so when a
-tree file is loaded); branch selection only evaluates the parsed form. The
+tree file is loaded). A condition reads only a short feature key of the
+operation in its scene: the operation type, the workpiece kind, both
+machine names, the devices shared by every robot that reaches machine_1,
+and both machines' points. So each tree keeps a branch table from feature
+key to outcome: the selected branch with its execution name and skills,
+or the NoBranch/AmbiguousBranch detail. Selection looks the key up and
+walks the tree, evaluating the parsed conditions, only on a miss; the
+operation id enters an error message only when it is raised. The
 tree file format is declared once, as a codec (TREE) built from the
 strict-JSON combinators in model.
 
@@ -35,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from .model import (
@@ -76,16 +83,34 @@ class TreeNode:
         object.__setattr__(self, "expr", parse_condition(self.condition))
 
 
+Branch = tuple[TreeNode, ...]
+
+
+class _Selection(NamedTuple):
+    """A selected branch, with the execution that assembly names after it."""
+
+    branch: Branch
+    execution: str  # "exec_" + the branch's node indices
+    skills: tuple[SkillCall, ...]  # the branch's snippets, concatenated
+
+
+# What branch selection yields for one feature key: the selection, or the
+# NoBranch/AmbiguousBranch class and its detail without the operation id.
+_Outcome = _Selection | tuple[type[NoBranch] | type[AmbiguousBranch], str]
+
+
 @dataclass(frozen=True)
 class ProcessTree:
     root: int
     nodes: Mapping[int, TreeNode]
+    # Branch table: feature key (see _feature_key) -> outcome, filled by the
+    # walk on a miss. Nodes are immutable, so an entry never goes stale.
+    branches: dict[tuple, _Outcome] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def node(self, index: int) -> TreeNode:
         return self.nodes[index]
-
-
-Branch = tuple[TreeNode, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +365,31 @@ def _validate_tree(tree: ProcessTree) -> None:
 # branch selection
 
 
-def select_branch(tree: ProcessTree, op: Operation, scene: Scene) -> Branch:
-    """The unique root-to-leaf path matching op in this scene.
+def _feature_key(op: Operation, scene: Scene) -> tuple:
+    """Everything a condition reads about op in scene: the type, the
+    workpiece kind, both machine names, the devices shared by every robot
+    that reaches machine_1 (None when none does) and both machines' points.
+    An id that does not resolve reads as None, as in eval_condition."""
+    m1 = scene.machine(op.machine_1) if scene.has_machine(op.machine_1) else None
+    m2 = scene.machine(op.machine_2) if scene.has_machine(op.machine_2) else None
+    crew = [r.devices for r in scene.robots if op.machine_1 in r.reachable_machines]
+    return (
+        op.op_type,
+        scene.workpiece(op.workpiece).kind if scene.has_workpiece(op.workpiece) else None,
+        m1 and m1.name,
+        m2 and m2.name,
+        frozenset.intersection(*crew) if crew else None,
+        m1 and m1.points,
+        m2 and m2.points,
+    )
 
-    A node matches when it is general or typed like op, and its condition
-    holds. Zero matches raise NoBranch naming the deepest node that still
-    matched; several raise AmbiguousBranch listing the rival paths.
-    """
-    matches: list[tuple[TreeNode, ...]] = []
+
+def _walk(tree: ProcessTree, op: Operation, scene: Scene) -> _Outcome:
+    """Select op's branch by walking the tree and evaluating conditions."""
+    matches: list[Branch] = []
     deepest: tuple[int, TreeNode] | None = None
 
-    def walk(index: int, path: tuple[TreeNode, ...]) -> None:
+    def walk(index: int, path: Branch) -> None:
         nonlocal deepest
         node = tree.nodes[index]
         if node.op_type not in (None, op.op_type):
@@ -369,36 +408,48 @@ def select_branch(tree: ProcessTree, op: Operation, scene: Scene) -> Branch:
     walk(tree.root, ())
     if not matches:
         if deepest is None:
-            raise NoBranch(
-                f"operation '{op.id}': even the root matched nothing"
-            )
-        raise NoBranch(
-            f"operation '{op.id}': no complete branch; deepest match was "
+            return NoBranch, "even the root matched nothing"
+        return NoBranch, (
+            f"no complete branch; deepest match was "
             f"node {deepest[1].index} ({deepest[1].description})"
         )
     if len(matches) > 1:
         listed = "; ".join(
             "->".join(str(n.index) for n in path) for path in matches
         )
-        raise AmbiguousBranch(
-            f"operation '{op.id}': {len(matches)} branches match: {listed}"
-        )
-    return matches[0]
+        return AmbiguousBranch, f"{len(matches)} branches match: {listed}"
+    branch = matches[0]
+    return _Selection(
+        branch,
+        "exec_" + "_".join(str(node.index) for node in branch),
+        tuple(call for node in branch for call in node.snippet),
+    )
+
+
+def _select(tree: ProcessTree, op: Operation, scene: Scene) -> _Selection:
+    key = _feature_key(op, scene)
+    outcome = tree.branches.get(key)
+    if outcome is None:
+        outcome = tree.branches[key] = _walk(tree, op, scene)
+    if isinstance(outcome, _Selection):
+        return outcome
+    error, detail = outcome
+    raise error(f"operation '{op.id}': {detail}")
+
+
+def select_branch(tree: ProcessTree, op: Operation, scene: Scene) -> Branch:
+    """The unique root-to-leaf path matching op in this scene.
+
+    A node matches when it is general or typed like op, and its condition
+    holds. Zero matches raise NoBranch naming the deepest node that still
+    matched; several raise AmbiguousBranch listing the rival paths. The
+    outcome is looked up in the tree's branch table, walked on a miss.
+    """
+    return _select(tree, op, scene).branch
 
 
 # ---------------------------------------------------------------------------
 # program assembly
-
-
-def _execution_name(branch: Branch) -> str:
-    return "exec_" + "_".join(str(node.index) for node in branch)
-
-
-def _branch_skills(branch: Branch) -> tuple[SkillCall, ...]:
-    skills: list[SkillCall] = []
-    for node in branch:
-        skills.extend(node.snippet)
-    return tuple(skills)
 
 
 def assemble_program(
@@ -418,10 +469,9 @@ def assemble_program(
     wrappers: dict[str, Wrapper] = {}
     calls: list[ProgramCall] = []
     for op in operations:
-        branch = select_branch(tree, op, scene)
-        exec_name = _execution_name(branch)
-        if exec_name not in executions:
-            executions[exec_name] = _branch_skills(branch)
+        selection = _select(tree, op, scene)
+        exec_name = selection.execution
+        executions.setdefault(exec_name, selection.skills)
         robot = allocation.robot_for(op.id)
         if robot is None:
             raise ValidationError(f"operation '{op.id}' has no allocated robot")

@@ -277,6 +277,24 @@ def test_out_over_a_longer_file_leaves_no_stale_tail(capsys, task_file, tmp_path
     assert out.read_text(encoding="utf-8") == printed
 
 
+def test_solve_to_an_unwritable_path_exits_1(capsys, task_file, tmp_path):
+    target = tmp_path / "missing_dir" / "x.json"
+    code, out, err = run_cli(capsys, "solve", str(task_file), "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot write output: ") and "No such file" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_into_an_existing_file_exits_1(capsys, tmp_path):
+    target = tmp_path / "results"
+    target.write_text("not a directory", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--bundled", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot write output: ") and "File exists" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert target.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_assemble_emits_program_json(capsys, task_file):
     code, out, _ = run_cli(capsys, "assemble", str(task_file))
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -266,28 +267,142 @@ def refit(scene, change, robot_ids):
     return Scene(robots=robots, machines=scene.machines, workpieces=scene.workpieces)
 
 
+def _node(index, condition, children=()):
+    return {"index": index, "type": "general", "description": condition,
+            "condition": condition, "snippet": [], "children": list(children)}
+
+
+# A tree whose conditions read every part of the feature key, including the
+# workpiece kind, the machine names and machine_2's points, which the
+# reference tree never reads.
+FEATURE_TREE = parse_tree(json.dumps({"root": 0, "nodes": [
+    _node(0, "true", (1, 2)),
+    _node(1, '(= workpiece.kind "steel plate")', (3, 4, 5, 6)),
+    _node(2, '(not (= workpiece.kind "steel plate"))', (3, 4, 5, 6)),
+    _node(3, '(and (= machine_1.name "work table") (device-present robot "camera"))'),
+    _node(4, '(and (= op.type "transport") (= machine_2.name "pallet"))'),
+    _node(5, '(point-present machine_2 "Photo_Point")'),
+    _node(6, '(and (point-present machine_1 "Photo_Point") '
+             '(not (device-present robot "bracket_camera")))'),
+]}))
+
+
+def mutated_scenes(scene):
+    """scene and variants that each change what a condition can read."""
+    every = {r.id for r in scene.robots}
+    return (
+        scene,
+        refit(scene, lambda d: d - CAMERAS, {scene.robots[0].id}),
+        refit(scene, lambda d: d | CAMERAS, every),
+        Scene(robots=scene.robots, machines=scene.machines, workpieces=()),
+        Scene(
+            robots=tuple(dataclasses.replace(r, reachable_machines=frozenset())
+                         for r in scene.robots),
+            machines=scene.machines, workpieces=scene.workpieces,
+        ),
+        Scene(
+            robots=scene.robots,
+            machines=tuple(dataclasses.replace(m, points=frozenset())
+                           for m in scene.machines),
+            workpieces=scene.workpieces,
+        ),
+        Scene(
+            robots=scene.robots,
+            machines=tuple(dataclasses.replace(m, name=m.name + " (renamed)")
+                           for m in scene.machines),
+            workpieces=tuple(dataclasses.replace(w, kind="steel plate")
+                             if w.kind != "steel plate" else
+                             dataclasses.replace(w, kind="cast part")
+                             for w in scene.workpieces),
+        ),
+    )
+
+
+def mutated_ops(op):
+    """op and variants with an unknown or unset machine."""
+    return (
+        op,
+        dataclasses.replace(op, machine_1="ghost"),
+        dataclasses.replace(op, machine_2="ghost"),
+        dataclasses.replace(op, machine_2=None),
+    )
+
+
 @pytest.mark.parametrize("tier", list(Tier))
 def test_select_branch_matches_a_reparsing_walk(tree, tier):
-    outcomes = set()
-    for seed in range(4):
-        task = generate_instance(tier, seed)
-        every = {r.id for r in task.scene.robots}
-        scenes = (
-            task.scene,
-            refit(task.scene, lambda d: d - CAMERAS, {task.scene.robots[0].id}),
-            refit(task.scene, lambda d: d | CAMERAS, every),
-        )
-        for scene in scenes:
-            for op in task.ground_truth.operations:
-                expected = reference_branch(tree, op, scene)
-                outcomes.add(min(len(expected), 2))
-                if len(expected) == 1:
-                    branch = select_branch(tree, op, scene)
-                    assert tuple(n.index for n in branch) == expected[0]
-                else:
-                    with pytest.raises(AmbiguousBranch if expected else NoBranch):
-                        select_branch(tree, op, scene)
-    assert outcomes == {0, 1, 2}
+    # One tree object per source tree serves every scene, so most lookups
+    # hit its branch table; a fresh tree over the same nodes has an empty
+    # table and gives the walk's outcome and message.
+    for source in (tree, FEATURE_TREE):
+        shared = ProcessTree(source.root, source.nodes)
+        outcomes = set()
+        lookups = 0
+        for seed in range(4):
+            task = generate_instance(tier, seed)
+            for scene in mutated_scenes(task.scene):
+                for op in (v for o in task.ground_truth.operations for v in mutated_ops(o)):
+                    expected = reference_branch(source, op, scene)
+                    outcomes.add(min(len(expected), 2))
+                    lookups += 1
+                    if len(expected) == 1:
+                        branch = select_branch(shared, op, scene)
+                        assert tuple(n.index for n in branch) == expected[0]
+                        continue
+                    error = AmbiguousBranch if expected else NoBranch
+                    with pytest.raises(error) as fresh:
+                        select_branch(ProcessTree(source.root, source.nodes), op, scene)
+                    with pytest.raises(error) as hit:
+                        select_branch(shared, op, scene)
+                    assert str(hit.value) == str(fresh.value)
+                    assert str(hit.value).startswith(f"operation '{op.id}': ")
+        assert outcomes == {0, 1, 2}
+        assert len(shared.branches) < lookups / 2  # most lookups hit
+
+
+def test_table_hits_raise_with_their_own_operation_id(tree):
+    shared = ProcessTree(tree.root, tree.nodes)
+    blind = make_scene(robots=(make_robot("r1", devices=FULL_KIT - {"camera"}),))
+    greedy = make_scene(robots=(make_robot("r1", devices=FULL_KIT | {"bracket_camera"}),))
+    cases = (
+        (blind, NoBranch, "no complete branch; deepest match was node 0 (operation entry)"),
+        (greedy, AmbiguousBranch, "2 branches match: 0->1->3; 0->2->3"),
+    )
+    for scene, error, detail in cases:
+        for op_id in ("p1", "p2", "p1"):
+            op = make_op(op_id, OperationType.POLISHING, "w1", "table_1")
+            with pytest.raises(error) as raised:
+                select_branch(shared, op, scene)
+            assert str(raised.value) == f"operation '{op_id}': {detail}"
+    assert len(shared.branches) == 2
+
+
+def test_trees_do_not_share_table_entries(tree):
+    # A variant of the reference tree with another root gate and entry
+    # description: equal features, different outcomes.
+    doc = tree_to_json(tree)
+    doc["nodes"][0]["condition"] = '(device-present robot "magnetic_gripper")'
+    doc["nodes"][0]["description"] = "gripper entry"
+    variant = parse_tree(json.dumps(doc))
+    reference = ProcessTree(tree.root, tree.nodes)
+    op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
+    handheld = make_scene()
+    blind = make_scene(robots=(make_robot("r1", devices=FULL_KIT - {"camera"}),))
+    bare = make_scene(robots=(make_robot("r1", devices=frozenset({"polisher"})),))
+    for _ in range(2):
+        for own in (reference, variant):
+            branch = select_branch(own, op, handheld)
+            assert [n.index for n in branch] == [0, 2, 3]
+            assert all(node is own.nodes[node.index] for node in branch)
+        with pytest.raises(NoBranch, match=r"node 0 \(operation entry\)$"):
+            select_branch(reference, op, blind)
+        with pytest.raises(NoBranch, match=r"node 0 \(gripper entry\)$"):
+            select_branch(variant, op, blind)
+        with pytest.raises(NoBranch, match="node 0"):
+            select_branch(reference, op, bare)
+        with pytest.raises(NoBranch, match="even the root matched nothing$"):
+            select_branch(variant, op, bare)
+    assert reference.branches is not variant.branches
+    assert len(reference.branches) == len(variant.branches) == 3
 
 
 # ---------------------------------------------------------------------------
