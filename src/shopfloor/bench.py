@@ -247,21 +247,21 @@ def _acceptable(task: TaskInstance, tree: ProcessTree) -> bool:
     return run.outcome.executed_fully and bool(run.status)
 
 
-def generate_instance(
-    tier: Tier,
-    seed: int,
-    attempts: int = 8,
-) -> TaskInstance:
+# Candidates tried per (tier, seed) before generation gives up.
+GENERATION_ATTEMPTS = 8
+
+
+def generate_instance(tier: Tier, seed: int) -> TaskInstance:
     """Deterministic instance for (tier, seed): same arguments, same bytes.
     Candidates that fail self-validation against the reference tree are
-    re-rolled a bounded number of times before giving up."""
+    re-rolled up to GENERATION_ATTEMPTS times before giving up."""
     tree = load_reference_tree()
-    for attempt in range(attempts):
+    for attempt in range(GENERATION_ATTEMPTS):
         task = _candidate(tier, seed, attempt)
         if _acceptable(task, tree):
             return task
     raise GenerationRetryExhausted(
-        f"no valid {tier.value} instance for seed {seed} after {attempts} attempts"
+        f"no valid {tier.value} instance for seed {seed} after {GENERATION_ATTEMPTS} attempts"
     )
 
 

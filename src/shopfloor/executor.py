@@ -8,6 +8,12 @@ the operation holds, see ScheduleGraph.predecessors) completed
 successfully. All operations of a step read the state as of the step's
 beginning; their effects land when the step ends.
 
+An effect comes from the operation itself, never from the program: when
+the step ends, each operation that completed in it moves its workpiece to
+machine_2 (machine_1 when unset) if it is a transport, and otherwise adds
+the flag of its type (model.PROCESSING_FLAGS). The program decides only
+whether the operation completes.
+
 An operation fails at the first offending skill and its effects are
 discarded; schedule descendants of a failed or blocked operation never
 launch, so a failure blocks every later user of its resources, while
@@ -19,7 +25,7 @@ since they precede the first skill.
 Each run indexes its inputs once: the call of every operation (the first
 call wins when a program holds several), the operations due at every
 step, and every execution's skills paired with their classified arguments,
-which model.classify_args computes once per distinct skill call.
+which model.classify_args computes once per distinct argument tuple.
 
 The trace line format is declared once, as a codec (STEP_RECORD) built
 from the strict-JSON combinators in model.
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     INT,
@@ -110,16 +116,11 @@ def initial_state(scene: Scene) -> SymbolicState:
     return SymbolicState(locations=locations, flags={})
 
 
-@dataclass
-class _OpResult:
-    run: OperationRun | None
-    failure: Failure | None
-    location_change: tuple[str, str] | None  # workpiece -> machine
-    new_flag: tuple[str, str] | None  # workpiece -> flag
-
-
 # An execution's skills, each with its arguments classified.
 _ClassifiedSkills = tuple[tuple[SkillCall, tuple[SkillArg, ...]], ...]
+
+# The failure reason of an argument that does not resolve, by its kind.
+_UNRESOLVED = {"role": "unbound_placeholder", "device": "missing_device", "point": "missing_point"}
 
 
 def _run_operation(
@@ -129,73 +130,44 @@ def _run_operation(
     executions: Mapping[str, _ClassifiedSkills],
     scene: Scene,
     locations: Mapping[str, str],
-) -> _OpResult:
-    if call is None:
-        return _OpResult(None, Failure(op.id, -1, "missing_call"), None, None)
-    wrapper = program.wrappers.get(call.wrapper)
-    if wrapper is None:
-        return _OpResult(None, Failure(op.id, -1, "missing_call"), None, None)
-    skills = executions.get(wrapper.execution)
+) -> tuple[OperationRun | None, Failure | None]:
+    """Run op's skills. Returns its run (None when the program holds no
+    call for it) and its first failure (None when it completed)."""
+    wrapper = program.wrappers.get(call.wrapper) if call is not None else None
+    skills = executions.get(wrapper.execution) if wrapper is not None else None
     if skills is None:
-        return _OpResult(None, Failure(op.id, -1, "missing_call"), None, None)
+        return None, Failure(op.id, -1, "missing_call")
     binding = wrapper.binding
     robot_id = binding.get("robot", "")
-
     if locations.get(op.workpiece) != op.machine_1:
-        return _OpResult(
-            OperationRun(op.id, robot_id, ()),
-            Failure(op.id, -1, "wrong_location"),
-            None,
-            None,
-        )
+        return OperationRun(op.id, robot_id, ()), Failure(op.id, -1, "wrong_location")
 
-    holder = scene.robot(robot_id) if robot_id and scene.has_robot(robot_id) else None
+    devices = (
+        scene.robot(robot_id).devices if robot_id and scene.has_robot(robot_id) else frozenset()
+    )
     executed: list[SkillCall] = []
-    failure: Failure | None = None
     for index, (skill, args) in enumerate(skills):
-        if skill.skill not in SKILLS:
-            executed.append(skill)
-            failure = Failure(op.id, index, "unknown_skill")
-            break
-        resolved_args: list[str] = []
-        for kind, name, machine_role in args:
+        reason = None if skill.skill in SKILLS else "unknown_skill"
+        resolved: list[str] = []
+        for kind, name, machine_role in args if reason is None else ():
             if kind == "role":
-                if name not in binding:
-                    failure = Failure(op.id, index, "unbound_placeholder")
-                    break
-                resolved_args.append(binding[name])
+                present = name in binding
             elif kind == "device":
-                if holder is None or name not in holder.devices:
-                    failure = Failure(op.id, index, "missing_device")
-                    break
-                resolved_args.append(name)
+                present = name in devices
             elif kind == "point":
                 machine_id = binding.get(machine_role, op.machine_1)
-                present = (
-                    scene.has_machine(machine_id)
-                    and name in scene.machine(machine_id).points
-                )
-                if not present:
-                    failure = Failure(op.id, index, "missing_point")
-                    break
-                resolved_args.append(name)
+                present = scene.has_machine(machine_id) and name in scene.machine(machine_id).points
             else:
-                resolved_args.append(name)
-        if failure is not None:
+                present = True
+            if not present:
+                reason = _UNRESOLVED[kind]
+                break
+            resolved.append(binding[name] if kind == "role" else name)
+        if reason is not None:
             executed.append(skill)
-            break
-        executed.append(SkillCall(skill=skill.skill, args=tuple(resolved_args)))
-
-    run = OperationRun(op.id, robot_id, tuple(executed))
-    if failure is not None:
-        return _OpResult(run, failure, None, None)
-    location_change = None
-    new_flag = None
-    if op.op_type is OperationType.TRANSPORT:
-        location_change = (op.workpiece, op.machine_2 or op.machine_1)
-    else:
-        new_flag = (op.workpiece, PROCESSING_FLAGS[op.op_type])
-    return _OpResult(run, None, location_change, new_flag)
+            return OperationRun(op.id, robot_id, tuple(executed)), Failure(op.id, index, reason)
+        executed.append(SkillCall(skill=skill.skill, args=tuple(resolved)))
+    return OperationRun(op.id, robot_id, tuple(executed)), None
 
 
 def execute(
@@ -219,7 +191,7 @@ def execute(
     for call in program.calls:
         calls.setdefault(call.op_id, call)
     executions = {
-        name: tuple(zip(skills, map(classify_args, skills)))
+        name: tuple((skill, classify_args(skill.args)) for skill in skills)
         for name, skills in program.executions.items()
     }
     due_at: dict[int, list[str]] = {}
@@ -237,25 +209,24 @@ def execute(
         launched = [op_id for op_id in due if preds[op_id] <= completed]
         runs: list[OperationRun] = []
         failures: list[Failure] = []
-        effects: list[_OpResult] = []
+        succeeded: list[Operation] = []
         for op_id in launched:
-            result = _run_operation(
-                by_id[op_id], calls.get(op_id), program, executions, scene, locations
+            op = by_id[op_id]
+            run, failure = _run_operation(
+                op, calls.get(op_id), program, executions, scene, locations
             )
-            if result.run is not None:
-                runs.append(result.run)
-            if result.failure is not None:
-                failures.append(result.failure)
+            if run is not None:
+                runs.append(run)
+            if failure is not None:
+                failures.append(failure)
             else:
-                completed.add(op_id)
-                effects.append(result)
-        for result in effects:
-            if result.location_change is not None:
-                w, machine_id = result.location_change
-                locations[w] = machine_id
-            if result.new_flag is not None:
-                w, flag = result.new_flag
-                flags.setdefault(w, set()).add(flag)
+                succeeded.append(op)
+        for op in succeeded:
+            completed.add(op.id)
+            if op.op_type is OperationType.TRANSPORT:
+                locations[op.workpiece] = op.machine_2 or op.machine_1
+            else:
+                flags.setdefault(op.workpiece, set()).add(PROCESSING_FLAGS[op.op_type])
         records.append(
             StepRecord(step=step, operations=tuple(runs), failures=tuple(failures))
         )

@@ -236,16 +236,16 @@ SkillArg = tuple[str, str, str | None]
 
 
 @cache
-def classify_args(call: SkillCall) -> tuple[SkillArg, ...]:
-    """The arguments of call, classified in order; see SkillArg. Memoized:
-    each distinct skill call, whether from the tree or a program file, is
-    classified once per process."""
+def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
+    """A skill call's arguments, classified in order; see SkillArg.
+    Memoized on the tuple: each distinct argument tuple, whether from the
+    tree or a program file, is classified once per process."""
     context = next(
-        (role for role in map(role_placeholder, call.args) if role in MACHINE_ROLES),
+        (role for role in map(role_placeholder, args) if role in MACHINE_ROLES),
         "machine_1",
     )
     out: list[SkillArg] = []
-    for arg in call.args:
+    for arg in args:
         if (role := role_placeholder(arg)) is not None:
             out.append(("role", role, None))
         elif (device := device_name(arg)) is not None:

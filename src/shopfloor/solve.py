@@ -160,10 +160,9 @@ def _maximal_conflict_free_subsets(
     return iter(results)
 
 
-def brute_force_optimal(
-    graph: DisjunctiveGraph, cap: int = DEFAULT_BRUTE_FORCE_CAP
-) -> ScheduleGraph:
-    """Exhaustive minimal-makespan schedule for small instances.
+def brute_force_optimal(graph: DisjunctiveGraph) -> ScheduleGraph:
+    """Exhaustive minimal-makespan schedule for instances of at most
+    DEFAULT_BRUTE_FORCE_CAP operations; larger ones raise InstanceTooLarge.
 
     Branches over the maximal conflict-free ready subsets of every step and
     memoizes on the set of completed operations. Restricting to maximal
@@ -174,9 +173,10 @@ def brute_force_optimal(
     vector, components ordered by operation id.
     """
     ops = graph.op_ids
-    if len(ops) > cap:
+    if len(ops) > DEFAULT_BRUTE_FORCE_CAP:
         raise InstanceTooLarge(
-            f"{len(ops)} operations exceed the exhaustive solver cap of {cap}"
+            f"{len(ops)} operations exceed the exhaustive solver cap of "
+            f"{DEFAULT_BRUTE_FORCE_CAP}"
         )
     order = sorted(ops)
     preds = graph.preds

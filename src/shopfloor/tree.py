@@ -13,14 +13,16 @@ structure is a rooted acyclic graph rather than a strict tree; paths are
 still what selection works on.
 
 Each node's condition is parsed once, when the node is built (so when a
-tree file is loaded). A condition reads only a short feature key of the
-operation in its scene: the operation type, the workpiece kind, both
-machine names, the devices shared by every robot that reaches machine_1,
-and both machines' points. So each tree keeps a branch table from feature
-key to outcome: the selected branch with its execution name and skills,
-or the NoBranch/AmbiguousBranch detail. Selection looks the key up and
-walks the tree, evaluating the parsed conditions, only on a miss; the
-operation id enters an error message only when it is raised. The
+tree file is loaded). Conditions never see the operation or the scene:
+they read a Features record, which features(op, scene) builds once per
+operation from the operation type, the workpiece kind, both machine names,
+the devices shared by every robot that reaches machine_1, and both
+machines' points. The same record keys each tree's branch table, which
+maps it to the outcome: the selected branch with its execution name and
+skills, or the NoBranch/AmbiguousBranch detail. Selection looks the
+record up and walks the tree, evaluating the parsed conditions on the
+record, only on a miss; so an entry is the walk's outcome by construction.
+The operation id enters an error message only when it is raised. The
 tree file format is declared once, as a codec (TREE) built from the
 strict-JSON combinators in model.
 
@@ -94,8 +96,38 @@ class _Selection(NamedTuple):
     skills: tuple[SkillCall, ...]  # the branch's snippets, concatenated
 
 
-# What branch selection yields for one feature key: the selection, or the
-# NoBranch/AmbiguousBranch class and its detail without the operation id.
+class Features(NamedTuple):
+    """Everything a condition reads about an operation in its scene, built
+    by features(). The name or kind of an id that does not resolve is None;
+    such a machine has no points, and no devices are shared when no robot
+    reaches machine_1."""
+
+    op_type: OperationType
+    workpiece_kind: str | None
+    machine_1_name: str | None
+    machine_2_name: str | None
+    devices: frozenset[str]  # shared by every robot that reaches machine_1
+    machine_1_points: frozenset[str]
+    machine_2_points: frozenset[str]
+
+
+def features(op: Operation, scene: Scene) -> Features:
+    m1 = scene.machine(op.machine_1) if scene.has_machine(op.machine_1) else None
+    m2 = scene.machine(op.machine_2) if scene.has_machine(op.machine_2) else None
+    crew = [r.devices for r in scene.robots if op.machine_1 in r.reachable_machines]
+    return Features(
+        op.op_type,
+        scene.workpiece(op.workpiece).kind if scene.has_workpiece(op.workpiece) else None,
+        m1.name if m1 else None,
+        m2.name if m2 else None,
+        frozenset.intersection(*crew) if crew else frozenset(),
+        m1.points if m1 else frozenset(),
+        m2.points if m2 else frozenset(),
+    )
+
+
+# What branch selection yields for one Features record: the selection, or
+# the NoBranch/AmbiguousBranch class and its detail without the operation id.
 _Outcome = _Selection | tuple[type[NoBranch] | type[AmbiguousBranch], str]
 
 
@@ -103,9 +135,10 @@ _Outcome = _Selection | tuple[type[NoBranch] | type[AmbiguousBranch], str]
 class ProcessTree:
     root: int
     nodes: Mapping[int, TreeNode]
-    # Branch table: feature key (see _feature_key) -> outcome, filled by the
-    # walk on a miss. Nodes are immutable, so an entry never goes stale.
-    branches: dict[tuple, _Outcome] = field(
+    # Branch table: Features -> outcome, filled by the walk on a miss. The
+    # walk reads only the key and the immutable nodes, so an entry can never
+    # go stale.
+    branches: dict[Features, _Outcome] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -117,7 +150,13 @@ class ProcessTree:
 # condition language
 
 _TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
-_ATTRS = {"op.type", "workpiece.kind", "machine_1.name", "machine_2.name"}
+# Each attribute of (= attr "value"), read from a Features record.
+_ATTRS = {
+    "op.type": lambda f: f.op_type.value,
+    "workpiece.kind": lambda f: f.workpiece_kind,
+    "machine_1.name": lambda f: f.machine_1_name,
+    "machine_2.name": lambda f: f.machine_2_name,
+}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -204,50 +243,21 @@ def parse_condition(text: str) -> Any:
     return result
 
 
-def _attr_value(attr: str, op: Operation, scene: Scene) -> str | None:
-    if attr == "op.type":
-        return op.op_type.value
-    if attr == "workpiece.kind":
-        try:
-            return scene.workpiece(op.workpiece).kind
-        except KeyError:
-            return None
-    machine_id = op.machine_1 if attr == "machine_1.name" else op.machine_2
-    if machine_id is None:
-        return None
-    try:
-        return scene.machine(machine_id).name
-    except KeyError:
-        return None
-
-
-def eval_condition(expr: Any, op: Operation, scene: Scene) -> bool:
+def eval_condition(expr: Any, f: Features) -> bool:
     if expr is True:
         return True
     head = expr[0]
     if head == "and":
-        return all(eval_condition(e, op, scene) for e in expr[1:])
+        return all(eval_condition(e, f) for e in expr[1:])
     if head == "not":
-        return not eval_condition(expr[1], op, scene)
+        return not eval_condition(expr[1], f)
     if head == "=":
-        return _attr_value(expr[1], op, scene) == expr[2]
+        return _ATTRS[expr[1]](f) == expr[2]
     if head == "device-present":
-        crew = [r for r in scene.robots if op.machine_1 in r.reachable_machines]
-        return bool(crew) and all(expr[2] in r.devices for r in crew)
+        return expr[2] in f.devices
     if head == "point-present":
-        machine_id = op.machine_1 if expr[1] == "machine_1" else op.machine_2
-        if machine_id is None:
-            return False
-        try:
-            machine = scene.machine(machine_id)
-        except KeyError:
-            return False
-        return expr[2] in machine.points
+        return expr[2] in (f.machine_1_points if expr[1] == "machine_1" else f.machine_2_points)
     raise ParseError(f"unknown condition form {head!r}")
-
-
-def condition_holds(node: TreeNode, op: Operation, scene: Scene) -> bool:
-    return eval_condition(node.expr, op, scene)
 
 
 # ---------------------------------------------------------------------------
@@ -365,36 +375,15 @@ def _validate_tree(tree: ProcessTree) -> None:
 # branch selection
 
 
-def _feature_key(op: Operation, scene: Scene) -> tuple:
-    """Everything a condition reads about op in scene: the type, the
-    workpiece kind, both machine names, the devices shared by every robot
-    that reaches machine_1 (None when none does) and both machines' points.
-    An id that does not resolve reads as None, as in eval_condition."""
-    m1 = scene.machine(op.machine_1) if scene.has_machine(op.machine_1) else None
-    m2 = scene.machine(op.machine_2) if scene.has_machine(op.machine_2) else None
-    crew = [r.devices for r in scene.robots if op.machine_1 in r.reachable_machines]
-    return (
-        op.op_type,
-        scene.workpiece(op.workpiece).kind if scene.has_workpiece(op.workpiece) else None,
-        m1 and m1.name,
-        m2 and m2.name,
-        frozenset.intersection(*crew) if crew else None,
-        m1 and m1.points,
-        m2 and m2.points,
-    )
-
-
-def _walk(tree: ProcessTree, op: Operation, scene: Scene) -> _Outcome:
-    """Select op's branch by walking the tree and evaluating conditions."""
+def _walk(tree: ProcessTree, f: Features) -> _Outcome:
+    """Select the branch for f by walking the tree and evaluating conditions."""
     matches: list[Branch] = []
     deepest: tuple[int, TreeNode] | None = None
 
     def walk(index: int, path: Branch) -> None:
         nonlocal deepest
         node = tree.nodes[index]
-        if node.op_type not in (None, op.op_type):
-            return
-        if not condition_holds(node, op, scene):
+        if node.op_type not in (None, f.op_type) or not eval_condition(node.expr, f):
             return
         path = path + (node,)
         if deepest is None or len(path) > deepest[0]:
@@ -427,10 +416,10 @@ def _walk(tree: ProcessTree, op: Operation, scene: Scene) -> _Outcome:
 
 
 def _select(tree: ProcessTree, op: Operation, scene: Scene) -> _Selection:
-    key = _feature_key(op, scene)
+    key = features(op, scene)
     outcome = tree.branches.get(key)
     if outcome is None:
-        outcome = tree.branches[key] = _walk(tree, op, scene)
+        outcome = tree.branches[key] = _walk(tree, key)
     if isinstance(outcome, _Selection):
         return outcome
     error, detail = outcome

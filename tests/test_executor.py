@@ -281,6 +281,37 @@ def test_unbound_placeholder_fails_at_its_index():
     assert outcome.trace[0].failures == (Failure("p1", 0, "unbound_placeholder"),)
 
 
+def test_unbound_placeholder_run_keeps_the_resolved_prefix():
+    scene = one_piece_scene(held_at="table_1")
+    ops, alloc, prec = polish_only_plan()
+    schedule = fifo_schedule(ops, alloc, prec, scene)
+    unbound = SkillCall("detach", ("{robot}", "{workpiece}", "{machine_2}"))
+    program = hand_program([SkillCall("return_home", ("{robot}",)), unbound])
+    outcome = execute(schedule, program, scene, ops)
+    assert outcome.trace[0].operations == (
+        OperationRun("p1", "r1", (SkillCall("return_home", ("r1",)), unbound)),
+    )
+    assert outcome.trace[0].failures == (Failure("p1", 1, "unbound_placeholder"),)
+    assert outcome.final_state == initial_state(scene)
+
+
+def test_missing_call_when_the_wrapper_names_no_execution():
+    scene = one_piece_scene(held_at="table_1")
+    ops, alloc, prec = polish_only_plan()
+    schedule = fifo_schedule(ops, alloc, prec, scene)
+    program = hand_program([SkillCall("return_home", ("{robot}",))])
+    (wrapper,) = program.wrappers.values()
+    orphaned = Program(
+        calls=program.calls,
+        wrappers={"op_p1": Wrapper(execution="exec_gone", binding=wrapper.binding)},
+        executions=program.executions,
+    )
+    outcome = execute(schedule, orphaned, scene, ops)
+    assert outcome.trace[0].operations == ()
+    assert outcome.trace[0].failures == (Failure("p1", -1, "missing_call"),)
+    assert outcome.executed_fully is False
+
+
 def test_first_of_two_calls_for_an_operation_wins():
     scene = one_piece_scene(held_at="table_1")
     ops, alloc, prec = polish_only_plan()

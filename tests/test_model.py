@@ -17,7 +17,6 @@ from shopfloor.model import (
     PrecedenceSet,
     Robot,
     Scene,
-    SkillCall,
     Workpiece,
     at_label,
     canonical_json,
@@ -66,9 +65,8 @@ def test_non_role_args_are_not_placeholders():
 
 
 def test_classify_args_kinds_and_point_context():
-    call = SkillCall("convert_to_robot",
-                     ("{robot}", "{machine_2}", "{point:Drop_Point}", "{device:camera}", "on"))
-    assert classify_args(call) == (
+    args = ("{robot}", "{machine_2}", "{point:Drop_Point}", "{device:camera}", "on")
+    assert classify_args(args) == (
         ("role", "robot", None),
         ("role", "machine_2", None),
         ("point", "Drop_Point", "machine_2"),
@@ -76,7 +74,7 @@ def test_classify_args_kinds_and_point_context():
         ("literal", "on", None),
     )
     # without a machine-role placeholder a point lives on machine_1
-    assert classify_args(SkillCall("motion_plan", ("{point:Photo_Point}",))) == (
+    assert classify_args(("{point:Photo_Point}",)) == (
         ("point", "Photo_Point", "machine_1"),
     )
 

@@ -225,8 +225,6 @@ def test_brute_force_cap_enforced():
     g = build_graph(ops, prec, alloc, scene)
     with pytest.raises(InstanceTooLarge, match="11 operations exceed"):
         brute_force_optimal(g)
-    with pytest.raises(InstanceTooLarge):
-        brute_force_optimal(_chain_of_three(), cap=2)
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from shopfloor.model import (
+    MACHINE_ROLES,
     Allocation,
     OperationType,
     PrecedenceSet,
@@ -23,8 +27,8 @@ from shopfloor.tree import (
     ProcessTree,
     TreeNode,
     assemble_program,
-    condition_holds,
     eval_condition,
+    features,
     load_reference_tree,
     parse_condition,
     parse_tree,
@@ -85,25 +89,55 @@ def test_parse_rejects_bad_conditions(text):
         parse_condition(text)
 
 
+def holds(condition, op, scene):
+    return eval_condition(parse_condition(condition), features(op, scene))
+
+
 def test_eval_attribute_equality(scene):
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
-    assert eval_condition(parse_condition('(= op.type "polishing")'), op, scene)
-    assert eval_condition(parse_condition('(= machine_1.name "polishing table")'), op, scene)
-    assert not eval_condition(parse_condition('(= machine_2.name "pallet")'), op, scene)
-    assert eval_condition(parse_condition('(= workpiece.kind "steel plate")'), op, scene)
+    assert holds('(= op.type "polishing")', op, scene)
+    assert holds('(= machine_1.name "polishing table")', op, scene)
+    assert not holds('(= machine_2.name "pallet")', op, scene)
+    assert holds('(= workpiece.kind "steel plate")', op, scene)
 
 
 def test_eval_device_requires_all_reaching_robots(scene):
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
-    assert eval_condition(parse_condition('(device-present robot "camera")'), op, scene)
+    assert holds('(device-present robot "camera")', op, scene)
     mixed = make_scene(robots=(make_robot("r1"), make_robot("r2", devices=frozenset())))
-    assert not eval_condition(parse_condition('(device-present robot "camera")'), op, mixed)
+    assert not holds('(device-present robot "camera")', op, mixed)
 
 
 def test_eval_point_present(scene):
     op = make_op("t1", OperationType.TRANSPORT, "w1", "table_1", "pallet_1")
-    assert eval_condition(parse_condition('(point-present machine_1 "Photo_Point")'), op, scene)
-    assert not eval_condition(parse_condition('(point-present machine_2 "Photo_Point")'), op, scene)
+    assert holds('(point-present machine_1 "Photo_Point")', op, scene)
+    assert not holds('(point-present machine_2 "Photo_Point")', op, scene)
+
+
+def reference_holds(expr, op, scene):
+    """What a parsed condition means, read from op and scene directly: an id
+    that does not resolve has no name, kind or points, and a device is
+    present only when some robot reaches machine_1 and all such carry it."""
+    if expr is True:
+        return True
+    head, *rest = expr
+    if head == "and":
+        return all(reference_holds(e, op, scene) for e in rest)
+    if head == "not":
+        return not reference_holds(rest[0], op, scene)
+    if head == "device-present":
+        crew = [r for r in scene.robots if op.machine_1 in r.reachable_machines]
+        return bool(crew) and all(rest[1] in r.devices for r in crew)
+    if head == "point-present":
+        machine_id = op.machine_1 if rest[0] == "machine_1" else op.machine_2
+        return scene.has_machine(machine_id) and rest[1] in scene.machine(machine_id).points
+    attr, value = rest
+    if attr == "op.type":
+        return op.op_type.value == value
+    if attr == "workpiece.kind":
+        return scene.has_workpiece(op.workpiece) and scene.workpiece(op.workpiece).kind == value
+    machine_id = op.machine_1 if attr == "machine_1.name" else op.machine_2
+    return scene.has_machine(machine_id) and scene.machine(machine_id).name == value
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +276,7 @@ def reference_branch(tree, op, scene):
         node = tree.nodes[index]
         if node.op_type not in (None, op.op_type):
             return
-        if not eval_condition(parse_condition(node.condition), op, scene):
+        if not reference_holds(parse_condition(node.condition), op, scene):
             return
         path = path + (node.index,)
         if not node.children:
@@ -357,6 +391,62 @@ def test_select_branch_matches_a_reparsing_walk(tree, tier):
                     assert str(hit.value).startswith(f"operation '{op.id}': ")
         assert outcomes == {0, 1, 2}
         assert len(shared.branches) < lookups / 2  # most lookups hit
+
+
+@cache
+def condition_cases():
+    """(op, scene, features) of the mutated scenes and operations of
+    generated tasks, and a strategy for conditions over their words."""
+    cases = [
+        (op, scene, features(op, scene))
+        for tier in Tier
+        for seed in range(2)
+        for task in [generate_instance(tier, seed)]
+        for scene in mutated_scenes(task.scene)
+        for op in (v for o in task.ground_truth.operations for v in mutated_ops(o))
+    ]
+    scenes = [scene for _, scene, _ in cases]
+    names = {m.name for s in scenes for m in s.machines}
+    words = {
+        "op.type": {t.value for t in OperationType},
+        "workpiece.kind": {w.kind for s in scenes for w in s.workpieces},
+        "machine_1.name": names,
+        "machine_2.name": names,
+        "device-present": {d for s in scenes for r in s.robots for d in r.devices},
+        "point-present": {p for s in scenes for m in s.machines for p in m.points},
+    }
+    return cases, conditions({form: sorted(w | {"ghost"}) for form, w in words.items()})
+
+
+def conditions(words):
+    """Parsed conditions over the whole vocabulary, nested and/not included."""
+    leaves = st.one_of(
+        st.just(True),
+        st.sampled_from(sorted(a for a in words if "." in a)).flatmap(
+            lambda attr: st.sampled_from(words[attr]).map(lambda v: ["=", attr, v])
+        ),
+        st.sampled_from(words["device-present"]).map(lambda d: ["device-present", "robot", d]),
+        st.tuples(st.sampled_from(MACHINE_ROLES), st.sampled_from(words["point-present"])).map(
+            lambda rp: ["point-present", *rp]
+        ),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(lambda items: ["and", *items]),
+            inner.map(lambda e: ["not", e]),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_conditions_on_features_mean_what_they_say_of_op_and_scene(data):
+    cases, exprs = condition_cases()
+    expr = data.draw(exprs)
+    for op, scene, f in cases:
+        assert eval_condition(expr, f) == reference_holds(expr, op, scene), (op, scene)
 
 
 def test_table_hits_raise_with_their_own_operation_id(tree):
