@@ -2,20 +2,19 @@
 
 Instances come in three size tiers. Every generated task follows the same
 workshop archetype: a conveyor feeds workpieces to exclusive work tables
-and finished pieces land on pallets. The ground truth embeds the solved
-schedule that solve.reference_schedule picks: exact for up to
-DEFAULT_BRUTE_FORCE_CAP operations, first-in-first-out beyond. Its
+and finished pieces land on pallets. The ground truth embeds the optimal
+schedule of solve.brute_force_optimal, with source "optimal". Its
 operations are listed in start-step order, so dispatching them
-first-in-first-out reproduces the recorded schedule: both solvers launch a
+first-in-first-out reproduces the recorded schedule: the solver launches a
 maximal conflict-free set of the ready operations at each step, so FIFO
 launches that set first and every ready operation listed after it
 conflicts with one of them.
 
 run_benchmark drives planner output through graph building, solving,
 assembly and symbolic execution, scoring stages that fail as zero instead
-of aborting the suite. A task whose own ground truth cannot be replayed
-or scored against scores zero on every metric, with an error that starts
-with GROUND_TRUTH_INVALID.
+of aborting the suite. A task whose own ground truth cannot be solved,
+replayed or scored against scores zero on every metric, with an error that
+starts with GROUND_TRUTH_INVALID.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .errors import (
     AmbiguousBranch,
     EmptyGtStatus,
     GenerationRetryExhausted,
+    InstanceTooLarge,
     NoBranch,
     PlannerUnavailable,
     ValidationError,
@@ -66,7 +66,7 @@ from .model import (
     validate_scene,
     write_file,
 )
-from .solve import ScheduleGraph, reference_schedule, schedule_to_record, solve_fifo
+from .solve import ScheduleGraph, brute_force_optimal, schedule_to_record, solve_fifo
 from .tree import ProcessTree, assemble_program, load_reference_tree
 
 
@@ -215,7 +215,7 @@ def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
     precedence = PrecedenceSet(chains=chains)
 
     graph = build_graph(operations, precedence, allocation, scene)
-    schedule, source = reference_schedule(graph, [op.id for op in operations])
+    schedule = brute_force_optimal(graph)
     # A stable sort: operations of one step keep their emission order.
     ordered = tuple(sorted(operations, key=lambda op: schedule.start_steps[op.id]))
 
@@ -227,7 +227,7 @@ def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
             allocation=allocation,
             precedence=precedence,
             program=None,
-            schedule=schedule_to_record(schedule, source=source),
+            schedule=schedule_to_record(schedule, source="optimal"),
         ),
     )
 
@@ -401,8 +401,8 @@ def _run_pipeline(
             task, operations, allocation, schedule, execution, tree,
             degenerate_se=0.0,
         )
-    except (ValidationError, EmptyGtStatus, NoBranch, AmbiguousBranch) as exc:
-        # Only the ground-truth replay and its status set raise these here.
+    except (ValidationError, EmptyGtStatus, NoBranch, AmbiguousBranch, InstanceTooLarge) as exc:
+        # Only the ground truth's schedule, replay and status set raise these here.
         zero = EvaluationReport(
             0.0, 0.0, 0.0, 0.0, 0.0,
             metadata={"gt_operation_count": len(task.ground_truth.operations)},

@@ -23,7 +23,7 @@ class ValidationError(ShopfloorError):
 
 
 class InstanceTooLarge(ShopfloorError):
-    """Raised when an instance exceeds the exhaustive solver's operation cap."""
+    """Raised when the exact solver's search budget runs out before a proof."""
 
 
 class NoBranch(ShopfloorError):

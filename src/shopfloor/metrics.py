@@ -22,7 +22,7 @@ from .errors import DegenerateDenominator, EmptyGtStatus
 from .executor import ExecutionOutcome, execute, initial_state, status_delta
 from .graph import build_graph
 from .model import Allocation, Operation, Program, ScheduleRecord, TaskInstance
-from .solve import ScheduleGraph, reference_schedule, schedule_from_record
+from .solve import ScheduleGraph, brute_force_optimal, schedule_from_record
 from .tree import ProcessTree, assemble_program, load_reference_tree
 
 
@@ -121,9 +121,9 @@ def ground_truth_schedule(
     task: TaskInstance, record: ScheduleRecord | None = None
 ) -> ScheduleGraph:
     """The schedule the task's ground truth is scored with: the given record,
-    else the stored one, else reference_schedule over the stored operation
+    else the stored one, else the exact solver's over the stored operation
     order. Raises ValidationError for a record that does not solve the
-    ground truth's graph."""
+    ground truth's graph, InstanceTooLarge when the exact search gives up."""
     gt = task.ground_truth
     if gt is None:
         raise ValueError("task carries no ground truth to evaluate against")
@@ -131,7 +131,7 @@ def ground_truth_schedule(
     record = record if record is not None else gt.schedule
     if record is not None:
         return schedule_from_record(graph, record)
-    return reference_schedule(graph, [op.id for op in gt.operations])[0]
+    return brute_force_optimal(graph)
 
 
 def ground_truth_run(

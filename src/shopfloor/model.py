@@ -38,6 +38,9 @@ class OperationType(Enum):
     BEVELING = "beveling"
     ASSEMBLY = "assembly"
 
+    # Members compare by identity; Enum.__hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
 
 # Flag added to a workpiece when an operation of the given type completes.
 # Transport changes location instead of adding a flag.
@@ -290,8 +293,10 @@ class Program:
 class ScheduleRecord:
     """Start step per operation plus makespan, as stored in files.
 
-    source, when present, names how the schedule was produced
-    ("optimal" for the exhaustive solver, "fifo" for the dispatcher).
+    source, when present, names how the schedule was produced: "optimal"
+    for the exact solver, which every generated ground truth stores, and
+    "fifo" for the dispatcher (`shopfloor solve` without --optimal and
+    perfbench's `large` floors).
     """
 
     start_steps: Mapping[str, int]

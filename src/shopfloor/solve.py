@@ -1,4 +1,4 @@
-"""Schedule construction: FIFO dispatching and exhaustive optimal search.
+"""Schedule construction: FIFO dispatching and exact optimal search.
 
 Operations take exactly one step. A schedule assigns each operation a
 0-based start step; conflicting operations (two users of one resource)
@@ -6,7 +6,7 @@ may never share a step, and an operation starts strictly after every
 predecessor finished. The start steps are the whole solution: every
 disjunctive arc points from the earlier start to the later one, so the
 solvers return a ScheduleGraph that holds only the graph and its steps.
-reference_schedule alone picks which solver stands for a ground truth.
+The exact solver's schedule stands for a ground truth at every size.
 
 The solvers read each operation's chain predecessor and held resources
 (DisjunctiveGraph.preds and .held): operations ready together are chain
@@ -26,6 +26,9 @@ from .errors import InstanceTooLarge, ValidationError
 from .graph import DisjunctiveGraph, Resource
 from .model import ScheduleRecord
 
+# Subsets the exact search may try before it gives up.
+SEARCH_BUDGET = 20_000
+# Read only by perfbench, which times the exact solver up to this size.
 DEFAULT_BRUTE_FORCE_CAP = 10
 
 
@@ -135,95 +138,87 @@ def solve_fifo(graph: DisjunctiveGraph, ops_order: Sequence[str]) -> ScheduleGra
 
 def _maximal_conflict_free_subsets(
     ready: Sequence[str], held: Mapping[str, tuple[Resource, ...]]
-) -> Iterator[frozenset[str]]:
-    """All maximal subsets of ready whose operations share no resource."""
-    n = len(ready)
-    results: list[frozenset[str]] = []
-
-    def rec(i: int, chosen: list[str], excluded: list[str], busy: frozenset[Resource]) -> None:
-        if i == n:
-            if all(not busy.isdisjoint(held[x]) for x in excluded):
-                results.append(frozenset(chosen))
-            return
-        op = ready[i]
-        if not busy.isdisjoint(held[op]):
-            rec(i + 1, chosen, excluded, busy)
-        else:
-            chosen.append(op)
-            rec(i + 1, chosen, excluded, busy.union(held[op]))
-            chosen.pop()
-            excluded.append(op)
-            rec(i + 1, chosen, excluded, busy)
-            excluded.pop()
-
-    rec(0, [], [], frozenset())
-    return iter(results)
+) -> Iterator[tuple[str, ...]]:
+    """Every maximal subset of ready whose operations share no resource,
+    lazily, each in ready's order. Each operation is tried in before it is
+    left out, so the first subset is the one FIFO over ready launches."""
+    stack = [(0, (), frozenset(), ())]  # next index, chosen, their resources, left out
+    while stack:
+        i, chosen, busy, excluded = stack.pop()
+        while i < len(ready) and not busy.isdisjoint(held[ready[i]]):
+            i += 1
+        if i < len(ready):
+            op = ready[i]
+            stack.append((i + 1, chosen, busy, excluded + (op,)))
+            stack.append((i + 1, chosen + (op,), busy.union(held[op]), excluded))
+        elif all(not busy.isdisjoint(held[x]) for x in excluded):
+            yield chosen
 
 
 def brute_force_optimal(graph: DisjunctiveGraph) -> ScheduleGraph:
-    """Exhaustive minimal-makespan schedule for instances of at most
-    DEFAULT_BRUTE_FORCE_CAP operations; larger ones raise InstanceTooLarge.
+    """A minimal-makespan schedule by iterative deepening (Korf 1985) over
+    each step's dispatch choices; InstanceTooLarge once SEARCH_BUDGET
+    subsets are tried.
 
-    Branches over the maximal conflict-free ready subsets of every step and
-    memoizes on the set of completed operations. Restricting to maximal
-    subsets is safe: moving a ready, conflict-free operation earlier never
-    delays anything under unit durations, so some optimal schedule (and the
-    lexicographically smallest one) dispatches maximally. Ties between
-    optimal schedules break toward the lexicographically smallest start-step
-    vector, components ordered by operation id.
+    Each step launches one maximal conflict-free set of the chain heads,
+    taken in plan order (graph.op_ids): moving a ready, conflict-free
+    operation earlier never delays anything under unit durations. The first
+    such set is the one FIFO launches, so the first path tried is FIFO over
+    plan order, kept without backtracking when it meets the lower bound.
+    Ties between optimal schedules go to the first in this branch order.
     """
-    ops = graph.op_ids
-    if len(ops) > DEFAULT_BRUTE_FORCE_CAP:
-        raise InstanceTooLarge(
-            f"{len(ops)} operations exceed the exhaustive solver cap of "
-            f"{DEFAULT_BRUTE_FORCE_CAP}"
+    chains, held = graph.chains, graph.held
+    position = {op: i for i, op in enumerate(graph.op_ids)}
+    # A state counts what is left to run: the operations of each chain, then
+    # the users of each resource. Its largest count bounds the steps left.
+    slot = {resource: len(chains) + k for k, resource in enumerate(graph.resources)}
+    counts = {op: (c, *map(slot.__getitem__, held[op]))
+              for c, chain in enumerate(chains) for op in chain}
+
+    def children(state: tuple[int, ...]) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
+        heads = sorted(
+            (chain[-left] for chain, left in zip(chains, state) if left),
+            key=position.__getitem__,
         )
-    order = sorted(ops)
-    preds = graph.preds
-    held = graph.held
-    everything = frozenset(ops)
+        for subset in _maximal_conflict_free_subsets(heads, held):
+            after = list(state)
+            for op in subset:
+                for k in counts[op]:
+                    after[k] -= 1
+            yield subset, tuple(after)
 
-    # memo: completed set -> (remaining makespan, start offsets of the
-    # remaining ops in id order, relative to the current step)
-    memo: dict[frozenset[str], tuple[int, tuple[int, ...]]] = {}
-
-    def best(completed: frozenset[str]) -> tuple[int, tuple[int, ...]]:
-        if completed == everything:
-            return (0, ())
-        hit = memo.get(completed)
-        if hit is not None:
-            return hit
-        remaining_here = [o for o in order if o not in completed]
-        ready = [o for o in remaining_here if preds[o] <= completed]
-        champion: tuple[int, tuple[int, ...]] | None = None
-        for subset in _maximal_conflict_free_subsets(ready, held):
-            rem_span, rem_vec = best(completed | subset)
-            remaining_next = [o for o in remaining_here if o not in subset]
-            offsets = dict(zip(remaining_next, rem_vec))
-            vec = tuple(
-                0 if o in subset else 1 + offsets[o] for o in remaining_here
-            )
-            candidate = (1 + rem_span, vec)
-            if champion is None or candidate < champion:
-                champion = candidate
-        assert champion is not None, "a ready operation always exists"
-        memo[completed] = champion
-        return champion
-
-    span, vec = best(frozenset())
-    return _checked(graph, dict(zip(order, vec)), span)
-
-
-def reference_schedule(
-    graph: DisjunctiveGraph, order: Sequence[str]
-) -> tuple[ScheduleGraph, str]:
-    """The schedule that stands for a ground truth, and its source: the
-    exact optimum ("optimal") when the graph is within
-    DEFAULT_BRUTE_FORCE_CAP, otherwise first-in-first-out over order
-    ("fifo")."""
-    if len(graph.op_ids) <= DEFAULT_BRUTE_FORCE_CAP:
-        return brute_force_optimal(graph), "optimal"
-    return solve_fifo(graph, order), "fifo"
+    root = (*map(len, chains), *map(len, graph.resources.values()))
+    failed: dict[tuple[int, ...], int] = {}  # state -> most steps it failed in
+    tried = 0
+    limit = max(root, default=0)
+    while True:
+        # Depth first within limit steps: levels holds each state on the
+        # path with its untried children, launched the sets between them.
+        levels = [(root, children(root))]
+        launched: list[tuple[str, ...]] = []
+        while levels:
+            state, options = levels[-1]
+            if max(state, default=0) == 0:
+                steps = {op: step for step, subset in enumerate(launched) for op in subset}
+                return _checked(graph, steps, len(launched))
+            steps_left = limit - len(levels)  # after this state's step
+            for subset, child in options:
+                tried += 1
+                if tried > SEARCH_BUDGET:
+                    raise InstanceTooLarge(
+                        f"exact search gave up after {SEARCH_BUDGET} subsets on "
+                        f"{len(graph.op_ids)} operations"
+                    )
+                if max(child) <= steps_left and failed.get(child, -1) < steps_left:
+                    levels.append((child, children(child)))
+                    launched.append(subset)
+                    break
+            else:
+                failed[state] = steps_left + 1
+                levels.pop()
+                if launched:
+                    launched.pop()
+        limit += 1
 
 
 def is_feasible(schedule: ScheduleGraph, graph: DisjunctiveGraph) -> bool:

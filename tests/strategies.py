@@ -133,3 +133,37 @@ def optimal_by_enumeration(graph):
             best = cand
     span, assignment = best
     return span, dict(zip(ops, assignment))
+
+
+def optimal_makespan_by_search(graph):
+    """Independent makespan oracle for generated instances: a memo over
+    completed sets that launches, at each step, every maximal set of ready
+    operations with no disjunctive arc between them. Maximal sets suffice:
+    under unit durations, starting a ready operation that conflicts with
+    nothing launched never delays another one."""
+    from functools import lru_cache
+
+    rivals = {op: set() for op in graph.op_ids}
+    for arc in graph.disjunctive:
+        rivals[arc.a].add(arc.b)
+        rivals[arc.b].add(arc.a)
+    pred = {v: u for chain in graph.chains for u, v in zip(chain, chain[1:])}
+    everything = frozenset(graph.op_ids)
+
+    def maximal_sets(ready):
+        sets = [frozenset()]
+        for op in ready:
+            sets += [s | {op} for s in sets if not rivals[op] & s]
+        return [s for s in sets if all(op in s or rivals[op] & s for op in ready)]
+
+    @lru_cache(maxsize=None)
+    def rest(done):
+        if done == everything:
+            return 0
+        ready = [
+            op for op in graph.op_ids
+            if op not in done and (op not in pred or pred[op] in done)
+        ]
+        return 1 + min(rest(done | s) for s in maximal_sets(ready))
+
+    return rest(frozenset())

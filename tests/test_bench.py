@@ -98,8 +98,7 @@ def test_camera_variant_is_scene_wide():
 def test_ground_truth_schedule_source_tracks_solver():
     for tier, seed, task in all_tiers_sweep():
         gt = task.ground_truth
-        expected = "optimal" if len(gt.operations) <= 10 else "fifo"
-        assert gt.schedule.source == expected
+        assert gt.schedule.source == "optimal"
 
 
 def test_ground_truth_operations_are_in_start_step_order():

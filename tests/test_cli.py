@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+import shopfloor.solve
 from shopfloor.cli import main
 from shopfloor.executor import parse_trace
 from shopfloor.graph import build_graph, to_dot
@@ -495,6 +496,33 @@ def test_run_scores_a_task_with_invalid_ground_truth_zero_and_exits_1(capsys, tm
     for key in ("operation_consistency", "scheduling_efficiency", "executability",
                 "goal_condition_recall", "success_rate"):
         assert invalid[key] == 0.0
+
+
+def test_run_scores_an_unsolvable_unscheduled_task_zero_and_exits_1(
+    capsys, tmp_path, monkeypatch
+):
+    suite = tmp_path / "suite"
+    assert main(["generate", "--suite", str(suite), "--per-tier", "2",
+                 "--tiers", "single_robot"]) == 0
+    capsys.readouterr()
+    # Without a stored schedule the ground truth is solved exactly, and a
+    # budget of two subsets cannot solve it.
+    unscheduled = suite / "single_robot_0001.json"
+    doc = json.loads(unscheduled.read_text(encoding="utf-8"))
+    del doc["ground_truth"]["schedule"]
+    unscheduled.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(shopfloor.solve, "SEARCH_BUDGET", 2)
+    out_dir = tmp_path / "results"
+    code, out, err = run_cli(capsys, "run", "--tasks", str(suite), "--out", str(out_dir))
+    assert code == 1
+    assert "ground truth invalid in: single_robot_0001" in err
+    assert json.loads(out)["overall"]["success_rate"] == 0.5
+    invalid = json.loads((out_dir / "single_robot_0001.metrics.json").read_text(encoding="utf-8"))
+    assert invalid["error"] == (
+        f"ground truth invalid: exact search gave up after 2 subsets on "
+        f"{len(doc['ground_truth']['operations'])} operations"
+    )
+    assert invalid["success_rate"] == 0.0
 
 
 def test_run_rejects_oddly_named_task_files(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""FIFO dispatcher and exhaustive solver."""
+"""FIFO dispatcher and exact solver."""
 
 from __future__ import annotations
 
@@ -13,18 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shopfloor
+import shopfloor.solve
 from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import InstanceTooLarge, ValidationError
 from shopfloor.executor import execute
 from shopfloor.graph import DisjunctiveGraph, build_graph
 from shopfloor.model import Allocation, OperationType, PrecedenceSet, ScheduleRecord
 from shopfloor.solve import (
-    DEFAULT_BRUTE_FORCE_CAP,
     ScheduleGraph,
     _fault,
     brute_force_optimal,
     is_feasible,
-    reference_schedule,
     schedule_from_record,
     schedule_to_record,
     solve_fifo,
@@ -36,6 +35,7 @@ from strategies import (
     earliest_clash_by_arcs,
     generated_triples,
     optimal_by_enumeration,
+    optimal_makespan_by_search,
     plan_triples,
     predecessors_by_rivals,
     transitive_closure,
@@ -172,14 +172,14 @@ def test_fifo_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# exhaustive solver
+# exact solver
 
 
 def test_brute_force_on_forced_serial_instance():
     g = _two_chains(shared_robot=True)
     s = brute_force_optimal(g)
     assert s.makespan == 4
-    # Lexicographically smallest start vector in id order a1,a2,b1,b2.
+    # FIFO over plan order a1,a2,b1,b2 meets the bound of four users of r1.
     assert s.start_steps == {"a1": 0, "a2": 1, "b1": 2, "b2": 3}
 
 
@@ -190,11 +190,14 @@ def test_brute_force_exploits_parallelism():
     assert is_feasible(s, g)
 
 
-def test_brute_force_tie_break_prefers_smaller_id():
-    ops = (
-        make_op("x", OperationType.POLISHING, "w1", "m_shared"),
-        make_op("y", OperationType.POLISHING, "w2", "m_shared"),
-    )
+@pytest.mark.parametrize("first, second", [("x", "y"), ("y", "x")])
+def test_brute_force_tie_break_follows_plan_order(first, second):
+    # Either order is optimal; the one listed first in the plan goes first.
+    by_id = {
+        "x": make_op("x", OperationType.POLISHING, "w1", "m_shared"),
+        "y": make_op("y", OperationType.POLISHING, "w2", "m_shared"),
+    }
+    ops = (by_id[first], by_id[second])
     alloc = Allocation(by_op={"x": "r1", "y": "r2"})
     prec = PrecedenceSet(chains={"w1": ("x",), "w2": ("y",)})
     machines = (make_machine("m_shared", held=("w1", "w2")),)
@@ -207,10 +210,12 @@ def test_brute_force_tie_break_prefers_smaller_id():
     g = build_graph(ops, prec, alloc, scene)
     s = brute_force_optimal(g)
     assert s.makespan == 2
-    assert s.start_steps == {"x": 0, "y": 1}
+    assert s.start_steps == {first: 0, second: 1}
 
 
-def test_brute_force_cap_enforced():
+def test_brute_force_budget_enforced(monkeypatch):
+    # Eleven users of one machine: FIFO meets the bound after one subset per
+    # step, so eleven subsets solve it and a budget of ten does not.
     ops = tuple(
         make_op(f"o{i}", OperationType.POLISHING, f"w{i}", "m1") for i in range(11)
     )
@@ -223,25 +228,25 @@ def test_brute_force_cap_enforced():
         workpieces=tuple(make_workpiece(f"w{i}", states=()) for i in range(11)),
     )
     g = build_graph(ops, prec, alloc, scene)
-    with pytest.raises(InstanceTooLarge, match="11 operations exceed"):
+    assert brute_force_optimal(g).makespan == 11
+    monkeypatch.setattr(shopfloor.solve, "SEARCH_BUDGET", 10)
+    with pytest.raises(InstanceTooLarge, match="gave up after 10 subsets on 11 operations"):
         brute_force_optimal(g)
 
 
-@pytest.mark.parametrize(
-    "size, source, makespan",
-    [(DEFAULT_BRUTE_FORCE_CAP, "optimal", 3), (DEFAULT_BRUTE_FORCE_CAP + 1, "fifo", 4)],
-)
-def test_reference_schedule_is_exact_up_to_the_cap(size, source, makespan):
+@pytest.mark.parametrize("size", [10, 11])
+def test_brute_force_is_exact_at_every_size(size):
     # b1 and a1 share a robot and b1 comes first, so FIFO delays the chain
-    # a1 -> a2 -> a3 by one step; idle operations pad the graph to size.
+    # a1 -> a2 -> a3 by one step (makespan 4); one-operation chains pad the
+    # graph to size.
     padding = tuple(f"p{i}" for i in range(size - 4))
     g = DisjunctiveGraph(
         op_ids=("b1", "a1", "a2", "a3") + padding,
-        chains=(("a1", "a2", "a3"), ("b1",)),
+        chains=(("a1", "a2", "a3"), ("b1",)) + tuple((p,) for p in padding),
         resources={("robot", "r1"): ("b1", "a1")},
     )
-    schedule, got = reference_schedule(g, g.op_ids)
-    assert (got, schedule.makespan) == (source, makespan)
+    assert solve_fifo(g, g.op_ids).makespan == 4
+    assert brute_force_optimal(g).makespan == 3
 
 
 def test_brute_force_matches_enumeration_oracle_on_fixed_case():
@@ -250,6 +255,36 @@ def test_brute_force_matches_enumeration_oracle_on_fixed_case():
     s = brute_force_optimal(g)
     assert s.makespan == span == 3
     assert dict(s.start_steps) == steps
+
+
+def test_brute_force_backtracks_past_fifo():
+    # FIFO over plan order takes 5 steps. The optimum, 4, needs the search to
+    # deepen past a failed limit: a memo that overstates a state's failure
+    # prunes it.
+    g = DisjunctiveGraph(
+        op_ids=("b0", "b2", "a2", "a1", "a0", "b1"),
+        chains=(("a0", "a1", "a2"), ("b0", "b1", "b2")),
+        resources={
+            ("robot", "r0"): ("b0", "a1", "b1"),
+            ("machine", "m1"): ("b0", "a2", "b1"),
+            ("robot", "r1"): ("b2", "a2", "a0"),
+        },
+    )
+    assert solve_fifo(g, g.op_ids).makespan == 5
+    assert brute_force_optimal(g).makespan == optimal_makespan_by_search(g) == 4
+
+
+# FIFO over plan order misses the optimum of seeds 43, 44 and 59 (13, 12
+# and 12 steps); seed 66 ties for the longest makespan of seeds 0-99.
+@pytest.mark.parametrize(
+    "seed, makespan", [(1, 9), (3, 7), (43, 9), (44, 11), (59, 10), (66, 20)]
+)
+def test_complex_multi_ground_truth_is_optimal(seed, makespan):
+    task = generate_instance(Tier.COMPLEX_MULTI, seed)
+    gt = task.ground_truth
+    g = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+    assert gt.schedule.makespan == makespan
+    assert brute_force_optimal(g).makespan == optimal_makespan_by_search(g) == makespan
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +418,14 @@ def test_fifo_always_feasible_within_bounds(triple):
 def test_brute_force_matches_enumeration_oracle(triple):
     ops, alloc, prec, scene = triple
     g = build_graph(ops, prec, alloc, scene)
-    span, steps = optimal_by_enumeration(g)
+    span, _ = optimal_by_enumeration(g)
     s = brute_force_optimal(g)
     assert s.makespan == span
-    assert dict(s.start_steps) == steps
     assert is_feasible(s, g)
+    # The search tries FIFO over plan order first and keeps it when optimal.
+    fifo = solve_fifo(g, g.op_ids)
+    if fifo.makespan == span:
+        assert s.start_steps == fifo.start_steps
 
 
 def _rivals(x, y, alloc, exclusive) -> bool:
@@ -450,6 +488,7 @@ def test_brute_force_never_beaten_by_fifo(triple):
     fifo = solve_fifo(g, [op.id for op in ops])
     best = brute_force_optimal(g)
     assert best.makespan <= fifo.makespan
+    assert best.makespan == optimal_makespan_by_search(g)
 
 
 @given(plan_triples(max_workpieces=3, max_ops_per=2, n_robots=3))
@@ -472,9 +511,10 @@ def test_predecessors_close_to_every_earlier_rival(triple, data):
     # so the same operations launch and block.
     ops, alloc, prec, scene = triple
     g = build_graph(ops, prec, alloc, scene)
-    schedules = [solve_fifo(g, data.draw(st.permutations([op.id for op in ops])))]
-    if len(ops) <= DEFAULT_BRUTE_FORCE_CAP:
-        schedules.append(brute_force_optimal(g))
+    schedules = [
+        solve_fifo(g, data.draw(st.permutations([op.id for op in ops]))),
+        brute_force_optimal(g),
+    ]
     for s in schedules:
         assert is_feasible(s, g)
         assert transitive_closure(s.predecessors()) == transitive_closure(
@@ -492,9 +532,7 @@ def test_fifo_in_start_step_order_replays_the_schedule(triple, data):
     ops, alloc, prec, scene = triple
     g = build_graph(ops, prec, alloc, scene)
     order = data.draw(st.permutations([op.id for op in ops]))
-    schedules = [solve_fifo(g, order)]
-    if len(ops) <= DEFAULT_BRUTE_FORCE_CAP:
-        schedules.append(brute_force_optimal(g))
+    schedules = [solve_fifo(g, order), brute_force_optimal(g)]
     for s in schedules:
         replay = solve_fifo(g, sorted(order, key=s.start_steps.__getitem__))
         assert replay.start_steps == s.start_steps
