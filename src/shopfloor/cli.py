@@ -91,6 +91,16 @@ def _tier_list(text: str) -> tuple[Tier, ...]:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return value
+
+
 def _planner(name: str):
     if name == "gt":
         return GroundTruthPlanner()
@@ -267,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file for a single task")
     p.add_argument("--suite", help="directory to fill with a full suite")
-    p.add_argument("--per-tier", type=int, default=5)
+    p.add_argument("--per-tier", type=_positive_int, default=5)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--tiers", type=_tier_list, help="comma-separated tier names for --suite")
     p.set_defaults(func=_cmd_generate)

@@ -22,10 +22,21 @@ become trace entries. Operation-level precondition failures (no call in
 the program, workpiece not at machine_1) are recorded with skill index -1
 since they precede the first skill.
 
-Each run indexes its inputs once: the call of every operation (the first
-call wins when a program holds several), the operations due at every
-step, and every execution's skills paired with their classified arguments,
-which model.classify_args computes once per distinct argument tuple.
+Each run indexes the call of every operation (the first call wins when a
+program holds several) and the operations due at every step. Execution
+functions are linked once per process, keyed by their skills (names and
+argument tuples), never by their names: a link holds each skill with its
+classified arguments (model.classify_args), whether every skill is known,
+the roles, devices and points the arguments need, and the resolved calls
+for every tuple of role values seen so far. Resolving an operation takes
+three subset tests (its binding has the roles, its robot the devices, each
+machine the points) and a lookup of its role values; every operation that
+binds the same values gets the same immutable tuple of calls. The skills
+are walked one argument at a time only to fill the calls of values not
+seen before, or, when a test fails, to find the first failure. The links
+and their calls stay for the life of the process: one entry per distinct
+execution and role-value tuple it ran, whose SkillCall objects are
+themselves shared, one per distinct call.
 
 The trace line format is declared once, as a codec (STEP_RECORD) built
 from the strict-JSON combinators in model.
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Sequence
 
 from .model import (
@@ -49,7 +61,6 @@ from .model import (
     ProgramCall,
     Record,
     Scene,
-    SkillArg,
     SkillCall,
     SKILLS,
     at_label,
@@ -116,39 +127,53 @@ def initial_state(scene: Scene) -> SymbolicState:
     return SymbolicState(locations=locations, flags={})
 
 
-# An execution's skills, each with its arguments classified.
-_ClassifiedSkills = tuple[tuple[SkillCall, tuple[SkillArg, ...]], ...]
+class _Link:
+    """An execution function, linked once per process: its skills with
+    their classified arguments, whether every skill is known, the roles
+    and devices its arguments need and the (machine role, point) pairs,
+    and the resolved calls for each tuple of role values seen so far."""
+
+    __slots__ = ("skills", "known", "roles", "devices", "points", "calls")
+
+    def __init__(self, skills: tuple[SkillCall, ...]) -> None:
+        self.skills = tuple((skill, classify_args(skill.args)) for skill in skills)
+        args = [arg for _, skill_args in self.skills for arg in skill_args]
+        self.known = all(skill.skill in SKILLS for skill in skills)
+        self.roles = frozenset(name for kind, name, _ in args if kind == "role")
+        self.devices = frozenset(name for kind, name, _ in args if kind == "device")
+        self.points = frozenset((role, name) for kind, name, role in args if kind == "point")
+        # values of self.roles, in its iteration order -> resolved calls
+        self.calls: dict[tuple[str, ...], tuple[SkillCall, ...]] = {}
+
+
+@cache
+def _link(skills: tuple[SkillCall, ...]) -> _Link:
+    """The link of an execution function, memoized on its skills' content,
+    never on its name, which one program may give to other skills than the
+    next."""
+    return _Link(skills)
+
+
+# One SkillCall per distinct resolved call, shared by every tuple of calls
+# that holds it: links keep their calls for the life of the process.
+_call = cache(SkillCall)
 
 # The failure reason of an argument that does not resolve, by its kind.
 _UNRESOLVED = {"role": "unbound_placeholder", "device": "missing_device", "point": "missing_point"}
 
 
-def _run_operation(
+def _walk(
     op: Operation,
-    call: ProgramCall | None,
-    program: Program,
-    executions: Mapping[str, _ClassifiedSkills],
+    link: _Link,
+    binding: Mapping[str, str],
+    devices: frozenset[str],
     scene: Scene,
-    locations: Mapping[str, str],
-) -> tuple[OperationRun | None, Failure | None]:
-    """Run op's skills. Returns its run (None when the program holds no
-    call for it) and its first failure (None when it completed)."""
-    wrapper = program.wrappers.get(call.wrapper) if call is not None else None
-    skills = executions.get(wrapper.execution) if wrapper is not None else None
-    if skills is None:
-        return None, Failure(op.id, -1, "missing_call")
-    binding = wrapper.binding
-    robot_id = binding.get("robot", "")
-    if locations.get(op.workpiece) != op.machine_1:
-        return OperationRun(op.id, robot_id, ()), Failure(op.id, -1, "wrong_location")
-
-    devices = (
-        scene.robot(robot_id).devices if robot_id and scene.has_robot(robot_id) else frozenset()
-    )
+) -> tuple[tuple[SkillCall, ...], Failure | None]:
+    """Resolve link's skills one argument at a time: the executed calls
+    (up to and including the first skill that fails) and that failure."""
     executed: list[SkillCall] = []
-    for index, (skill, args) in enumerate(skills):
+    for index, (skill, args) in enumerate(link.skills):
         reason = None if skill.skill in SKILLS else "unknown_skill"
-        resolved: list[str] = []
         for kind, name, machine_role in args if reason is None else ():
             if kind == "role":
                 present = name in binding
@@ -162,12 +187,50 @@ def _run_operation(
             if not present:
                 reason = _UNRESOLVED[kind]
                 break
-            resolved.append(binding[name] if kind == "role" else name)
         if reason is not None:
             executed.append(skill)
-            return OperationRun(op.id, robot_id, tuple(executed)), Failure(op.id, index, reason)
-        executed.append(SkillCall(skill=skill.skill, args=tuple(resolved)))
-    return OperationRun(op.id, robot_id, tuple(executed)), None
+            return tuple(executed), Failure(op.id, index, reason)
+        resolved = tuple(binding[name] if kind == "role" else name for kind, name, _ in args)
+        executed.append(_call(skill.skill, resolved))
+    return tuple(executed), None
+
+
+def _run_operation(
+    op: Operation,
+    call: ProgramCall | None,
+    program: Program,
+    links: Mapping[str, _Link],
+    scene: Scene,
+    locations: Mapping[str, str],
+) -> tuple[OperationRun | None, Failure | None]:
+    """Run op's skills. Returns its run (None when the program holds no
+    call for it) and its first failure (None when it completed)."""
+    wrapper = program.wrappers.get(call.wrapper) if call is not None else None
+    link = links.get(wrapper.execution) if wrapper is not None else None
+    if link is None:
+        return None, Failure(op.id, -1, "missing_call")
+    binding = wrapper.binding
+    robot_id = binding.get("robot", "")
+    if locations.get(op.workpiece) != op.machine_1:
+        return OperationRun(op.id, robot_id, ()), Failure(op.id, -1, "wrong_location")
+
+    devices = (
+        scene.robot(robot_id).devices if robot_id and scene.has_robot(robot_id) else frozenset()
+    )
+    resolves = link.known and binding.keys() >= link.roles and link.devices <= devices
+    for role, name in link.points if resolves else ():
+        machine_id = binding.get(role, op.machine_1)
+        if not (scene.has_machine(machine_id) and name in scene.machine(machine_id).points):
+            resolves = False
+            break
+    if resolves:
+        values = tuple(map(binding.__getitem__, link.roles))
+        calls = link.calls.get(values)
+        if calls is None:
+            calls = link.calls[values] = _walk(op, link, binding, devices, scene)[0]
+        return OperationRun(op.id, robot_id, calls), None
+    executed, failure = _walk(op, link, binding, devices, scene)
+    return OperationRun(op.id, robot_id, executed), failure
 
 
 def execute(
@@ -190,10 +253,7 @@ def execute(
     calls: dict[str, ProgramCall] = {}
     for call in program.calls:
         calls.setdefault(call.op_id, call)
-    executions = {
-        name: tuple((skill, classify_args(skill.args)) for skill in skills)
-        for name, skills in program.executions.items()
-    }
+    links = {name: _link(skills) for name, skills in program.executions.items()}
     due_at: dict[int, list[str]] = {}
     for op_id, start in schedule.start_steps.items():
         due_at.setdefault(start, []).append(op_id)
@@ -213,7 +273,7 @@ def execute(
         for op_id in launched:
             op = by_id[op_id]
             run, failure = _run_operation(
-                op, calls.get(op_id), program, executions, scene, locations
+                op, calls.get(op_id), program, links, scene, locations
             )
             if run is not None:
                 runs.append(run)

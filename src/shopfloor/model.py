@@ -23,7 +23,7 @@ import re
 import stat
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Protocol, Sequence
@@ -233,16 +233,15 @@ class SkillCall:
 # ("{point:Photo_Point}") or "literal"; name is the role, device or point
 # name, or the literal text. machine_role is None except for a point, where
 # it names the machine that must carry it: the first machine-role
-# placeholder in the same call, else machine_1. Plain tuples, because the
-# executor reads them for every skill it runs.
+# placeholder in the same call, else machine_1. The executor reads them
+# when it links an execution, once per process, and after that only to fill
+# the calls of role values it has not seen or to find the first failing
+# argument of an operation that fails.
 SkillArg = tuple[str, str, str | None]
 
 
-@cache
 def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
-    """A skill call's arguments, classified in order; see SkillArg.
-    Memoized on the tuple: each distinct argument tuple, whether from the
-    tree or a program file, is classified once per process."""
+    """A skill call's arguments, classified in order; see SkillArg."""
     context = next(
         (role for role in map(role_placeholder, args) if role in MACHINE_ROLES),
         "machine_1",

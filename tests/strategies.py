@@ -6,7 +6,25 @@ from hypothesis import strategies as st
 
 from conftest import FULL_KIT, make_machine, make_robot, make_workpiece
 from shopfloor.bench import Tier, generate_instance
-from shopfloor.model import Allocation, Operation, OperationType, PrecedenceSet, Scene
+from shopfloor.executor import (
+    ExecutionOutcome,
+    Failure,
+    OperationRun,
+    StepRecord,
+    SymbolicState,
+    initial_state,
+)
+from shopfloor.model import (
+    PROCESSING_FLAGS,
+    SKILLS,
+    Allocation,
+    Operation,
+    OperationType,
+    PrecedenceSet,
+    Scene,
+    SkillCall,
+    classify_args,
+)
 
 _TYPES = list(OperationType)
 
@@ -167,3 +185,84 @@ def optimal_makespan_by_search(graph):
         return 1 + min(rest(done | s) for s in maximal_sets(ready))
 
     return rest(frozenset())
+
+
+def execute_by_argument(schedule, program, scene, operations):
+    """Oracle for executor.execute: resolves every argument of every skill
+    of every operation it runs, linking and sharing nothing. Effects land
+    when a step ends; an operation launches when its schedule predecessors
+    completed; an operation's calls stop at its first failing skill."""
+    unresolved = {"role": "unbound_placeholder", "device": "missing_device",
+                  "point": "missing_point"}
+
+    def run_operation(op, call, locations):
+        wrapper = program.wrappers.get(call.wrapper) if call is not None else None
+        skills = program.executions.get(wrapper.execution) if wrapper is not None else None
+        if skills is None:
+            return None, Failure(op.id, -1, "missing_call")
+        binding = wrapper.binding
+        robot_id = binding.get("robot", "")
+        if locations.get(op.workpiece) != op.machine_1:
+            return OperationRun(op.id, robot_id, ()), Failure(op.id, -1, "wrong_location")
+        devices = (scene.robot(robot_id).devices
+                   if robot_id and scene.has_robot(robot_id) else frozenset())
+        executed = []
+        for index, skill in enumerate(skills):
+            reason = None if skill.skill in SKILLS else "unknown_skill"
+            resolved = []
+            for kind, name, machine_role in classify_args(skill.args) if reason is None else ():
+                if kind == "role":
+                    present = name in binding
+                elif kind == "device":
+                    present = name in devices
+                elif kind == "point":
+                    machine_id = binding.get(machine_role, op.machine_1)
+                    present = (scene.has_machine(machine_id)
+                               and name in scene.machine(machine_id).points)
+                else:
+                    present = True
+                if not present:
+                    reason = unresolved[kind]
+                    break
+                resolved.append(binding[name] if kind == "role" else name)
+            if reason is not None:
+                executed.append(skill)
+                return OperationRun(op.id, robot_id, tuple(executed)), Failure(op.id, index, reason)
+            executed.append(SkillCall(skill=skill.skill, args=tuple(resolved)))
+        return OperationRun(op.id, robot_id, tuple(executed)), None
+
+    by_id = {op.id: op for op in operations}
+    preds = schedule.predecessors()
+    calls = {}
+    for call in program.calls:
+        calls.setdefault(call.op_id, call)
+    locations = dict(initial_state(scene).locations)
+    flags = {}
+    completed = set()
+    records = []
+    for step in range(schedule.makespan):
+        due = sorted(op_id for op_id, start in schedule.start_steps.items() if start == step)
+        runs, failures, succeeded = [], [], []
+        for op_id in due:
+            if not preds[op_id] <= completed:
+                continue
+            run, failure = run_operation(by_id[op_id], calls.get(op_id), locations)
+            if run is not None:
+                runs.append(run)
+            if failure is not None:
+                failures.append(failure)
+            else:
+                succeeded.append(by_id[op_id])
+        for op in succeeded:
+            completed.add(op.id)
+            if op.op_type is OperationType.TRANSPORT:
+                locations[op.workpiece] = op.machine_2 or op.machine_1
+            else:
+                flags.setdefault(op.workpiece, set()).add(PROCESSING_FLAGS[op.op_type])
+        records.append(StepRecord(step=step, operations=tuple(runs), failures=tuple(failures)))
+    return ExecutionOutcome(
+        trace=tuple(records),
+        final_state=SymbolicState(locations=locations,
+                                  flags={w: frozenset(f) for w, f in flags.items()}),
+        executed_fully=completed == set(schedule.start_steps),
+    )

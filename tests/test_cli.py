@@ -224,6 +224,19 @@ def test_generate_suite_unknown_tier_is_a_usage_error(capsys, tmp_path):
     assert not (tmp_path / "suite").exists()
 
 
+@pytest.mark.parametrize("per_tier", ["0", "-2", "two"])
+def test_generate_suite_with_fewer_than_one_per_tier_is_a_usage_error(
+    capsys, tmp_path, per_tier
+):
+    code, out, err = run_cli(
+        capsys, "generate", "--suite", str(tmp_path / "suite"), "--per-tier", per_tier
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert f"argument --per-tier: expected a whole number of at least 1, got '{per_tier}'" in err
+    assert not (tmp_path / "suite").exists()
+
+
 # ---------------------------------------------------------------------------
 # plan / solve / assemble / execute / gantt
 

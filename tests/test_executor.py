@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shopfloor import executor
+from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import ParseError
 from shopfloor.executor import (
     FAILURE_REASONS,
@@ -33,7 +37,7 @@ from shopfloor.model import (
     SkillCall,
     Wrapper,
 )
-from shopfloor.solve import ScheduleGraph, solve_fifo
+from shopfloor.solve import ScheduleGraph, schedule_from_record, solve_fifo
 from shopfloor.tree import assemble_program, load_reference_tree
 
 from conftest import (
@@ -47,7 +51,7 @@ from conftest import (
     simple_plan,
     transport,
 )
-from strategies import plan_triples
+from strategies import execute_by_argument, plan_triples
 
 TREE = load_reference_tree()
 
@@ -603,3 +607,163 @@ def test_execution_invariants_hold_on_random_plans(case):
     text = trace_to_jsonl(outcome.trace)
     assert parse_trace(text) == outcome.trace
     assert trace_to_jsonl(parse_trace(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# linked executions against the per-argument oracle
+
+
+generated_task = functools.cache(generate_instance)
+
+
+@functools.cache
+def generated_run(tier, seed):
+    """A generated task's ground-truth schedule, program, scene and operations."""
+    task = generated_task(tier, seed)
+    gt = task.ground_truth
+    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+    program = assemble_program(TREE, gt.operations, gt.allocation, task.scene)
+    return schedule_from_record(graph, gt.schedule), program, task.scene, gt.operations
+
+
+def assert_runs_like_the_oracle(schedule, program, scene, ops):
+    outcome = execute(schedule, program, scene, ops)
+    expected = execute_by_argument(schedule, program, scene, ops)
+    assert trace_to_jsonl(outcome.trace) == trace_to_jsonl(expected.trace)
+    assert outcome.executed_fully == expected.executed_fully
+    assert outcome.final_state == expected.final_state
+    return outcome
+
+
+def _nth(items, i):
+    items = sorted(items)
+    return items[i % len(items)] if items else None
+
+
+def _break(program, scene, kind, i, j):
+    """One breakage of a program or scene, picked by kind and two indices."""
+    executions = dict(program.executions)
+    wrappers = dict(program.wrappers)
+    robots, machines = list(scene.robots), list(scene.machines)
+    if kind == "drop_device":
+        robot = robots[i % len(robots)]
+        device = _nth(robot.devices, j)
+        robots[i % len(robots)] = dataclasses.replace(robot, devices=robot.devices - {device})
+    elif kind == "clear_points":
+        machines[i % len(machines)] = dataclasses.replace(machines[i % len(machines)],
+                                                          points=frozenset())
+    elif kind == "drop_binding_key":
+        name = _nth(wrappers, i)
+        wrapper = wrappers[name]
+        key = _nth(wrapper.binding, j)
+        binding = {k: v for k, v in wrapper.binding.items() if k != key}
+        wrappers[name] = Wrapper(execution=wrapper.execution, binding=binding)
+    elif kind == "unknown_skill" and executions:
+        name = _nth(executions, i)
+        skills = list(executions[name])
+        skills[j % len(skills)] = SkillCall("teleport", skills[j % len(skills)].args)
+        executions[name] = tuple(skills)
+    elif kind == "drop_execution" and executions:
+        del executions[_nth(executions, i)]
+    elif kind == "point_on_machine_2" and executions:
+        name = _nth(executions, i)
+        skills = list(executions[name])
+        point = "{point:Photo_Point}" if j % 2 else "{point:Drop_Point}"
+        args = ("{robot}", point, "{machine_2}") if j % 4 < 2 else ("{robot}", "{machine_2}", point)
+        skills.insert((j // 4) % (len(skills) + 1), SkillCall("motion_plan", args))
+        executions[name] = tuple(skills)
+    return (
+        Program(calls=program.calls, wrappers=wrappers, executions=executions),
+        Scene(robots=tuple(robots), machines=tuple(machines), workpieces=scene.workpieces),
+    )
+
+
+BREAKS = ("drop_device", "clear_points", "drop_binding_key", "unknown_skill",
+          "drop_execution", "point_on_machine_2")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tier=st.sampled_from(list(Tier)),
+    seed=st.integers(0, 14),
+    breaks=st.lists(
+        st.tuples(st.sampled_from(BREAKS), st.integers(0, 99), st.integers(0, 99)),
+        max_size=3,
+    ),
+)
+def test_broken_programs_and_scenes_run_like_the_per_argument_oracle(tier, seed, breaks):
+    schedule, program, scene, ops = generated_run(tier, seed)
+    for kind, i, j in breaks:
+        program, scene = _break(program, scene, kind, i, j)
+    assert_runs_like_the_oracle(schedule, program, scene, ops)
+
+
+def _renamed(program, rename):
+    """program with every execution name passed through rename."""
+    return Program(
+        calls=program.calls,
+        wrappers={
+            name: Wrapper(execution=rename(w.execution), binding=w.binding)
+            for name, w in program.wrappers.items()
+        },
+        executions={rename(name): skills for name, skills in program.executions.items()},
+    )
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_executions_link_by_their_skills_not_their_names(tier):
+    executor._link.cache_clear()
+    schedule, program, scene, ops = generated_run(tier, 5)
+    # one name, other skills: each execution takes the skills of the next
+    names = sorted(program.executions)
+    rotated = Program(
+        calls=program.calls,
+        wrappers=program.wrappers,
+        executions={
+            name: program.executions[names[(k + 1) % len(names)]]
+            for k, name in enumerate(names)
+        },
+    )
+    # one set of skills, other names
+    renamed = _renamed(program, lambda name: "renamed_" + name)
+    for variant in (program, rotated, renamed, program):
+        assert_runs_like_the_oracle(schedule, variant, scene, ops)
+    assert executor._link.cache_info().currsize == len(set(program.executions.values()))
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_traces_do_not_depend_on_which_run_resolves_first(tier):
+    task = generated_task(tier, 7)
+    gt = task.ground_truth
+    replay = generated_run(tier, 7)
+    # the ground truth as a plan with other operation ids, scheduled by FIFO:
+    # its operations bind the replay's role values
+    plan_ops = tuple(dataclasses.replace(op, id="plan_" + op.id) for op in gt.operations)
+    plan_alloc = Allocation(by_op={"plan_" + k: v for k, v in gt.allocation.by_op.items()})
+    plan_prec = PrecedenceSet(
+        chains={w: tuple("plan_" + o for o in chain) for w, chain in gt.precedence.chains.items()}
+    )
+    plan = (
+        fifo_schedule(plan_ops, plan_alloc, plan_prec, task.scene),
+        assemble_program(TREE, plan_ops, plan_alloc, task.scene),
+        task.scene,
+        plan_ops,
+    )
+
+    traces = set()
+    for plan_first in (True, False):
+        executor._link.cache_clear()
+        if plan_first:
+            plan_run = assert_runs_like_the_oracle(*plan)
+            replay_run = assert_runs_like_the_oracle(*replay)
+        else:
+            replay_run = assert_runs_like_the_oracle(*replay)
+            plan_run = assert_runs_like_the_oracle(*plan)
+        traces.add((trace_to_jsonl(plan_run.trace), trace_to_jsonl(replay_run.trace)))
+        # operations binding the same values share one tuple of calls
+        plan_calls = {r.op_id.removeprefix("plan_"): r.skills
+                      for step in plan_run.trace for r in step.operations}
+        for step in replay_run.trace:
+            for r in step.operations:
+                assert plan_calls[r.op_id] is r.skills
+    assert len(traces) == 1
