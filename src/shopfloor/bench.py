@@ -10,11 +10,15 @@ maximal conflict-free set of the ready operations at each step, so FIFO
 launches that set first and every ready operation listed after it
 conflicts with one of them.
 
-run_benchmark drives planner output through graph building, solving,
-assembly and symbolic execution, scoring stages that fail as zero instead
-of aborting the suite. A task whose own ground truth cannot be solved,
-replayed or scored against scores zero on every metric, with an error that
-starts with GROUND_TRUTH_INVALID.
+run_benchmark scores each task in two runs of metrics.run_plan, the one
+chain of stages (graph, schedule, assembly, symbolic execution). The
+ground truth runs first, on its stored schedule, else the exact one. A
+task whose ground truth cannot be solved, replayed or scored against
+scores zero on every metric, with an error that starts with
+GROUND_TRUTH_INVALID, and its planner is never called. Otherwise the plan
+runs, scheduled first-in-first-out in the order the planner listed its
+operations, and a stage that fails scores zero instead of aborting the
+suite.
 """
 
 from __future__ import annotations
@@ -29,21 +33,19 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import (
-    AmbiguousBranch,
     EmptyGtStatus,
     GenerationRetryExhausted,
-    InstanceTooLarge,
-    NoBranch,
     PlannerUnavailable,
     ValidationError,
 )
-from .executor import ExecutionOutcome, execute
 from .graph import build_graph
 from .metrics import (
     EvaluationReport,
-    evaluate_instance,
-    ground_truth_run,
+    Run,
+    reference_run,
     report_to_json,
+    run_plan,
+    score,
 )
 from .model import (
     PROCESSING_FLAGS,
@@ -66,8 +68,8 @@ from .model import (
     validate_scene,
     write_file,
 )
-from .solve import ScheduleGraph, brute_force_optimal, schedule_to_record, solve_fifo
-from .tree import ProcessTree, assemble_program, load_reference_tree
+from .solve import brute_force_optimal, schedule_to_record, solve_fifo
+from .tree import ProcessTree, load_reference_tree
 
 
 class Tier(str, Enum):
@@ -240,11 +242,8 @@ def _acceptable(task: TaskInstance, tree: ProcessTree) -> bool:
         gt.operations, gt.allocation, gt.precedence, task.scene
     ).ok:
         return False
-    try:
-        run = ground_truth_run(task, tree)
-    except (ValidationError, NoBranch, AmbiguousBranch):
-        return False
-    return run.outcome.executed_fully and bool(run.status)
+    run = reference_run(task, tree)
+    return run.error is None and run.outcome.executed_fully and bool(run.status)
 
 
 # Candidates tried per (tier, seed) before generation gives up.
@@ -375,10 +374,17 @@ METRIC_FIELDS = (
 def _run_pipeline(
     task: TaskInstance, planner, tree: ProcessTree
 ) -> tuple[EvaluationReport, str | None]:
+    reference = reference_run(task, tree)
+    invalid = reference.error
+    if invalid is None and not reference.status:
+        invalid = EmptyGtStatus()
+    if invalid is not None:
+        metadata = {"gt_operation_count": len(task.ground_truth.operations)}
+        zero = EvaluationReport(0.0, 0.0, 0.0, 0.0, 0.0, metadata)
+        return zero, GROUND_TRUTH_INVALID + str(invalid)
     error: str | None = None
     output = None
-    schedule: ScheduleGraph | None = None
-    execution: ExecutionOutcome | None = None
+    run = Run()
     try:
         output = planner.plan(task)
     except PlannerUnavailable as exc:
@@ -386,28 +392,13 @@ def _run_pipeline(
     operations = output.operations if output is not None else None
     allocation = output.allocation if output is not None else None
     if output is not None and output.ok:
-        try:
-            graph = build_graph(operations, output.precedence, allocation, task.scene)
-            schedule = solve_fifo(graph, [op.id for op in operations])
-            program = assemble_program(tree, operations, allocation, task.scene)
-            execution = execute(schedule, program, task.scene, operations)
-        except (ValidationError, NoBranch, AmbiguousBranch) as exc:
-            error = f"pipeline failed: {exc}"
+        run = run_plan(task.scene, operations, allocation, output.precedence, tree,
+                       lambda graph: solve_fifo(graph, [op.id for op in operations]))
+        if run.error is not None:
+            error = f"pipeline failed: {run.error}"
     elif output is not None:
-        shown = "; ".join(output.report.violations[:3])
-        error = f"planner output invalid: {shown}"
-    try:
-        report = evaluate_instance(
-            task, operations, allocation, schedule, execution, tree,
-            degenerate_se=0.0,
-        )
-    except (ValidationError, EmptyGtStatus, NoBranch, AmbiguousBranch, InstanceTooLarge) as exc:
-        # Only the ground truth's schedule, replay and status set raise these here.
-        zero = EvaluationReport(
-            0.0, 0.0, 0.0, 0.0, 0.0,
-            metadata={"gt_operation_count": len(task.ground_truth.operations)},
-        )
-        return zero, GROUND_TRUTH_INVALID + str(exc)
+        error = "planner output invalid: " + "; ".join(output.report.violations[:3])
+    report = score(task, reference, operations, allocation, run, degenerate_se=0.0)
     if report.metadata["degenerate_efficiency"] and error is None:
         error = "efficiency scale degenerate; scored 0"
     return report, error

@@ -1,8 +1,9 @@
 """Command-line front end for the scheduling pipeline.
 
 Exit codes: 0 on success, 1 for usage problems and runtime failures
-(unavailable planner, oversized exact solve, invalid plan, a suite task
-whose ground truth cannot be replayed, an output that cannot be written),
+(unavailable planner, oversized exact solve, invalid plan, a task scored
+by evaluate or run whose ground truth cannot be replayed, an output that
+cannot be written),
 2 when an input file cannot be read or parsed.
 """
 
@@ -10,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
     GROUND_TRUTH_INVALID,
     Tier,
+    _run_pipeline,
     generate_instance,
     generate_suite,
     load_bench_task,
@@ -26,7 +29,7 @@ from .errors import ParseError, ShopfloorError, ValidationError
 from .executor import trace_to_jsonl
 from .gantt import render_gantt
 from .graph import build_graph, to_dot
-from .metrics import ground_truth_run, ground_truth_schedule, report_to_json
+from .metrics import ground_truth_run, report_to_json
 from .model import (
     PROGRAM,
     SCHEDULE_RECORD,
@@ -37,10 +40,11 @@ from .model import (
     parse_json,
     program_to_json,
     schedule_record_to_json,
+    serialize_task_instance,
     write_file,
 )
 from .planner import GroundTruthPlanner, LlmPlanner, config_from_env
-from .solve import brute_force_optimal, schedule_to_record, solve_fifo
+from .solve import brute_force_optimal, reference_schedule, schedule_to_record, solve_fifo
 from .tree import assemble_program, load_reference_tree
 
 
@@ -137,8 +141,6 @@ def _cmd_generate(args) -> int:
         return 0
     tier = Tier(args.tier)
     task = generate_instance(tier, args.seed)
-    from .model import serialize_task_instance
-
     text = serialize_task_instance(task)
     out = args.out or f"{task_id_for(tier, args.seed)}.json"
     write_file(out, text)
@@ -194,12 +196,11 @@ def _cmd_assemble(args) -> int:
 
 def _cmd_execute(args) -> int:
     task = _load_task(args.task)
-    _ground_truth(task)
-    run = ground_truth_run(
-        task,
-        record=_load_file(args.schedule, "schedule", SCHEDULE_RECORD),
-        program=_load_file(args.program, "program", PROGRAM),
-    )
+    gt = _ground_truth(task)
+    record = _load_file(args.schedule, "schedule", SCHEDULE_RECORD)
+    program = _load_file(args.program, "program", PROGRAM)
+    gt = replace(gt, schedule=record or gt.schedule, program=program or gt.program)
+    run = ground_truth_run(replace(task, ground_truth=gt))
     _emit(trace_to_jsonl(run.outcome.trace), args.trace)
     print(
         f"executed fully: {run.outcome.executed_fully}; makespan {run.schedule.makespan}; "
@@ -212,21 +213,19 @@ def _cmd_execute(args) -> int:
 def _cmd_evaluate(args) -> int:
     task = _load_task(args.task)
     _ground_truth(task)
-    from .bench import _run_pipeline
-
     report, error = _run_pipeline(task, _planner(args.planner), load_reference_tree())
     doc = report_to_json(report)
     doc["error"] = error
     _emit(canonical_json(doc), args.out)
-    return 0
+    return 1 if error is not None and error.startswith(GROUND_TRUTH_INVALID) else 0
 
 
 def _cmd_gantt(args) -> int:
     task = _load_task(args.task)
     gt = _ground_truth(task)
-    schedule = ground_truth_schedule(
-        task, _load_file(args.schedule, "schedule", SCHEDULE_RECORD)
-    )
+    record = _load_file(args.schedule, "schedule", SCHEDULE_RECORD) or gt.schedule
+    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+    schedule = reference_schedule(graph, record)
     chart = render_gantt(schedule, gt.allocation, gt.operations)
     sys.stdout.write(chart.text)
     if args.svg:

@@ -40,6 +40,9 @@ class AmbiguousBranch(ShopfloorError):
 class EmptyGtStatus(ShopfloorError):
     """Raised when the reference status set is empty and recall is undefined."""
 
+    def __init__(self, message: str = "ground truth achieves no status facts") -> None:
+        super().__init__(message)
+
 
 class DegenerateDenominator(ShopfloorError):
     """Raised when the efficiency ratio's denominator is zero and makespans differ."""

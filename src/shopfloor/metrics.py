@@ -7,22 +7,34 @@ worst serial schedule, gated on perfect consistency), executability
 condition recall (ground-truth status facts actually achieved), and
 success rate (all-or-nothing on efficiency and recall).
 
-evaluate_instance replays the ground truth symbolically to obtain the
-reference makespan and status delta, then scores the generated pipeline's
-stages; stages lost to earlier failures score zero rather than raising.
+run_plan is the one chain of stages, for a plan and for its ground truth
+alike: disjunctive graph, schedule, process-tree program, symbolic
+execution and status delta. A stage that fails stops the run and is kept
+as its error. reference_run takes the ground truth through it (the
+stored schedule, else the exact one), and score compares a plan's run
+with that reference run; stages the plan never reached score zero.
+bench runs the reference first, before any planner call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .errors import DegenerateDenominator, EmptyGtStatus
+from .errors import (
+    AmbiguousBranch,
+    DegenerateDenominator,
+    EmptyGtStatus,
+    InstanceTooLarge,
+    NoBranch,
+    ShopfloorError,
+    ValidationError,
+)
 from .executor import ExecutionOutcome, execute, initial_state, status_delta
-from .graph import build_graph
-from .model import Allocation, Operation, Program, ScheduleRecord, TaskInstance
-from .solve import ScheduleGraph, brute_force_optimal, schedule_from_record
+from .graph import DisjunctiveGraph, build_graph
+from .model import Allocation, Operation, PrecedenceSet, Program, Scene, TaskInstance
+from .solve import ScheduleGraph, reference_schedule
 from .tree import ProcessTree, assemble_program, load_reference_tree
 
 
@@ -98,7 +110,7 @@ def goal_condition_recall(
 ) -> float:
     """Share of ground-truth status facts present in the achieved set."""
     if not gt_status:
-        raise EmptyGtStatus("ground truth achieves no status facts")
+        raise EmptyGtStatus()
     return len(achieved & gt_status) / len(gt_status)
 
 
@@ -111,52 +123,62 @@ def success_rate(se: float, gcr: float) -> float:
 
 
 @dataclass(frozen=True)
-class GroundTruthRun:
-    schedule: ScheduleGraph
-    outcome: ExecutionOutcome
-    status: frozenset[tuple[str, str]]
+class Run:
+    """One plan taken through the stages: its schedule, execution outcome
+    and status delta, each None when an earlier stage stopped the run, and
+    the error that stopped it."""
+
+    schedule: ScheduleGraph | None = None
+    outcome: ExecutionOutcome | None = None
+    status: frozenset[tuple[str, str]] | None = None
+    error: ShopfloorError | None = None
 
 
-def ground_truth_schedule(
-    task: TaskInstance, record: ScheduleRecord | None = None
-) -> ScheduleGraph:
-    """The schedule the task's ground truth is scored with: the given record,
-    else the stored one, else the exact solver's over the stored operation
-    order. Raises ValidationError for a record that does not solve the
-    ground truth's graph, InstanceTooLarge when the exact search gives up."""
+def run_plan(
+    scene: Scene,
+    operations: Sequence[Operation],
+    allocation: Allocation,
+    precedence: PrecedenceSet,
+    tree: ProcessTree,
+    solve: Callable[[DisjunctiveGraph], ScheduleGraph],
+    program: Program | None = None,
+) -> Run:
+    """Build the plan's disjunctive graph, schedule it with solve(graph),
+    assemble its program from tree unless one is given, execute it and take
+    the status delta. A stage that raises ValidationError, NoBranch,
+    AmbiguousBranch or InstanceTooLarge stops the run, which keeps what the
+    stages before it made, and the error."""
+    schedule = None
+    try:
+        schedule = solve(build_graph(operations, precedence, allocation, scene))
+        if program is None:
+            program = assemble_program(tree, operations, allocation, scene)
+        outcome = execute(schedule, program, scene, operations)
+    except (ValidationError, NoBranch, AmbiguousBranch, InstanceTooLarge) as exc:
+        return Run(schedule, error=exc)
+    return Run(schedule, outcome, status_delta(outcome.final_state, initial_state(scene)))
+
+
+def reference_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:
+    """run_plan on the task's ground truth: scheduled with reference_schedule
+    over its stored record, running its stored program, else one assembled
+    from tree (the reference tree by default)."""
     gt = task.ground_truth
     if gt is None:
         raise ValueError("task carries no ground truth to evaluate against")
-    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
-    record = record if record is not None else gt.schedule
-    if record is not None:
-        return schedule_from_record(graph, record)
-    return brute_force_optimal(graph)
+    return run_plan(
+        task.scene, gt.operations, gt.allocation, gt.precedence,
+        tree if tree is not None else load_reference_tree(),
+        lambda graph: reference_schedule(graph, gt.schedule), gt.program,
+    )
 
 
-def ground_truth_run(
-    task: TaskInstance,
-    tree: ProcessTree | None = None,
-    record: ScheduleRecord | None = None,
-    program: Program | None = None,
-) -> GroundTruthRun:
-    """Replay the task's ground truth: schedule it with ground_truth_schedule,
-    run the given program, else the stored one, else one assembled from tree
-    (the reference tree by default), and take the status delta."""
-    schedule = ground_truth_schedule(task, record)
-    gt = task.ground_truth
-    if program is None:
-        program = gt.program
-    if program is None:
-        program = assemble_program(
-            tree if tree is not None else load_reference_tree(),
-            gt.operations,
-            gt.allocation,
-            task.scene,
-        )
-    outcome = execute(schedule, program, task.scene, gt.operations)
-    status = status_delta(outcome.final_state, initial_state(task.scene))
-    return GroundTruthRun(schedule=schedule, outcome=outcome, status=status)
+def ground_truth_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:
+    """reference_run, raising the error of the stage that stopped it."""
+    run = reference_run(task, tree)
+    if run.error is not None:
+        raise run.error
+    return run
 
 
 @dataclass(frozen=True)
@@ -169,26 +191,21 @@ class EvaluationReport:
     metadata: Mapping[str, Any]
 
 
-def evaluate_instance(
+def score(
     task: TaskInstance,
+    reference: Run,
     operations: Sequence[Operation] | None,
     allocation: Allocation | None,
-    schedule: ScheduleGraph | None,
-    execution: ExecutionOutcome | None,
-    tree: ProcessTree | None = None,
+    run: Run,
     degenerate_se: float | None = None,
 ) -> EvaluationReport:
-    """Score one generated pipeline against the task's ground truth.
-
-    Pass None for stages the pipeline never reached; they score zero.
-    When the efficiency scale is degenerate, DegenerateDenominator
-    propagates unless degenerate_se supplies a substitute score (the
-    substitution is flagged in the metadata).
-    """
+    """Score a plan's run against the reference run of the task's ground
+    truth. operations is None when no plan came back; stages the run never
+    reached score zero. When the efficiency scale is degenerate,
+    DegenerateDenominator propagates unless degenerate_se supplies a
+    substitute score (the substitution is flagged in the metadata)."""
     gt = task.ground_truth
-    if gt is None:
-        raise ValueError("task carries no ground truth to evaluate against")
-    run = ground_truth_run(task, tree)
+    schedule, execution = run.schedule, run.outcome
     oc = (
         operation_consistency(operations, allocation, gt.operations, gt.allocation)
         if operations is not None
@@ -198,7 +215,7 @@ def evaluate_instance(
     try:
         se = scheduling_efficiency(
             schedule.makespan if schedule is not None else None,
-            run.schedule.makespan,
+            reference.schedule.makespan,
             len(gt.operations),
             oc,
         )
@@ -207,17 +224,8 @@ def evaluate_instance(
             raise
         se = degenerate_se
         degenerate = True
-    exe = (
-        executability(execution, schedule)
-        if execution is not None and schedule is not None
-        else 0.0
-    )
-    achieved = (
-        status_delta(execution.final_state, initial_state(task.scene))
-        if execution is not None
-        else frozenset()
-    )
-    gcr = goal_condition_recall(achieved, run.status)
+    exe = executability(execution, schedule) if execution is not None else 0.0
+    gcr = goal_condition_recall(run.status or frozenset(), reference.status)
     sr = success_rate(se, gcr)
     return EvaluationReport(
         operation_consistency=oc,
@@ -227,14 +235,31 @@ def evaluate_instance(
         success_rate=sr,
         metadata={
             "gt_operation_count": len(gt.operations),
-            "gt_makespan": run.schedule.makespan,
-            "gt_executed_fully": run.outcome.executed_fully,
+            "gt_makespan": reference.schedule.makespan,
+            "gt_executed_fully": reference.outcome.executed_fully,
             "generated_operation_count": len(operations) if operations is not None else None,
             "generated_makespan": schedule.makespan if schedule is not None else None,
             "generated_executed_fully": execution.executed_fully if execution is not None else None,
             "degenerate_efficiency": degenerate,
         },
     )
+
+
+def evaluate_instance(
+    task: TaskInstance,
+    operations: Sequence[Operation] | None,
+    allocation: Allocation | None,
+    schedule: ScheduleGraph | None,
+    execution: ExecutionOutcome | None,
+    tree: ProcessTree | None = None,
+    degenerate_se: float | None = None,
+) -> EvaluationReport:
+    """score, with the ground truth replayed by ground_truth_run and the
+    plan's run made of the given stage outputs; None marks a stage the
+    pipeline never reached."""
+    status = execution and status_delta(execution.final_state, initial_state(task.scene))
+    run = Run(schedule, execution, status)
+    return score(task, ground_truth_run(task, tree), operations, allocation, run, degenerate_se)
 
 
 def report_to_json(report: EvaluationReport) -> dict:

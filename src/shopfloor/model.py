@@ -578,19 +578,6 @@ TASK = Record(
 scene_to_json = SCENE.dump
 program_to_json = PROGRAM.dump
 schedule_record_to_json = SCHEDULE_RECORD.dump
-task_instance_to_json = TASK.dump
-
-
-def program_from_json(data: Any, path: str = "program") -> Program:
-    return PROGRAM.load(data, path)
-
-
-def schedule_record_from_json(data: Any, path: str = "schedule") -> ScheduleRecord:
-    return SCHEDULE_RECORD.load(data, path)
-
-
-def task_instance_from_json(data: Any, path: str = "task") -> TaskInstance:
-    return TASK.load(data, path)
 
 
 def serialize_task_instance(task: TaskInstance) -> str:

@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import PlannerUnavailable
 from .model import (
@@ -83,21 +83,27 @@ def render_planner_text(
     return "\n".join(lines) + "\n"
 
 
-def _split_fields(line: str) -> list[str]:
-    return [field.strip() for field in line.split("|")]
+def _rows(
+    body: str, kind: str, counts: tuple[int, ...], problems: list[str]
+) -> Iterator[list[str]]:
+    """The stripped '|'-separated fields of each non-blank line of a section
+    body; a line with a field count not in counts becomes a violation."""
+    for line in body.splitlines():
+        if not line.strip():
+            continue
+        fields = [field.strip() for field in line.split("|")]
+        if len(fields) in counts:
+            yield fields
+        else:
+            need = " or ".join(map(str, counts))
+            problems.append(
+                f"{kind} line needs {need} fields, got {len(fields)}: {line.strip()!r}"
+            )
 
 
 def _parse_operations(body: str, problems: list[str]) -> tuple[Operation, ...]:
     ops: list[Operation] = []
-    for line in body.splitlines():
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
-        if len(fields) not in (4, 5):
-            problems.append(
-                f"operation line needs 4 or 5 fields, got {len(fields)}: {line.strip()!r}"
-            )
-            continue
+    for fields in _rows(body, "operation", (4, 5), problems):
         try:
             op_type = OperationType(fields[1])
         except ValueError:
@@ -116,34 +122,18 @@ def _parse_operations(body: str, problems: list[str]) -> tuple[Operation, ...]:
 
 
 def _parse_allocation(body: str, problems: list[str]) -> Allocation:
-    by_op: dict[str, str] = {}
-    for line in body.splitlines():
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
-        if len(fields) != 2:
-            problems.append(
-                f"allocation line needs 2 fields, got {len(fields)}: {line.strip()!r}"
-            )
-            continue
-        by_op[fields[0]] = fields[1]
-    return Allocation(by_op=by_op)
+    return Allocation(
+        by_op={op_id: robot for op_id, robot in _rows(body, "allocation", (2,), problems)}
+    )
 
 
 def _parse_precedence(body: str, problems: list[str]) -> PrecedenceSet:
-    chains: dict[str, tuple[str, ...]] = {}
-    for line in body.splitlines():
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
-        if len(fields) != 2:
-            problems.append(
-                f"precedence line needs 2 fields, got {len(fields)}: {line.strip()!r}"
-            )
-            continue
-        chain = tuple(p.strip() for p in fields[1].split(",") if p.strip())
-        chains[fields[0]] = chain
-    return PrecedenceSet(chains=chains)
+    return PrecedenceSet(
+        chains={
+            workpiece: tuple(p.strip() for p in chain.split(",") if p.strip())
+            for workpiece, chain in _rows(body, "precedence", (2,), problems)
+        }
+    )
 
 
 def parse_planner_text(text: str, scene: Scene) -> PlannerOutput:

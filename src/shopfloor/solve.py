@@ -221,6 +221,13 @@ def brute_force_optimal(graph: DisjunctiveGraph) -> ScheduleGraph:
         limit += 1
 
 
+def reference_schedule(graph: DisjunctiveGraph, record: ScheduleRecord | None) -> ScheduleGraph:
+    """The schedule a ground truth is scored with: the record's, else the
+    exact solver's. Raises ValidationError for a record that does not solve
+    the graph, InstanceTooLarge when the exact search gives up."""
+    return brute_force_optimal(graph) if record is None else schedule_from_record(graph, record)
+
+
 def is_feasible(schedule: ScheduleGraph, graph: DisjunctiveGraph) -> bool:
     """True iff the schedule's start steps and makespan solve the graph."""
     return _fault(graph, schedule.start_steps, schedule.makespan) is None

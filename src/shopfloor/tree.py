@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache
+from importlib import resources
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
@@ -292,9 +293,6 @@ TREE = Record(
     ),
 )
 
-tree_to_json = TREE.dump
-
-
 def serialize_tree(tree: ProcessTree) -> str:
     return canonical_json(TREE.dump(tree))
 
@@ -310,8 +308,6 @@ def load_reference_tree() -> ProcessTree:
     """The tree shipped with the package, covering all five operation types
     with bracket-camera and handheld-camera location variants. Parsed once
     per process; callers share it and must not mutate it."""
-    from importlib import resources
-
     text = (
         resources.files("shopfloor")
         .joinpath("data/process_tree.json")

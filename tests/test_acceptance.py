@@ -25,18 +25,17 @@ from shopfloor.metrics import (
     success_rate,
 )
 from shopfloor.model import (
+    PROGRAM,
+    SCHEDULE_RECORD,
+    TASK,
     Allocation,
     OperationType,
     PrecedenceSet,
     canonical_json,
     parse_task_instance,
-    program_from_json,
     program_to_json,
-    schedule_record_from_json,
     schedule_record_to_json,
     serialize_task_instance,
-    task_instance_from_json,
-    task_instance_to_json,
 )
 from shopfloor.planner import GroundTruthPlanner, parse_planner_text, render_planner_text
 from shopfloor.solve import brute_force_optimal, is_feasible, solve_fifo
@@ -331,8 +330,8 @@ def test_criterion_9_every_artifact_round_trips_byte_identically():
 
     generated = generate_instance(Tier.COMPLEX_MULTI, 0)
     text = serialize_task_instance(generated)
-    assert serialize_task_instance(task_instance_from_json(json.loads(text))) == text
-    assert canonical_json(task_instance_to_json(generated)) == text
+    assert serialize_task_instance(TASK.load(json.loads(text), "task")) == text
+    assert canonical_json(TASK.dump(generated)) == text
 
     tree_text = data.joinpath("process_tree.json").read_text(encoding="utf-8")
     assert serialize_tree(parse_tree(tree_text)) == tree_text
@@ -340,14 +339,14 @@ def test_criterion_9_every_artifact_round_trips_byte_identically():
     gt = generated.ground_truth
     record_text = canonical_json(schedule_record_to_json(gt.schedule))
     assert canonical_json(
-        schedule_record_to_json(schedule_record_from_json(json.loads(record_text)))
+        schedule_record_to_json(SCHEDULE_RECORD.load(json.loads(record_text), "schedule"))
     ) == record_text
 
     run = ground_truth_run(generated, load_reference_tree())
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, generated.scene)
     program_text = canonical_json(program_to_json(program))
     assert canonical_json(
-        program_to_json(program_from_json(json.loads(program_text)))
+        program_to_json(PROGRAM.load(json.loads(program_text), "program"))
     ) == program_text
 
     trace_text = trace_to_jsonl(run.outcome.trace)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -23,9 +24,16 @@ from shopfloor.bench import (
 from shopfloor.errors import GenerationRetryExhausted, PlannerUnavailable
 from shopfloor.graph import build_graph
 from shopfloor.metrics import ground_truth_run
-from shopfloor.model import serialize_task_instance
-from shopfloor.planner import GroundTruthPlanner, LlmConfig, LlmPlanner, RecordedTransport
+from shopfloor.model import PrecedenceSet, serialize_task_instance
+from shopfloor.planner import (
+    GroundTruthPlanner,
+    LlmConfig,
+    LlmPlanner,
+    RecordedTransport,
+    render_planner_text,
+)
 from shopfloor.solve import solve_fifo
+from shopfloor.tree import assemble_program, load_reference_tree
 
 SWEEP_SEEDS = range(6)
 
@@ -296,6 +304,81 @@ def test_semantically_invalid_plan_keeps_consistency_credit(tmp_path):
     assert 0.0 < row.report.operation_consistency < 1.0
     assert row.report.scheduling_efficiency == 0.0
     assert row.report.executability == 0.0
+
+
+def test_an_invalid_ground_truth_costs_no_planner_call(tmp_path):
+    (task,) = small_suite(tmp_path)[:1]
+    gt = task.instance.ground_truth
+    # Swapping the first two chain steps leaves the stored schedule running
+    # that chain backwards, so the ground truth cannot be replayed.
+    chain = list(gt.precedence.chains["w1"])
+    chain[0], chain[1] = chain[1], chain[0]
+    precedence = PrecedenceSet(chains={**gt.precedence.chains, "w1": tuple(chain)})
+    instance = dataclasses.replace(
+        task.instance, ground_truth=dataclasses.replace(gt, precedence=precedence)
+    )
+    broken = dataclasses.replace(task, instance=instance)
+    transport = RecordedTransport(
+        [render_planner_text(gt.operations, gt.allocation, gt.precedence)]
+    )
+    planner = LlmPlanner(LlmConfig(base_url="http://x", model="m"), transport)
+    (row,) = run_benchmark([broken], planner).results
+    assert transport.prompts == []
+    assert row.error == (
+        f"ground truth invalid: schedule record runs chain arcs backwards: "
+        f"'{chain[0]}' -> '{chain[1]}'"
+    )
+    assert [getattr(row.report, field) for field in bench.METRIC_FIELDS] == [0.0] * 5
+    assert row.report.metadata == {"gt_operation_count": len(gt.operations)}
+
+
+def test_a_ground_truth_that_achieves_nothing_costs_no_planner_call():
+    # The stored program runs on robots without any device: every operation
+    # fails, so the ground truth achieves no status fact to score against.
+    task = generate_instance(Tier.SINGLE_ROBOT, 0)
+    gt = task.ground_truth
+    program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
+    robots = tuple(dataclasses.replace(r, devices=frozenset()) for r in task.scene.robots)
+    task = dataclasses.replace(
+        task,
+        scene=dataclasses.replace(task.scene, robots=robots),
+        ground_truth=dataclasses.replace(gt, program=program),
+    )
+    transport = RecordedTransport(
+        [render_planner_text(gt.operations, gt.allocation, gt.precedence)]
+    )
+    planner = LlmPlanner(LlmConfig(base_url="http://x", model="m"), transport)
+    report, error = bench._run_pipeline(task, planner, load_reference_tree())
+    assert transport.prompts == []
+    assert error == "ground truth invalid: ground truth achieves no status facts"
+    assert report.success_rate == 0.0
+
+
+def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
+    # The ground truth runs its stored program; the plan's own program is
+    # assembled for a scene whose robots lost the polisher, and no branch
+    # of the reference tree polishes without one.
+    task = generate_instance(Tier.SIMPLE_MULTI, 3)
+    gt = task.ground_truth
+    program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
+    robots = tuple(
+        dataclasses.replace(robot, devices=robot.devices - {"polisher"})
+        for robot in task.scene.robots
+    )
+    scene = dataclasses.replace(task.scene, robots=robots)
+    task = dataclasses.replace(
+        task, scene=scene, ground_truth=dataclasses.replace(gt, program=program)
+    )
+    report, error = bench._run_pipeline(task, GroundTruthPlanner(), load_reference_tree())
+    graph = build_graph(gt.operations, gt.precedence, gt.allocation, scene)
+    fifo = solve_fifo(graph, [op.id for op in gt.operations])
+    assert error.startswith("pipeline failed: operation ")
+    assert "no complete branch" in error
+    assert report.metadata["generated_makespan"] == fifo.makespan
+    assert report.metadata["generated_executed_fully"] is None
+    assert report.operation_consistency == 1.0
+    assert report.executability == 0.0
+    assert report.goal_condition_recall == 0.0
 
 
 def test_summarize_averages_per_tier():

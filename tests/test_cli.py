@@ -16,6 +16,7 @@ from shopfloor.cli import main
 from shopfloor.executor import parse_trace
 from shopfloor.graph import build_graph, to_dot
 from shopfloor.model import (
+    SCHEDULE_RECORD,
     Allocation,
     GroundTruth,
     OperationType,
@@ -23,7 +24,6 @@ from shopfloor.model import (
     TaskInstance,
     at_label,
     load_task_instance,
-    schedule_record_from_json,
     serialize_task_instance,
 )
 from shopfloor.planner import LlmConfig, LlmPlanner, RecordedTransport, render_planner_text
@@ -252,7 +252,7 @@ def test_solve_emits_a_valid_record(capsys, task_file, tmp_path):
     out_file = tmp_path / "record.json"
     code, _, _ = run_cli(capsys, "solve", str(task_file), "--out", str(out_file))
     assert code == 0
-    record = schedule_record_from_json(json.loads(out_file.read_text()))
+    record = SCHEDULE_RECORD.load(json.loads(out_file.read_text()), "schedule")
     task = load_task_instance(task_file)
     assert record.makespan == task.ground_truth.schedule.makespan
 
@@ -260,7 +260,7 @@ def test_solve_emits_a_valid_record(capsys, task_file, tmp_path):
 def test_solve_optimal_matches_generated_record(capsys, task_file):
     code, out, _ = run_cli(capsys, "solve", str(task_file), "--optimal")
     assert code == 0
-    record = schedule_record_from_json(json.loads(out))
+    record = SCHEDULE_RECORD.load(json.loads(out), "schedule")
     assert record.source == "optimal"
     task = load_task_instance(task_file)
     assert record.makespan == task.ground_truth.schedule.makespan
@@ -452,6 +452,27 @@ def test_evaluate_scores_all_ones_for_ground_truth(capsys, task_file):
     ):
         assert doc[key] == 1.0
     assert doc["error"] is None
+
+
+def test_evaluate_writes_its_report_and_exits_1_on_invalid_ground_truth(
+    capsys, task_file, tmp_path
+):
+    # Swapping the first two chain steps leaves the stored schedule running
+    # that chain backwards, so the ground truth cannot be replayed.
+    doc = json.loads(task_file.read_text(encoding="utf-8"))
+    chain = doc["ground_truth"]["precedence"]["w1"]
+    chain[0], chain[1] = chain[1], chain[0]
+    task_file.write_text(json.dumps(doc), encoding="utf-8")
+    out_file = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "evaluate", str(task_file), "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    report = json.loads(out_file.read_text(encoding="utf-8"))
+    assert report["error"] == (
+        f"ground truth invalid: schedule record runs chain arcs backwards: "
+        f"'{chain[0]}' -> '{chain[1]}'"
+    )
+    assert report["success_rate"] == 0.0
 
 
 def test_run_bundled_all_ones(capsys, tmp_path):

@@ -15,11 +15,11 @@ from shopfloor.errors import ParseError, ValidationError
 from shopfloor.executor import execute, parse_trace, trace_to_jsonl
 from shopfloor.graph import build_graph
 from shopfloor.model import (
+    PROGRAM,
+    SCHEDULE_RECORD,
     canonical_json,
     parse_task_instance,
-    program_from_json,
     program_to_json,
-    schedule_record_from_json,
     schedule_record_to_json,
     serialize_task_instance,
 )
@@ -50,8 +50,8 @@ def _documents(tier: Tier, seed: int) -> dict[str, str]:
 # entry point; a trace document is one of its lines.
 READ = {
     "task": lambda doc: serialize_task_instance(parse_task_instance(canonical_json(doc))),
-    "program": lambda doc: canonical_json(program_to_json(program_from_json(doc))),
-    "schedule": lambda doc: canonical_json(schedule_record_to_json(schedule_record_from_json(doc))),
+    "program": lambda doc: canonical_json(program_to_json(PROGRAM.load(doc, "program"))),
+    "schedule": lambda doc: canonical_json(schedule_record_to_json(SCHEDULE_RECORD.load(doc, "schedule"))),
     "tree": lambda doc: serialize_tree(parse_tree(canonical_json(doc))),
     "trace": lambda doc: trace_to_jsonl(parse_trace(json.dumps(doc))),
 }

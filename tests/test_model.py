@@ -28,8 +28,6 @@ from shopfloor.model import (
     role_placeholder,
     scene_to_json,
     serialize_task_instance,
-    task_instance_from_json,
-    task_instance_to_json,
     validate_planner_output,
     validate_scene,
     write_file,

@@ -124,6 +124,20 @@ def test_parse_skips_malformed_lines_with_a_violation(scene):
     assert not output.ok
 
 
+def test_malformed_lines_of_each_section_name_their_section(scene):
+    text = (
+        GOLDEN.replace("p1 | polishing | w1 | table_1", "p1 | polishing | w1")
+        .replace("```ALLOCATION\n", "```ALLOCATION\n  t1  \n")
+        .replace("```PRECEDENCE\n", "```PRECEDENCE\nw1 | t1 | p1\n")
+    )
+    output = parse_planner_text(text, scene)
+    assert output.report.violations[:3] == (
+        "operation line needs 4 or 5 fields, got 3: 'p1 | polishing | w1'",
+        "allocation line needs 2 fields, got 1: 't1'",
+        "precedence line needs 2 fields, got 3: 'w1 | t1 | p1'",
+    )
+
+
 def test_parse_rejects_unknown_operation_type(scene):
     text = GOLDEN.replace("p1 | polishing", "p1 | painting")
     output = parse_planner_text(text, scene)
