@@ -10,15 +10,18 @@ maximal conflict-free set of the ready operations at each step, so FIFO
 launches that set first and every ready operation listed after it
 conflicts with one of them.
 
-run_benchmark scores each task in two runs of metrics.run_plan, the one
-chain of stages (graph, schedule, assembly, symbolic execution). The
-ground truth runs first, on its stored schedule, else the exact one. A
-task whose ground truth cannot be solved, replayed or scored against
+run_benchmark scores each task by comparing two runs of metrics.run_plan,
+the one chain of stages (graph, schedule, assembly, symbolic execution).
+The ground truth runs first, on its stored schedule, else the exact one.
+A task whose ground truth cannot be solved, replayed or scored against
 scores zero on every metric, with an error that starts with
 GROUND_TRUTH_INVALID, and its planner is never called. Otherwise the plan
-runs, scheduled first-in-first-out in the order the planner listed its
-operations, and a stage that fails scores zero instead of aborting the
-suite.
+runs (metrics.fifo_run), scheduled first-in-first-out in the order the
+planner listed its operations, and a stage that fails scores zero instead
+of aborting the suite. When the plan is the ground truth in its listed
+order, the task stores no program and FIFO gives the reference's start
+steps, as under GroundTruthPlanner on every generated task, the plan
+reuses the reference run: one graph, assembly and execution per task.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from .graph import build_graph
 from .metrics import (
     EvaluationReport,
     Run,
+    fifo_run,
     reference_run,
     report_to_json,
-    run_plan,
     score,
 )
 from .model import (
@@ -68,7 +71,7 @@ from .model import (
     validate_scene,
     write_file,
 )
-from .solve import brute_force_optimal, schedule_to_record, solve_fifo
+from .solve import brute_force_optimal, schedule_to_record
 from .tree import ProcessTree, load_reference_tree
 
 
@@ -392,8 +395,7 @@ def _run_pipeline(
     operations = output.operations if output is not None else None
     allocation = output.allocation if output is not None else None
     if output is not None and output.ok:
-        run = run_plan(task.scene, operations, allocation, output.precedence, tree,
-                       lambda graph: solve_fifo(graph, [op.id for op in operations]))
+        run = fifo_run(task, reference, operations, allocation, output.precedence, tree)
         if run.error is not None:
             error = f"pipeline failed: {run.error}"
     elif output is not None:

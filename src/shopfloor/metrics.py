@@ -13,7 +13,9 @@ execution and status delta. A stage that fails stops the run and is kept
 as its error. reference_run takes the ground truth through it (the
 stored schedule, else the exact one), and score compares a plan's run
 with that reference run; stages the plan never reached score zero.
-bench runs the reference first, before any planner call.
+bench runs the reference first, before any planner call, then the plan
+through fifo_run, which reuses the reference run's outcome and status
+when every stage input of the plan equals the reference's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
 from .executor import ExecutionOutcome, execute, initial_state, status_delta
 from .graph import DisjunctiveGraph, build_graph
 from .model import Allocation, Operation, PrecedenceSet, Program, Scene, TaskInstance
-from .solve import ScheduleGraph, reference_schedule
+from .solve import ScheduleGraph, reference_schedule, solve_fifo
 from .tree import ProcessTree, assemble_program, load_reference_tree
 
 
@@ -171,6 +173,37 @@ def reference_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:
         tree if tree is not None else load_reference_tree(),
         lambda graph: reference_schedule(graph, gt.schedule), gt.program,
     )
+
+
+def fifo_run(
+    task: TaskInstance,
+    reference: Run,
+    operations: Sequence[Operation],
+    allocation: Allocation,
+    precedence: PrecedenceSet,
+    tree: ProcessTree,
+) -> Run:
+    """run_plan on a plan of task, scheduled first-in-first-out in the order
+    it lists its operations. reference is the task's reference_run on the
+    same tree, without error. run_plan is a function of the scene, plan
+    triple, tree, start steps and program: when the plan's operations are
+    the ground truth's in the same order, its allocation and chains are
+    equal, the ground truth stores no program and FIFO over that order gives
+    the reference's start steps, the run is the reference's outcome and
+    status under the FIFO schedule."""
+    order = [op.id for op in operations]
+    gt = task.ground_truth
+    if (
+        gt.program is None
+        and tuple(operations) == gt.operations
+        and allocation == gt.allocation
+        and precedence == gt.precedence
+    ):
+        schedule = solve_fifo(reference.schedule.graph, order)
+        if schedule.start_steps == reference.schedule.start_steps:
+            return Run(schedule, reference.outcome, reference.status)
+    return run_plan(task.scene, operations, allocation, precedence, tree,
+                    lambda graph: solve_fifo(graph, order))
 
 
 def ground_truth_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:

@@ -496,9 +496,12 @@ class Record:
 
 
 def parse_json(text: str, path: str) -> Any:
+    """The JSON value of text. A syntax error, a document nested deeper than
+    the decoder recurses and an integer too long to convert all raise
+    ParseError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -11,14 +11,18 @@ import pytest
 from shopfloor.graph import DisjunctiveGraph
 from shopfloor.model import (
     Allocation,
+    GroundTruth,
     Machine,
     Operation,
     OperationType,
     PrecedenceSet,
     Robot,
     Scene,
+    TaskInstance,
     Workpiece,
+    at_label,
 )
+from shopfloor.planner import parse_planner_text, render_planner_text
 
 FULL_KIT = frozenset(
     {"camera", "magnetic_gripper", "polisher", "welding_gun", "beveler"}
@@ -89,6 +93,43 @@ def simple_plan(scene=None):
                               "t3": "r2", "p2": "r2", "t4": "r2"})
     prec = PrecedenceSet(chains={"w1": ("t1", "p1", "t2"), "w2": ("t3", "p2", "t4")})
     return ops, alloc, prec
+
+
+def unscheduled_task():
+    """b1 and a1 share robot r1 and the ground truth lists b1 first, with no
+    stored schedule: FIFO in that order delays the chain a1 -> a2 -> a3 by
+    one step (makespan 4), the exact solve does not (makespan 3)."""
+    ops = (
+        transport("b1", "w2", "conveyor", "pallet_2"),
+        transport("a1", "w1", "conveyor", "table_1"),
+        make_op("a2", OperationType.POLISHING, "w1", "table_1"),
+        transport("a3", "w1", "table_1", "pallet_1"),
+    )
+    return TaskInstance(
+        scene=make_scene(
+            robots=(make_robot("r1"), make_robot("r2"), make_robot("r3")),
+            workpieces=(
+                make_workpiece("w1", states=("polished", at_label("pallet_1"))),
+                make_workpiece("w2", states=(at_label("pallet_2"),)),
+            ),
+        ),
+        instruction="polish w1 and palletize both workpieces",
+        ground_truth=GroundTruth(
+            operations=ops,
+            allocation=Allocation(by_op={"b1": "r1", "a1": "r1", "a2": "r2", "a3": "r3"}),
+            precedence=PrecedenceSet(chains={"w1": ("a1", "a2", "a3"), "w2": ("b1",)}),
+        ),
+    )
+
+
+class FixedPlanner:
+    """Replies with one plan through the text protocol."""
+
+    def __init__(self, ops, alloc, prec):
+        self.text = render_planner_text(ops, alloc, prec)
+
+    def plan(self, task):
+        return parse_planner_text(self.text, task.scene)
 
 
 @pytest.fixture

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
 import shopfloor.bench as bench
+import shopfloor.metrics as metrics
 from shopfloor.bench import (
     TIER_SPECS,
     BenchTask,
@@ -22,9 +24,17 @@ from shopfloor.bench import (
     task_id_for,
 )
 from shopfloor.errors import GenerationRetryExhausted, PlannerUnavailable
+from shopfloor.executor import trace_to_jsonl
 from shopfloor.graph import build_graph
-from shopfloor.metrics import ground_truth_run
-from shopfloor.model import PrecedenceSet, serialize_task_instance
+from shopfloor.metrics import (
+    fifo_run,
+    ground_truth_run,
+    reference_run,
+    report_to_json,
+    run_plan,
+    score,
+)
+from shopfloor.model import Allocation, PrecedenceSet, canonical_json, serialize_task_instance
 from shopfloor.planner import (
     GroundTruthPlanner,
     LlmConfig,
@@ -34,6 +44,8 @@ from shopfloor.planner import (
 )
 from shopfloor.solve import solve_fifo
 from shopfloor.tree import assemble_program, load_reference_tree
+
+from conftest import FixedPlanner, unscheduled_task
 
 SWEEP_SEEDS = range(6)
 
@@ -379,6 +391,106 @@ def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
     assert report.operation_consistency == 1.0
     assert report.executability == 0.0
     assert report.goal_condition_recall == 0.0
+
+
+# ---------------------------------------------------------------------------
+# a plan that is its ground truth reuses the reference run
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of the graph, assembly and execution stages that metrics makes."""
+    calls: Counter = Counter()
+
+    def counted(name):
+        stage = getattr(metrics, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+
+        return call
+
+    for name in ("build_graph", "assemble_program", "execute"):
+        monkeypatch.setattr(metrics, name, counted(name))
+    return calls
+
+
+def _unshared(task, planner, tree):
+    """The plan's run and report without reuse: run_plan on the plan,
+    scheduled FIFO in its listed order, scored against the reference run."""
+    reference = reference_run(task, tree)
+    output = planner.plan(task)
+    order = [op.id for op in output.operations]
+    run = run_plan(task.scene, output.operations, output.allocation, output.precedence,
+                   tree, lambda graph: solve_fifo(graph, order))
+    report = score(task, reference, output.operations, output.allocation, run,
+                   degenerate_se=0.0)
+    return run, report
+
+
+def _report_bytes(report):
+    return canonical_json(report_to_json(report))
+
+
+def test_the_ground_truth_plan_reuses_the_reference_run(stage_calls):
+    tree = load_reference_tree()
+    planner = GroundTruthPlanner()
+    for tier in Tier:
+        for seed in range(40):
+            task = generate_instance(tier, seed)
+            stage_calls.clear()
+            report, error = bench._run_pipeline(task, planner, tree)
+            assert error is None
+            assert stage_calls == {"build_graph": 1, "assemble_program": 1, "execute": 1}, (
+                tier, seed)
+
+            reference = reference_run(task, tree)
+            output = planner.plan(task)
+            shared = fifo_run(task, reference, output.operations, output.allocation,
+                              output.precedence, tree)
+            assert shared.outcome is reference.outcome
+            run, unshared_report = _unshared(task, planner, tree)
+            assert shared.schedule.start_steps == run.schedule.start_steps
+            assert shared.schedule.makespan == run.schedule.makespan
+            assert trace_to_jsonl(shared.outcome.trace) == trace_to_jsonl(run.outcome.trace)
+            assert shared.outcome.final_state == run.outcome.final_state
+            assert shared.status == run.status
+            assert shared.error is None and run.error is None
+            assert _report_bytes(report) == _report_bytes(unshared_report)
+
+
+def _with_stored_program():
+    task = generate_instance(Tier.SIMPLE_MULTI, 3)
+    gt = task.ground_truth
+    program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
+    return dataclasses.replace(task, ground_truth=dataclasses.replace(gt, program=program))
+
+
+def _case(name):
+    if name == "fifo_differs":
+        return unscheduled_task(), GroundTruthPlanner()
+    if name == "stored_program":
+        return _with_stored_program(), GroundTruthPlanner()
+    task = generate_instance(Tier.COMPLEX_MULTI, 0)
+    gt = task.ground_truth
+    first = gt.operations[0].id
+    other = next(r.id for r in task.scene.robots if r.id != gt.allocation.by_op[first])
+    allocation = Allocation(by_op={**gt.allocation.by_op, first: other})
+    return task, FixedPlanner(gt.operations, allocation, gt.precedence)
+
+
+@pytest.mark.parametrize("name", ["fifo_differs", "stored_program", "other_robot"])
+def test_a_plan_that_differs_from_its_reference_runs_on_its_own(stage_calls, name):
+    task, planner = _case(name)
+    tree = load_reference_tree()
+    stage_calls.clear()
+    report, _ = bench._run_pipeline(task, planner, tree)
+    assert stage_calls["build_graph"] == stage_calls["execute"] == 2
+    if name == "fifo_differs":
+        assert (report.metadata["generated_makespan"], report.metadata["gt_makespan"]) == (4, 3)
+    _, unshared_report = _unshared(task, planner, tree)
+    assert _report_bytes(report) == _report_bytes(unshared_report)
 
 
 def test_summarize_averages_per_tier():

@@ -15,20 +15,10 @@ import shopfloor.solve
 from shopfloor.cli import main
 from shopfloor.executor import parse_trace
 from shopfloor.graph import build_graph, to_dot
-from shopfloor.model import (
-    SCHEDULE_RECORD,
-    Allocation,
-    GroundTruth,
-    OperationType,
-    PrecedenceSet,
-    TaskInstance,
-    at_label,
-    load_task_instance,
-    serialize_task_instance,
-)
+from shopfloor.model import SCHEDULE_RECORD, load_task_instance, serialize_task_instance
 from shopfloor.planner import LlmConfig, LlmPlanner, RecordedTransport, render_planner_text
 
-from conftest import make_op, make_robot, make_scene, make_workpiece, transport
+from conftest import unscheduled_task
 
 
 @pytest.fixture
@@ -93,6 +83,44 @@ def test_non_utf8_input_file_exits_2(capsys, task_file, tmp_path):
     code, out, err = run_cli(capsys, "execute", str(task_file), "--schedule", str(bad))
     assert (code, out) == (2, "")
     assert f"invalid schedule file {bad}: not UTF-8" in err
+
+
+# A document nested past the decoder's recursion limit, and one holding an
+# integer longer than int() converts: json.loads raises RecursionError and
+# ValueError on them, not JSONDecodeError.
+HOSTILE_JSON = pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"makespan": ' + "9" * 5_000 + "}"], ids=["nesting", "long_integer"]
+)
+
+
+@HOSTILE_JSON
+def test_hostile_task_file_exits_2(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    for command in ("evaluate", "gantt", "solve"):
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid task file {bad}: {bad}: ")
+
+
+@HOSTILE_JSON
+def test_hostile_schedule_file_exits_2(capsys, task_file, tmp_path, text):
+    bad = tmp_path / "schedule.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "execute", str(task_file), "--schedule", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid schedule file {bad}: {bad}: ")
+
+
+@HOSTILE_JSON
+def test_run_over_a_hostile_task_file_exits_2(capsys, tmp_path, text):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    bad = suite / "single_robot_bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--tasks", str(suite))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{bad}: ")
 
 
 @pytest.fixture
@@ -394,30 +422,9 @@ def test_gantt_text_to_stdout_and_svg_to_file(capsys, task_file, tmp_path):
 
 
 def test_a_task_without_a_stored_schedule_shows_the_scored_schedule(capsys, tmp_path):
-    # b1 and a1 share robot r1 and the plan lists b1 first, so FIFO in plan
-    # order delays the chain a1 -> a2 -> a3 by one step; the exact solve
-    # that evaluate scores against does not.
-    ops = (
-        transport("b1", "w2", "conveyor", "pallet_2"),
-        transport("a1", "w1", "conveyor", "table_1"),
-        make_op("a2", OperationType.POLISHING, "w1", "table_1"),
-        transport("a3", "w1", "table_1", "pallet_1"),
-    )
-    task = TaskInstance(
-        scene=make_scene(
-            robots=(make_robot("r1"), make_robot("r2"), make_robot("r3")),
-            workpieces=(
-                make_workpiece("w1", states=("polished", at_label("pallet_1"))),
-                make_workpiece("w2", states=(at_label("pallet_2"),)),
-            ),
-        ),
-        instruction="polish w1 and palletize both workpieces",
-        ground_truth=GroundTruth(
-            operations=ops,
-            allocation=Allocation(by_op={"b1": "r1", "a1": "r1", "a2": "r2", "a3": "r3"}),
-            precedence=PrecedenceSet(chains={"w1": ("a1", "a2", "a3"), "w2": ("b1",)}),
-        ),
-    )
+    # FIFO in plan order takes 4 steps on this task; the exact solve that
+    # evaluate scores against takes 3.
+    task = unscheduled_task()
     task_file = tmp_path / "task.json"
     task_file.write_text(serialize_task_instance(task), encoding="utf-8")
 

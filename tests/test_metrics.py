@@ -37,11 +37,10 @@ from shopfloor.model import (
     parse_task_instance,
     serialize_task_instance,
 )
-from shopfloor.planner import parse_planner_text, render_planner_text
 from shopfloor.solve import solve_fifo
 from shopfloor.tree import assemble_program, load_reference_tree
 
-from conftest import make_op, make_scene, simple_plan, transport
+from conftest import FixedPlanner, make_op, make_scene, simple_plan, transport
 from strategies import plan_triples
 
 TREE = load_reference_tree()
@@ -483,14 +482,6 @@ def _mutate(kind, task):
     return tuple(ops), Allocation(by_op=alloc), PrecedenceSet(chains=prec)
 
 
-class _FixedPlanner:
-    def __init__(self, ops, alloc, prec):
-        self.text = render_planner_text(ops, alloc, prec)
-
-    def plan(self, task):
-        return parse_planner_text(self.text, task.scene)
-
-
 def _scores(report):
     return tuple(getattr(report, field) for field in METRIC_FIELDS)
 
@@ -507,10 +498,10 @@ def test_renaming_ids_leaves_every_metric_unchanged(tier, seed, kind):
     machine_ids = _renaming([m.id for m in task.scene.machines], "station")
     plan = _mutate(kind, task)
 
-    report, _ = _run_pipeline(task, _FixedPlanner(*plan), TREE)
+    report, _ = _run_pipeline(task, FixedPlanner(*plan), TREE)
     renamed_report, _ = _run_pipeline(
         _rename_task(task, op_ids, robot_ids, machine_ids),
-        _FixedPlanner(*_rename_plan(*plan, op_ids, robot_ids, machine_ids)),
+        FixedPlanner(*_rename_plan(*plan, op_ids, robot_ids, machine_ids)),
         TREE,
     )
     assert _scores(renamed_report) == _scores(report)

@@ -23,6 +23,7 @@ from shopfloor.model import (
     classify_args,
     device_name,
     parse_at_label,
+    parse_json,
     parse_task_instance,
     point_name,
     role_placeholder,
@@ -309,6 +310,35 @@ def test_missing_required_key_rejected(scene):
 def test_bad_json_is_a_parse_error():
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_task_instance("{not json")
+
+
+def test_a_syntax_error_keeps_the_decoder_message():
+    with pytest.raises(ParseError) as info:
+        parse_json("{not json", "doc.json")
+    assert str(info.value) == (
+        "doc.json: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [("[" * 100_000, RecursionError), ("9" * 5_000, ValueError)],
+    ids=["nesting", "long_integer"],
+)
+def test_input_the_decoder_refuses_is_a_parse_error(text, error):
+    # A document nested past the recursion limit, or an integer longer than
+    # int() converts, makes json.loads raise something other than
+    # JSONDecodeError; both end as ParseError with the decoder's message.
+    try:
+        json.loads(text)
+    except error as exc:
+        expected = f"doc.json: invalid JSON: {exc}"
+    else:
+        pytest.skip("json.loads accepts this input on this interpreter")
+    with pytest.raises(ParseError) as info:
+        parse_json(text, "doc.json")
+    assert str(info.value) == expected
 
 
 def test_unknown_operation_type_rejected(scene):
