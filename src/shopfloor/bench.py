@@ -15,13 +15,16 @@ the one chain of stages (graph, schedule, assembly, symbolic execution).
 The ground truth runs first, on its stored schedule, else the exact one.
 A task whose ground truth cannot be solved, replayed or scored against
 scores zero on every metric, with an error that starts with
-GROUND_TRUTH_INVALID, and its planner is never called. Otherwise the plan
-runs (metrics.fifo_run), scheduled first-in-first-out in the order the
-planner listed its operations, and a stage that fails scores zero instead
-of aborting the suite. When the plan is the ground truth in its listed
-order, the task stores no program and FIFO gives the reference's start
-steps, as under GroundTruthPlanner on every generated task, the plan
-reuses the reference run: one graph, assembly and execution per task.
+GROUND_TRUTH_INVALID, and its planner is never called. A planner that
+raises anything but PlannerUnavailable scores its task zero with an error
+that starts with INTERNAL_ERROR, naming the exception, and prints its
+traceback to standard error. Otherwise the plan runs (metrics.fifo_run),
+scheduled first-in-first-out in the order the planner listed its
+operations, and a stage that fails scores zero instead of aborting the
+suite. When the plan is the ground truth in its listed order, the task
+stores no program and FIFO gives the reference's start steps, as under
+GroundTruthPlanner on every generated task, the plan reuses the reference
+run: one graph, assembly and execution per task.
 """
 
 from __future__ import annotations
@@ -364,6 +367,7 @@ class BenchmarkResult:
 
 
 GROUND_TRUTH_INVALID = "ground truth invalid: "
+INTERNAL_ERROR = "internal error: "
 
 METRIC_FIELDS = (
     "operation_consistency",
@@ -392,6 +396,11 @@ def _run_pipeline(
         output = planner.plan(task)
     except PlannerUnavailable as exc:
         error = f"planner unavailable: {exc}"
+    except Exception as exc:  # a planner fault: score this task 0, keep the suite going
+        import traceback  # only a planner fault needs it; kept off start-up
+
+        traceback.print_exc()
+        error = f"{INTERNAL_ERROR}{type(exc).__name__}: {exc}"
     operations = output.operations if output is not None else None
     allocation = output.allocation if output is not None else None
     if output is not None and output.ok:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .bench import (
     GROUND_TRUTH_INVALID,
+    INTERNAL_ERROR,
     Tier,
     _run_pipeline,
     generate_instance,
@@ -210,6 +211,10 @@ def _cmd_execute(args) -> int:
     return 0
 
 
+# Task errors after which evaluate and run exit 1, once every output is written.
+_FATAL = (GROUND_TRUTH_INVALID, INTERNAL_ERROR)
+
+
 def _cmd_evaluate(args) -> int:
     task = _load_task(args.task)
     _ground_truth(task)
@@ -217,7 +222,7 @@ def _cmd_evaluate(args) -> int:
     doc = report_to_json(report)
     doc["error"] = error
     _emit(canonical_json(doc), args.out)
-    return 1 if error is not None and error.startswith(GROUND_TRUTH_INVALID) else 0
+    return 1 if error is not None and error.startswith(_FATAL) else 0
 
 
 def _cmd_gantt(args) -> int:
@@ -253,14 +258,14 @@ def _cmd_run(args) -> int:
         out_dir=Path(args.out) if args.out else None,
     )
     sys.stdout.write(canonical_json(result.summary))
-    invalid = [
-        row.task_id for row in result.results
-        if row.error is not None and row.error.startswith(GROUND_TRUTH_INVALID)
-    ]
-    if invalid:
-        print(f"ground truth invalid in: {', '.join(invalid)}", file=sys.stderr)
-        return 1
-    return 0
+    code = 0
+    for prefix in _FATAL:
+        ids = [row.task_id for row in result.results
+               if row.error is not None and row.error.startswith(prefix)]
+        if ids:
+            print(f"{prefix.rstrip(': ')} in: {', '.join(ids)}", file=sys.stderr)
+            code = 1
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,9 @@ def fifo_run(
     the ground truth's in the same order, its allocation and chains are
     equal, the ground truth stores no program and FIFO over that order gives
     the reference's start steps, the run is the reference's outcome and
-    status under the FIFO schedule."""
+    status under the FIFO schedule. When only the start steps differ, the
+    plan's graph is the reference's, so the FIFO schedule already made on it
+    is the plan's."""
     order = [op.id for op in operations]
     gt = task.ground_truth
     if (
@@ -202,6 +204,8 @@ def fifo_run(
         schedule = solve_fifo(reference.schedule.graph, order)
         if schedule.start_steps == reference.schedule.start_steps:
             return Run(schedule, reference.outcome, reference.status)
+        return run_plan(task.scene, operations, allocation, precedence, tree,
+                        lambda graph: schedule)
     return run_plan(task.scene, operations, allocation, precedence, tree,
                     lambda graph: solve_fifo(graph, order))
 

@@ -12,18 +12,23 @@ process tree and the trace line with them. A codec's load rejects every
 shape fault with a ParseError naming its path. Serialization is canonical:
 fixed key order, sorted collections where order carries no meaning,
 two-space indent, trailing newline. Re-serializing a parsed document always
-reproduces it byte for byte.
+reproduces it byte for byte. canonical_json is the one writer of that
+layout (task files, trees, prompts, metrics, summaries): one recursive pass
+whose bytes equal json.dumps(data, indent=2, ensure_ascii=False) plus a
+newline, without the stdlib's pure-Python indent encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Protocol, Sequence
@@ -506,8 +511,67 @@ def parse_json(text: str, path: str) -> Any:
 
 
 def canonical_json(data: Any) -> str:
-    """Render a JSON document in the package's canonical layout."""
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """Render a JSON document in the package's canonical layout.
+
+    A non-empty dict is "{", then each `key: value` on its own line two
+    spaces deeper than the enclosing one, separated by ",", then "}" on a
+    line at the enclosing depth; lists and tuples are laid out the same way
+    between brackets, and empty ones are "{}" and "[]". Strings and keys are
+    escaped by json.encoder.encode_basestring, ints and floats written by
+    their repr (NaN and infinities as NaN, Infinity, -Infinity), and True,
+    False and None as true, false and null. A trailing newline ends the
+    document. On documents of str-keyed dicts, lists, tuples, str, int,
+    float, bool and None this equals json.dumps(data, indent=2,
+    ensure_ascii=False) + "\\n", which on CPython 3.10 and 3.11 runs its
+    pure-Python encoder whenever an indent is set.
+
+    Values are dispatched on their exact type: any other value, a subclass
+    of those types included, raises TypeError, and so does a dict key that
+    is not a str (json.dumps would coerce an int, float, bool or None key).
+    """
+    return _render(data, "\n") + "\n"
+
+
+def _render(value: Any, newline: str) -> str:
+    """value in the canonical layout; newline is "\\n" plus the indent of
+    the line value starts on."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring raises TypeError for a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            f"{_quote(key)}: {_quote(item) if type(item) is str else _render(item, inner)}"
+            for key, item in value.items()
+        ]) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(item) if type(item) is str else _render(item, inner)
+            for item in value
+        ]) + newline + "]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

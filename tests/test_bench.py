@@ -399,7 +399,8 @@ def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Calls of the graph, assembly and execution stages that metrics makes."""
+    """Calls of the graph, FIFO, assembly and execution stages that metrics
+    makes."""
     calls: Counter = Counter()
 
     def counted(name):
@@ -411,7 +412,7 @@ def stage_calls(monkeypatch):
 
         return call
 
-    for name in ("build_graph", "assemble_program", "execute"):
+    for name in ("build_graph", "solve_fifo", "assemble_program", "execute"):
         monkeypatch.setattr(metrics, name, counted(name))
     return calls
 
@@ -442,8 +443,8 @@ def test_the_ground_truth_plan_reuses_the_reference_run(stage_calls):
             stage_calls.clear()
             report, error = bench._run_pipeline(task, planner, tree)
             assert error is None
-            assert stage_calls == {"build_graph": 1, "assemble_program": 1, "execute": 1}, (
-                tier, seed)
+            assert stage_calls == {"build_graph": 1, "solve_fifo": 1, "assemble_program": 1,
+                                   "execute": 1}, (tier, seed)
 
             reference = reference_run(task, tree)
             output = planner.plan(task)
@@ -487,6 +488,8 @@ def test_a_plan_that_differs_from_its_reference_runs_on_its_own(stage_calls, nam
     stage_calls.clear()
     report, _ = bench._run_pipeline(task, planner, tree)
     assert stage_calls["build_graph"] == stage_calls["execute"] == 2
+    # the plan is solved once, also when its FIFO schedule is already made
+    assert stage_calls["solve_fifo"] == 1
     if name == "fifo_differs":
         assert (report.metadata["generated_makespan"], report.metadata["gt_makespan"]) == (4, 3)
     _, unshared_report = _unshared(task, planner, tree)

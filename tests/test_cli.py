@@ -11,12 +11,19 @@ import os
 
 import pytest
 
+import shopfloor.cli
 import shopfloor.solve
 from shopfloor.cli import main
 from shopfloor.executor import parse_trace
 from shopfloor.graph import build_graph, to_dot
 from shopfloor.model import SCHEDULE_RECORD, load_task_instance, serialize_task_instance
-from shopfloor.planner import LlmConfig, LlmPlanner, RecordedTransport, render_planner_text
+from shopfloor.planner import (
+    GroundTruthPlanner,
+    LlmConfig,
+    LlmPlanner,
+    RecordedTransport,
+    render_planner_text,
+)
 
 from conftest import unscheduled_task
 
@@ -564,6 +571,45 @@ def test_run_scores_an_unsolvable_unscheduled_task_zero_and_exits_1(
         f"{len(doc['ground_truth']['operations'])} operations"
     )
     assert invalid["success_rate"] == 0.0
+
+
+class _FailsOnSecondTask(GroundTruthPlanner):
+    """The ground-truth planner, except that its second call raises."""
+
+    calls = 0
+
+    def plan(self, task):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("planner bug")
+        return super().plan(task)
+
+
+def test_run_scores_a_task_whose_planner_raises_zero_and_exits_1(
+    capsys, tmp_path, monkeypatch
+):
+    suite = tmp_path / "suite"
+    assert main(["generate", "--suite", str(suite), "--per-tier", "2",
+                 "--tiers", "single_robot"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(shopfloor.cli, "_planner", lambda name: _FailsOnSecondTask())
+    out_dir = tmp_path / "results"
+    code, out, err = run_cli(capsys, "run", "--tasks", str(suite), "--out", str(out_dir))
+    assert code == 1
+    assert "internal error in: single_robot_0001" in err
+    assert "RuntimeError: planner bug" in err  # the traceback
+    summary = json.loads(out)
+    assert summary == json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert (summary["task_count"], summary["errors"]) == (2, 1)
+    assert summary["overall"]["success_rate"] == 0.5
+    valid = json.loads((out_dir / "single_robot_0000.metrics.json").read_text(encoding="utf-8"))
+    assert (valid["error"], valid["success_rate"]) == (None, 1.0)
+    failed = json.loads((out_dir / "single_robot_0001.metrics.json").read_text(encoding="utf-8"))
+    assert failed["error"] == "internal error: RuntimeError: planner bug"
+    for key in ("operation_consistency", "scheduling_efficiency", "executability",
+                "goal_condition_recall", "success_rate"):
+        assert failed[key] == 0.0
+    assert (out_dir / "suite.csv").read_text(encoding="utf-8").count("\n") == 3
 
 
 def test_run_rejects_oddly_named_task_files(capsys, tmp_path):

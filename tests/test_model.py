@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shopfloor.errors import ParseError, ValidationError
 from shopfloor.model import (
@@ -412,6 +413,53 @@ def test_scene_round_trip_property(pieces):
     parsed = SCENE.load(json.loads(text), "scene")
     assert canonical_json(scene_to_json(parsed)) == text
     assert SCENE.load(json.loads(canonical_json(scene_to_json(parsed))), "scene") == parsed
+
+
+# The JSON data model canonical_json takes: str-keyed dicts, lists,
+# tuples, str, int, float, bool and None. Text mixes arbitrary code points,
+# lone surrogates included, with the characters JSON escapes.
+_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\ud800\udfffé€'),
+))
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(10 ** 4299), max_value=10 ** 4299),
+        st.floats(),
+        st.sampled_from([-0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf]),
+        _TEXT,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+@example({"a": [], "b": {}, "c": (), "": [{}]})
+@example([-0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf, -(10 ** 4299), 10 ** 4299])
+@example({"\ud800\"\\\x00é": ["\udfff\n\u2028", True, False, None]})
+def test_canonical_json_is_the_stdlib_indent_layout(value):
+    assert canonical_json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2},
+    object(),
+    {1: "a"},
+    {"a": [{None: 1}]},
+    ["ok", {"a": frozenset()}],
+])
+def test_canonical_json_rejects_values_outside_the_data_model(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 # ---------------------------------------------------------------------------
