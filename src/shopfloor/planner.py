@@ -34,6 +34,7 @@ SECTION_NAMES = ("OPERATIONS", "ALLOCATION", "PRECEDENCE")
 # A fence opens with ```NAME, optional spaces or tabs and a LF or CRLF line
 # end; body lines are read with splitlines, so CRLF bodies parse as LF ones.
 _FENCE_RE = re.compile(r"```(\w+)[ \t]*\r?\n(.*?)```", re.DOTALL)
+_PLACEHOLDER_RE = re.compile(r"<<(SCENE|INSTRUCTION)>>")
 
 
 @dataclass(frozen=True)
@@ -247,11 +248,15 @@ def load_prompt_template() -> str:
 
 
 def build_prompt(task: TaskInstance, template: str | None = None) -> str:
+    """The template with its <<SCENE>> and <<INSTRUCTION>> placeholders
+    filled in one pass, so a placeholder inside the scene or the
+    instruction stays literal."""
     text = template if template is not None else load_prompt_template()
-    scene_doc = canonical_json(scene_to_json(task.scene))
-    return text.replace("<<SCENE>>", scene_doc).replace(
-        "<<INSTRUCTION>>", task.instruction
-    )
+    values = {
+        "SCENE": canonical_json(scene_to_json(task.scene)),
+        "INSTRUCTION": task.instruction,
+    }
+    return _PLACEHOLDER_RE.sub(lambda m: values[m[1]], text)
 
 
 Transport = Callable[[LlmConfig, str], str]

@@ -6,7 +6,11 @@ may never share a step, and an operation starts strictly after every
 predecessor finished. The start steps are the whole solution: every
 disjunctive arc points from the earlier start to the later one, so the
 solvers return a ScheduleGraph that holds only the graph and its steps.
-The exact solver's schedule stands for a ground truth at every size.
+The exact solver's schedule stands for a ground truth at every size. It
+returns FIFO over plan order without searching when that meets the lower
+bound (the longest chain or the busiest resource), as nearly every
+generated instance does: the search would return the same schedule, and
+the budget is counted as the search counts it.
 
 The solvers read each operation's chain predecessor and held resources
 (DisjunctiveGraph.preds and .held): operations ready together are chain
@@ -155,7 +159,40 @@ def _maximal_conflict_free_subsets(
             yield chosen
 
 
+def _lower_bound(graph: DisjunctiveGraph) -> int:
+    """Steps no schedule can beat: the longest chain or the busiest
+    resource, each running one operation per step."""
+    return max(map(len, (*graph.chains, *graph.resources.values())), default=0)
+
+
 def brute_force_optimal(graph: DisjunctiveGraph) -> ScheduleGraph:
+    """A minimal-makespan schedule; InstanceTooLarge once SEARCH_BUDGET
+    subsets are tried.
+
+    The search (_search) tries FIFO over plan order first and keeps it
+    without backtracking when it meets the lower bound. So when FIFO meets
+    the bound, its schedule is returned without searching: the same start
+    steps, the same tie-break. The budget is counted as the search counts
+    it: every path the search completes tries at least one subset per
+    step, so a bound past SEARCH_BUDGET gives up with the search's message,
+    and an exit at bound b stands for the b subsets of the search's first
+    path.
+    """
+    bound = _lower_bound(graph)
+    if bound > SEARCH_BUDGET:
+        raise _gave_up(graph)
+    fifo = solve_fifo(graph, graph.op_ids)
+    return fifo if fifo.makespan == bound else _search(graph)
+
+
+def _gave_up(graph: DisjunctiveGraph) -> InstanceTooLarge:
+    return InstanceTooLarge(
+        f"exact search gave up after {SEARCH_BUDGET} subsets on "
+        f"{len(graph.op_ids)} operations"
+    )
+
+
+def _search(graph: DisjunctiveGraph) -> ScheduleGraph:
     """A minimal-makespan schedule by iterative deepening (Korf 1985) over
     each step's dispatch choices; InstanceTooLarge once SEARCH_BUDGET
     subsets are tried.
@@ -190,7 +227,7 @@ def brute_force_optimal(graph: DisjunctiveGraph) -> ScheduleGraph:
     root = (*map(len, chains), *map(len, graph.resources.values()))
     failed: dict[tuple[int, ...], int] = {}  # state -> most steps it failed in
     tried = 0
-    limit = max(root, default=0)
+    limit = _lower_bound(graph)
     while True:
         # Depth first within limit steps: levels holds each state on the
         # path with its untried children, launched the sets between them.
@@ -205,10 +242,7 @@ def brute_force_optimal(graph: DisjunctiveGraph) -> ScheduleGraph:
             for subset, child in options:
                 tried += 1
                 if tried > SEARCH_BUDGET:
-                    raise InstanceTooLarge(
-                        f"exact search gave up after {SEARCH_BUDGET} subsets on "
-                        f"{len(graph.op_ids)} operations"
-                    )
+                    raise _gave_up(graph)
                 if max(child) <= steps_left and failed.get(child, -1) < steps_left:
                     levels.append((child, children(child)))
                     launched.append(subset)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 
 import shopfloor
 from shopfloor.errors import PlannerUnavailable
-from shopfloor.model import Allocation, GroundTruth, PrecedenceSet, TaskInstance
+from shopfloor.model import (
+    Allocation,
+    GroundTruth,
+    PrecedenceSet,
+    TaskInstance,
+    parse_task_instance,
+)
 from shopfloor.planner import (
     GroundTruthPlanner,
     LlmConfig,
@@ -257,6 +264,17 @@ def test_prompt_carries_scene_and_instruction():
         assert section in prompt
     assert "<<SCENE>>" not in prompt
     assert "<<INSTRUCTION>>" not in prompt
+
+
+def test_placeholder_in_the_scene_stays_literal():
+    # A machine named like a placeholder is not filled in after the scene is.
+    path = Path(shopfloor.__file__).parent / "data" / "tasks" / "simple_multi_relay.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["scene"]["machines"][0]["name"] = "<<INSTRUCTION>>"
+    task = parse_task_instance(json.dumps(doc))
+    prompt = build_prompt(task)
+    assert '"name": "<<INSTRUCTION>>"' in prompt
+    assert prompt.count(task.instruction) == 1
 
 
 def test_prompt_template_loads_from_package_data():

@@ -22,6 +22,7 @@ from shopfloor.model import Allocation, OperationType, PrecedenceSet, ScheduleRe
 from shopfloor.solve import (
     ScheduleGraph,
     _fault,
+    _search,
     brute_force_optimal,
     is_feasible,
     schedule_from_record,
@@ -489,6 +490,67 @@ def test_brute_force_never_beaten_by_fifo(triple):
     best = brute_force_optimal(g)
     assert best.makespan <= fifo.makespan
     assert best.makespan == optimal_makespan_by_search(g)
+
+
+def _recording_search(mp, entered):
+    """Patch the solver's search to note each graph it is entered with."""
+    search = shopfloor.solve._search
+
+    def recorded(graph):
+        entered.append(graph)
+        return search(graph)
+
+    mp.setattr(shopfloor.solve, "_search", recorded)
+
+
+@given(plan_triples())
+@settings(max_examples=150, deadline=None)
+def test_bound_exit_returns_what_the_search_returns(triple):
+    ops, alloc, prec, scene = triple
+    g = build_graph(ops, prec, alloc, scene)
+    entered = []
+    with pytest.MonkeyPatch.context() as mp:
+        _recording_search(mp, entered)
+        s = brute_force_optimal(g)
+    searched = _search(g)
+    # Same steps in the same order, so the same bytes once serialized.
+    assert list(s.start_steps.items()) == list(searched.start_steps.items())
+    assert s.makespan == searched.makespan
+    # The search runs exactly when FIFO over plan order misses the bound.
+    bound = max([len(c) for c in prec.chains.values()]
+                + [len(users) for users in g.resources.values()], default=0)
+    assert bool(entered) == (solve_fifo(g, g.op_ids).makespan != bound)
+
+
+@given(plan_triples(), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_bound_exit_keeps_the_search_budget(triple, budget):
+    ops, alloc, prec, scene = triple
+    g = build_graph(ops, prec, alloc, scene)
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shopfloor.solve, "SEARCH_BUDGET", budget)
+        for solver in (brute_force_optimal, _search):
+            try:
+                s = solver(g)
+            except InstanceTooLarge as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((list(s.start_steps.items()), s.makespan))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_generator_searches_only_where_fifo_misses_the_bound(monkeypatch):
+    entered = []
+    _recording_search(monkeypatch, entered)
+    searched = []
+    for tier in Tier:
+        for seed in range(100):
+            before = len(entered)
+            generate_instance(tier, seed)
+            if len(entered) > before:
+                searched.append((tier, seed))
+    assert searched == [(Tier.COMPLEX_MULTI, seed) for seed in (43, 44, 59)]
 
 
 @given(plan_triples(max_workpieces=3, max_ops_per=2, n_robots=3))
