@@ -24,7 +24,10 @@ operations, and a stage that fails scores zero instead of aborting the
 suite. When the plan is the ground truth in its listed order, the task
 stores no program and FIFO gives the reference's start steps, as under
 GroundTruthPlanner on every generated task, the plan reuses the reference
-run: one graph, assembly and execution per task.
+run: one graph, assembly and execution per task. When only FIFO's start
+steps differ, the plan's schedule callback returns the FIFO schedule made
+on the reference's graph, so the plan builds no graph of its own: one
+graph and two executions per task.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .errors import (
 )
 from .graph import build_graph
 from .metrics import (
+    METRIC_FIELDS,
     EvaluationReport,
     Run,
     fifo_run,
@@ -86,7 +90,6 @@ class Tier(str, Enum):
 
 @dataclass(frozen=True)
 class TierSpec:
-    tier: Tier
     robots: tuple[int, int]
     workpieces: tuple[int, int]
     max_operations: int
@@ -95,9 +98,9 @@ class TierSpec:
 
 
 TIER_SPECS: Mapping[Tier, TierSpec] = {
-    Tier.SINGLE_ROBOT: TierSpec(Tier.SINGLE_ROBOT, (1, 1), (1, 1), 5, (1, 1), (1, 1)),
-    Tier.SIMPLE_MULTI: TierSpec(Tier.SIMPLE_MULTI, (2, 3), (2, 3), 10, (1, 2), (1, 2)),
-    Tier.COMPLEX_MULTI: TierSpec(Tier.COMPLEX_MULTI, (4, 7), (3, 6), 24, (2, 3), (2, 3)),
+    Tier.SINGLE_ROBOT: TierSpec((1, 1), (1, 1), 5, (1, 1), (1, 1)),
+    Tier.SIMPLE_MULTI: TierSpec((2, 3), (2, 3), 10, (1, 2), (1, 2)),
+    Tier.COMPLEX_MULTI: TierSpec((4, 7), (3, 6), 24, (2, 3), (2, 3)),
 }
 
 _KINDS = ("steel plate", "aluminum sheet", "cast bracket")
@@ -136,32 +139,21 @@ def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
     table_ids = [f"table_{i + 1}" for i in range(n_tables)]
     pallet_ids = [f"pallet_{i + 1}" for i in range(n_pallets)]
     workpiece_ids = [f"w{i + 1}" for i in range(n_workpieces)]
-    points = ("Photo_Point",) if handheld else ()
+    points = frozenset({"Photo_Point"} if handheld else ())
 
-    machines = [
-        Machine(
-            id="conveyor",
-            name="conveyor belt",
-            exclusive=False,
-            points=frozenset(points),
-            held_workpieces=tuple(workpiece_ids),
-        )
-    ]
-    machines += [
-        Machine(id=t, name="work table", exclusive=True,
-                points=frozenset(points), held_workpieces=())
-        for t in table_ids
-    ]
-    machines += [
-        Machine(id=p, name="pallet", exclusive=False,
-                points=frozenset(points), held_workpieces=())
-        for p in pallet_ids
-    ]
-    machine_ids = [m.id for m in machines]
+    # (id, name, exclusive, held workpieces) of every machine
+    machine_rows = [("conveyor", "conveyor belt", False, tuple(workpiece_ids))]
+    machine_rows += [(t, "work table", True, ()) for t in table_ids]
+    machine_rows += [(p, "pallet", False, ()) for p in pallet_ids]
+    machines = tuple(
+        Machine(machine_id, name, exclusive, points, held)
+        for machine_id, name, exclusive, held in machine_rows
+    )
+    machine_ids = frozenset(machine.id for machine in machines)
     devices = _BASE_DEVICES | {"camera" if handheld else "bracket_camera"}
     robots = tuple(
         Robot(id=f"r{i + 1}", devices=devices,
-              reachable_machines=frozenset(machine_ids))
+              reachable_machines=machine_ids)
         for i in range(n_robots)
     )
 
@@ -170,42 +162,21 @@ def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
     chains: dict[str, tuple[str, ...]] = {}
     workpieces: list[Workpiece] = []
     sentences: list[str] = []
-    counter = 0
-
-    def next_id() -> str:
-        nonlocal counter
-        counter += 1
-        return f"o{counter}"
-
     for wp_id, flags in zip(workpiece_ids, states):
         table = rng.choice(table_ids)
         pallet = rng.choice(pallet_ids)
         robot = rng.choice(robots).id
         kind = rng.choice(_KINDS)
+        # (type, machine_1, machine_2): transport in, one step per flag, out
+        steps = [(OperationType.TRANSPORT, "conveyor", table),
+                 *[(_TYPE_FOR_FLAG[flag], table, None) for flag in flags],
+                 (OperationType.TRANSPORT, table, pallet)]
         chain: list[str] = []
-
-        op_id = next_id()
-        operations.append(
-            Operation(id=op_id, op_type=OperationType.TRANSPORT,
-                      workpiece=wp_id, machine_1="conveyor", machine_2=table)
-        )
-        chain.append(op_id)
-        for flag in flags:
-            op_id = next_id()
-            operations.append(
-                Operation(id=op_id, op_type=_TYPE_FOR_FLAG[flag],
-                          workpiece=wp_id, machine_1=table)
-            )
+        for op_type, machine_1, machine_2 in steps:
+            op_id = f"o{len(operations) + 1}"
+            operations.append(Operation(op_id, op_type, wp_id, machine_1, machine_2))
+            by_op[op_id] = robot
             chain.append(op_id)
-        op_id = next_id()
-        operations.append(
-            Operation(id=op_id, op_type=OperationType.TRANSPORT,
-                      workpiece=wp_id, machine_1=table, machine_2=pallet)
-        )
-        chain.append(op_id)
-
-        for oid in chain:
-            by_op[oid] = robot
         chains[wp_id] = tuple(chain)
         workpieces.append(
             Workpiece(id=wp_id, kind=kind,
@@ -217,7 +188,7 @@ def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
             + f", and set it down on {pallet}."
         )
 
-    scene = Scene(robots=robots, machines=tuple(machines),
+    scene = Scene(robots=robots, machines=machines,
                   workpieces=tuple(workpieces))
     allocation = Allocation(by_op=by_op)
     precedence = PrecedenceSet(chains=chains)
@@ -368,14 +339,6 @@ class BenchmarkResult:
 
 GROUND_TRUTH_INVALID = "ground truth invalid: "
 INTERNAL_ERROR = "internal error: "
-
-METRIC_FIELDS = (
-    "operation_consistency",
-    "scheduling_efficiency",
-    "executability",
-    "goal_condition_recall",
-    "success_rate",
-)
 
 
 def _run_pipeline(

@@ -9,13 +9,16 @@ success rate (all-or-nothing on efficiency and recall).
 
 run_plan is the one chain of stages, for a plan and for its ground truth
 alike: disjunctive graph, schedule, process-tree program, symbolic
-execution and status delta. A stage that fails stops the run and is kept
-as its error. reference_run takes the ground truth through it (the
-stored schedule, else the exact one), and score compares a plan's run
-with that reference run; stages the plan never reached score zero.
+execution and status delta. Its schedule callback takes no argument and
+builds the graph itself, so a caller that already holds the plan's graph
+builds none. A stage that fails stops the run and is kept as its error.
+reference_run takes the ground truth through it (the stored schedule,
+else the exact one), and score compares a plan's run with that reference
+run; stages the plan never reached score zero.
 bench runs the reference first, before any planner call, then the plan
 through fifo_run, which reuses the reference run's outcome and status
-when every stage input of the plan equals the reference's.
+when every stage input of the plan equals the reference's, and the
+reference's graph when only the start steps differ.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .executor import ExecutionOutcome, execute, initial_state, status_delta
-from .graph import DisjunctiveGraph, build_graph
+from .graph import build_graph
 from .model import Allocation, Operation, PrecedenceSet, Program, Scene, TaskInstance
 from .solve import ScheduleGraph, reference_schedule, solve_fifo
 from .tree import ProcessTree, assemble_program, load_reference_tree
@@ -140,19 +143,19 @@ def run_plan(
     scene: Scene,
     operations: Sequence[Operation],
     allocation: Allocation,
-    precedence: PrecedenceSet,
     tree: ProcessTree,
-    solve: Callable[[DisjunctiveGraph], ScheduleGraph],
+    solve: Callable[[], ScheduleGraph],
     program: Program | None = None,
 ) -> Run:
-    """Build the plan's disjunctive graph, schedule it with solve(graph),
-    assemble its program from tree unless one is given, execute it and take
-    the status delta. A stage that raises ValidationError, NoBranch,
-    AmbiguousBranch or InstanceTooLarge stops the run, which keeps what the
-    stages before it made, and the error."""
+    """Schedule the plan with solve(), which builds the plan's disjunctive
+    graph unless it reuses one already built, assemble its program from
+    tree unless one is given, execute it and take the status delta. A stage
+    that raises ValidationError, NoBranch, AmbiguousBranch or
+    InstanceTooLarge stops the run, which keeps what the stages before it
+    made, and the error."""
     schedule = None
     try:
-        schedule = solve(build_graph(operations, precedence, allocation, scene))
+        schedule = solve()
         if program is None:
             program = assemble_program(tree, operations, allocation, scene)
         outcome = execute(schedule, program, scene, operations)
@@ -169,9 +172,12 @@ def reference_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:
     if gt is None:
         raise ValueError("task carries no ground truth to evaluate against")
     return run_plan(
-        task.scene, gt.operations, gt.allocation, gt.precedence,
+        task.scene, gt.operations, gt.allocation,
         tree if tree is not None else load_reference_tree(),
-        lambda graph: reference_schedule(graph, gt.schedule), gt.program,
+        lambda: reference_schedule(
+            build_graph(gt.operations, gt.precedence, gt.allocation, task.scene), gt.schedule
+        ),
+        gt.program,
     )
 
 
@@ -191,8 +197,8 @@ def fifo_run(
     equal, the ground truth stores no program and FIFO over that order gives
     the reference's start steps, the run is the reference's outcome and
     status under the FIFO schedule. When only the start steps differ, the
-    plan's graph is the reference's, so the FIFO schedule already made on it
-    is the plan's."""
+    plan's graph is the reference's, so the FIFO schedule already made on
+    that graph is the plan's, and no graph is built again."""
     order = [op.id for op in operations]
     gt = task.ground_truth
     if (
@@ -204,10 +210,11 @@ def fifo_run(
         schedule = solve_fifo(reference.schedule.graph, order)
         if schedule.start_steps == reference.schedule.start_steps:
             return Run(schedule, reference.outcome, reference.status)
-        return run_plan(task.scene, operations, allocation, precedence, tree,
-                        lambda graph: schedule)
-    return run_plan(task.scene, operations, allocation, precedence, tree,
-                    lambda graph: solve_fifo(graph, order))
+        return run_plan(task.scene, operations, allocation, tree, lambda: schedule)
+    return run_plan(
+        task.scene, operations, allocation, tree,
+        lambda: solve_fifo(build_graph(operations, precedence, allocation, task.scene), order),
+    )
 
 
 def ground_truth_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:
@@ -226,6 +233,15 @@ class EvaluationReport:
     goal_condition_recall: float
     success_rate: float
     metadata: Mapping[str, Any]
+
+
+METRIC_FIELDS = (
+    "operation_consistency",
+    "scheduling_efficiency",
+    "executability",
+    "goal_condition_recall",
+    "success_rate",
+)
 
 
 def score(
@@ -300,11 +316,6 @@ def evaluate_instance(
 
 
 def report_to_json(report: EvaluationReport) -> dict:
-    return {
-        "operation_consistency": report.operation_consistency,
-        "scheduling_efficiency": report.scheduling_efficiency,
-        "executability": report.executability,
-        "goal_condition_recall": report.goal_condition_recall,
-        "success_rate": report.success_rate,
-        "metadata": dict(report.metadata),
-    }
+    doc = {field: getattr(report, field) for field in METRIC_FIELDS}
+    doc["metadata"] = dict(report.metadata)
+    return doc

@@ -4,6 +4,8 @@ A planner turns a task into the operations/allocation/precedence triple.
 The exchange format is plain text with three fenced sections so that a
 remote language model can produce it; parsing is tolerant of surrounding
 prose and collects problems into a validation report instead of raising.
+A repeated section, allocation op id or precedence workpiece is such a
+problem, and the first one is kept.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -122,19 +125,34 @@ def _parse_operations(body: str, problems: list[str]) -> tuple[Operation, ...]:
     return tuple(ops)
 
 
+def _keyed(body: str, kind: str, problems: list[str]) -> dict[str, str]:
+    """A two-field section as a map from each line's first field to its
+    second; a repeated first field is a violation, and its first line is
+    kept."""
+    table: dict[str, str] = {}
+    for key, value in _rows(body, kind, (2,), problems):
+        if key in table:
+            problems.append(f"duplicate {kind} line for {key!r}; keeping the first")
+        else:
+            table[key] = value
+    return table
+
+
 def _parse_allocation(body: str, problems: list[str]) -> Allocation:
-    return Allocation(
-        by_op={op_id: robot for op_id, robot in _rows(body, "allocation", (2,), problems)}
-    )
+    return Allocation(by_op=_keyed(body, "allocation", problems))
 
 
 def _parse_precedence(body: str, problems: list[str]) -> PrecedenceSet:
     return PrecedenceSet(
         chains={
             workpiece: tuple(p.strip() for p in chain.split(",") if p.strip())
-            for workpiece, chain in _rows(body, "precedence", (2,), problems)
+            for workpiece, chain in _keyed(body, "precedence", problems).items()
         }
     )
+
+
+# The parser of each section, in SECTION_NAMES order.
+_PARSERS = (_parse_operations, _parse_allocation, _parse_precedence)
 
 
 def parse_planner_text(text: str, scene: Scene) -> PlannerOutput:
@@ -157,31 +175,16 @@ def parse_planner_text(text: str, scene: Scene) -> PlannerOutput:
         if name not in sections:
             problems.append(f"no {name} section found")
 
-    operations = (
-        _parse_operations(sections["OPERATIONS"], problems)
-        if "OPERATIONS" in sections
-        else None
-    )
-    allocation = (
-        _parse_allocation(sections["ALLOCATION"], problems)
-        if "ALLOCATION" in sections
-        else None
-    )
-    precedence = (
-        _parse_precedence(sections["PRECEDENCE"], problems)
-        if "PRECEDENCE" in sections
-        else None
-    )
-    if operations is not None and allocation is not None and precedence is not None:
-        semantic = validate_planner_output(operations, allocation, precedence, scene)
+    # the triple, each part None when its section is missing
+    triple = [
+        parse(sections[name], problems) if name in sections else None
+        for name, parse in zip(SECTION_NAMES, _PARSERS)
+    ]
+    if None not in triple:
+        semantic = validate_planner_output(*triple, scene)
         problems.extend(semantic.violations)
-    return PlannerOutput(
-        operations=operations,
-        allocation=allocation,
-        precedence=precedence,
-        raw=text,
-        report=ValidationReport(violations=tuple(problems)),
-    )
+    report = ValidationReport(violations=tuple(problems))
+    return PlannerOutput(*triple, raw=text, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,7 @@ def config_from_env(environ: Mapping[str, str] = os.environ) -> LlmConfig:
     )
 
 
+@cache
 def load_prompt_template() -> str:
     return (
         resources.files("shopfloor")

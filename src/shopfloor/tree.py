@@ -29,14 +29,21 @@ strict-JSON combinators in model.
 Conditions are s-expressions over a closed vocabulary:
 
     true
-    (= op.type "transport")            attribute equality; also
-                                       workpiece.kind, machine_1.name,
-                                       machine_2.name
+    (and <expr> <expr> ...)
+    (not <expr>)
+
+and three leaf forms of one shape, (head role "value"). One table
+(_LEAVES) lists the roles each head accepts and what the leaf tests, so
+the three are parsed by one rule and evaluated by one lookup:
+
+    (= op.type "transport")            attribute equality; the roles are
+                                       op.type, workpiece.kind,
+                                       machine_1.name, machine_2.name
     (device-present robot "camera")    every robot that can reach the
                                        operation's machine_1 carries it
     (point-present machine_1 "Photo_Point")
-    (and <expr> <expr> ...)
-    (not <expr>)
+                                       the machine (machine_1 or
+                                       machine_2) has the point
 """
 
 from __future__ import annotations
@@ -45,12 +52,11 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from .model import (
     INT,
-    MACHINE_ROLES,
     SKILL_CALL,
     SKILLS,
     STR,
@@ -151,12 +157,20 @@ class ProcessTree:
 # condition language
 
 _TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
-# Each attribute of (= attr "value"), read from a Features record.
-_ATTRS = {
-    "op.type": lambda f: f.op_type.value,
-    "workpiece.kind": lambda f: f.workpiece_kind,
-    "machine_1.name": lambda f: f.machine_1_name,
-    "machine_2.name": lambda f: f.machine_2_name,
+# The leaf forms, each (head role "value"): the roles each head accepts,
+# and what the leaf holds on a Features record given its value.
+_LEAVES: dict[str, dict[str, Callable[[Features, str], bool]]] = {
+    "=": {
+        "op.type": lambda f, v: f.op_type.value == v,
+        "workpiece.kind": lambda f, v: f.workpiece_kind == v,
+        "machine_1.name": lambda f, v: f.machine_1_name == v,
+        "machine_2.name": lambda f, v: f.machine_2_name == v,
+    },
+    "device-present": {"robot": lambda f, v: v in f.devices},
+    "point-present": {
+        "machine_1": lambda f, v: v in f.machine_1_points,
+        "machine_2": lambda f, v: v in f.machine_2_points,
+    },
 }
 
 
@@ -206,36 +220,18 @@ def parse_condition(text: str) -> Any:
             if take() != ")":
                 raise ParseError("(not ...) takes exactly one sub-expression")
             return ["not", inner]
-        if head == "=":
-            attr = take()
-            if attr not in _ATTRS:
-                raise ParseError(f"unknown attribute {attr!r} in condition")
+        if head in _LEAVES:
+            role = take()
+            if role not in _LEAVES[head]:
+                roles = ", ".join(_LEAVES[head])
+                raise ParseError(f"({head} ...) takes one of {roles} as its role, got {role!r}")
             value = take()
             if not (value.startswith('"') and value.endswith('"')):
-                raise ParseError(f"attribute value must be quoted, got {value!r}")
-            if take() != ")":
-                raise ParseError("(= ...) takes an attribute and one value")
-            return ["=", attr, value[1:-1]]
-        if head == "device-present":
-            role = take()
-            if role != "robot":
-                raise ParseError("device-present applies to the robot role")
-            name = take()
-            if not (name.startswith('"') and name.endswith('"')):
-                raise ParseError(f"device name must be quoted, got {name!r}")
-            if take() != ")":
-                raise ParseError("(device-present ...) takes a role and a name")
-            return ["device-present", role, name[1:-1]]
-        if head == "point-present":
-            role = take()
-            if role not in MACHINE_ROLES:
-                raise ParseError("point-present applies to machine_1 or machine_2")
-            name = take()
-            if not (name.startswith('"') and name.endswith('"')):
-                raise ParseError(f"point name must be quoted, got {name!r}")
-            if take() != ")":
-                raise ParseError("(point-present ...) takes a role and a name")
-            return ["point-present", role, name[1:-1]]
+                raise ParseError(f"({head} ...) needs a quoted value, got {value!r}")
+            end = take()
+            if end != ")":
+                raise ParseError(f"({head} ...) takes a role and one value, got {end!r}")
+            return [head, role, value[1:-1]]
         raise ParseError(f"unknown condition form {head!r}")
 
     result = expr()
@@ -252,12 +248,8 @@ def eval_condition(expr: Any, f: Features) -> bool:
         return all(eval_condition(e, f) for e in expr[1:])
     if head == "not":
         return not eval_condition(expr[1], f)
-    if head == "=":
-        return _ATTRS[expr[1]](f) == expr[2]
-    if head == "device-present":
-        return expr[2] in f.devices
-    if head == "point-present":
-        return expr[2] in (f.machine_1_points if expr[1] == "machine_1" else f.machine_2_points)
+    if head in _LEAVES:
+        return _LEAVES[head][expr[1]](f, expr[2])
     raise ParseError(f"unknown condition form {head!r}")
 
 

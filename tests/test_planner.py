@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shopfloor
+from shopfloor.bench import load_bundled_tasks
 from shopfloor.errors import PlannerUnavailable
 from shopfloor.model import (
     Allocation,
@@ -159,6 +160,28 @@ def test_parse_keeps_first_of_duplicate_sections(scene):
     assert any("duplicate PRECEDENCE" in v for v in output.report.violations)
 
 
+@pytest.mark.parametrize(
+    "section, line, kept",
+    [
+        ("ALLOCATION", "a1 | r_nonexistent", lambda out: out.allocation.by_op["a1"]),
+        ("PRECEDENCE", "w1 | bogus_op", lambda out: out.precedence.chains["w1"]),
+    ],
+    ids=["allocation", "precedence"],
+)
+def test_parse_keeps_first_of_repeated_lines(section, line, kept):
+    task = next(t.instance for t in load_bundled_tasks() if t.task_id == "simple_multi_relay")
+    gt = task.ground_truth
+    text = render_planner_text(gt.operations, gt.allocation, gt.precedence)
+    text = text.replace(f"```{section}\n", f"```{section}\n{line}\n")
+    output = parse_planner_text(text, task.scene)
+    key, value = line.split(" | ")
+    assert not output.ok
+    assert f"duplicate {section.lower()} line for {key!r}; keeping the first" in (
+        output.report.violations
+    )
+    assert kept(output) in (value, (value,))
+
+
 def test_parse_applies_semantic_validation(scene):
     text = GOLDEN.replace("t1 | r1", "t1 | r9")
     output = parse_planner_text(text, scene)
@@ -281,6 +304,10 @@ def test_prompt_template_loads_from_package_data():
     template = load_prompt_template()
     assert "<<SCENE>>" in template
     assert "<<INSTRUCTION>>" in template
+
+
+def test_prompt_template_is_read_once():
+    assert load_prompt_template() is load_prompt_template()
 
 
 def test_llm_planner_parses_recorded_reply():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from functools import cache
 
 import pytest
@@ -63,6 +64,18 @@ def test_parse_true():
     assert parse_condition("true") is True
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('(= workpiece.kind "steel plate")', ["=", "workpiece.kind", "steel plate"]),
+        ('(device-present robot "polisher")', ["device-present", "robot", "polisher"]),
+        ('(point-present machine_2 "Photo_Point")', ["point-present", "machine_2", "Photo_Point"]),
+    ],
+)
+def test_parse_leaf_forms(text, expected):
+    assert parse_condition(text) == expected
+
+
 def test_parse_nested():
     expr = parse_condition('(and (not (= op.type "transport")) (device-present robot "camera"))')
     assert expr[0] == "and"
@@ -82,11 +95,38 @@ def test_parse_nested():
         "(not true true)",
         "(device-present robot camera)",
         'true extra',
+        # one per failure of the leaf rule (head role "value")
+        '(= robot "camera")',
+        '(device-present machine_2 "camera")',
+        '(point-present op.type "Photo_Point")',
+        "(= op.type transport)",
+        "(point-present machine_1 Photo_Point)",
+        '(= op.type "transport"',
+        '(and (device-present robot "camera" true)',
+        '(point-present machine_1 "Photo_Point" "Other_Point")',
     ],
 )
 def test_parse_rejects_bad_conditions(text):
     with pytest.raises(ParseError):
         parse_condition(text)
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ('(= robot "camera")', "'robot'"),
+        ('(device-present machine_1 "camera")', "'machine_1'"),
+        ('(point-present robot "Photo_Point")', "'robot'"),
+        ("(device-present robot camera)", "'camera'"),
+        ('(and (device-present robot "camera" true)', "'true'"),
+        ('(= op.type "transport" "welding")', """'"welding"'"""),
+    ],
+)
+def test_leaf_errors_name_the_form_and_the_token(text, token):
+    head = text.removeprefix("(and ").split()[0].removeprefix("(")
+    with pytest.raises(ParseError, match=re.escape(f"({head} ...)")) as raised:
+        parse_condition(text)
+    assert token in str(raised.value)
 
 
 def holds(condition, op, scene):
