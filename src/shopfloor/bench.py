@@ -10,12 +10,17 @@ maximal conflict-free set of the ready operations at each step, so FIFO
 launches that set first and every ready operation listed after it
 conflicts with one of them.
 
+A valid task is defined once, in two halves, and the generator checks
+both: model.task_violations, which every load checks, and _reference_fault,
+why a ground truth's run cannot be the reference, which the scorer checks.
+The generator draws one candidate per (tier, seed).
+
 run_benchmark scores each task by comparing two runs of metrics.run_plan,
 the one chain of stages (graph, schedule, assembly, symbolic execution).
 The ground truth runs first, on its stored schedule, else the exact one.
-A task whose ground truth cannot be solved, replayed or scored against
-scores zero on every metric, with an error that starts with
-GROUND_TRUTH_INVALID, and its planner is never called. A planner that
+A task whose ground truth cannot be solved, replayed or run fully, or
+achieves nothing, scores zero on every metric, with an error that starts
+with GROUND_TRUTH_INVALID, and its planner is never called. A planner that
 raises anything but PlannerUnavailable scores its task zero with an error
 that starts with INTERNAL_ERROR, naming the exception, and prints its
 traceback to standard error. Otherwise the plan runs (metrics.fifo_run),
@@ -41,12 +46,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import (
-    EmptyGtStatus,
-    GenerationRetryExhausted,
-    PlannerUnavailable,
-    ValidationError,
-)
+from .errors import EmptyGtStatus, PlannerUnavailable, ShopfloorError, ValidationError
 from .graph import build_graph
 from .metrics import (
     METRIC_FIELDS,
@@ -55,6 +55,7 @@ from .metrics import (
     fifo_run,
     reference_run,
     report_to_json,
+    run_plan,
     score,
 )
 from .model import (
@@ -72,13 +73,11 @@ from .model import (
     at_label,
     canonical_json,
     load_task_instance,
-    parse_task_instance,
     serialize_task_instance,
-    validate_planner_output,
-    validate_scene,
+    task_violations,
     write_file,
 )
-from .solve import brute_force_optimal, schedule_to_record
+from .solve import ScheduleGraph, brute_force_optimal, schedule_to_record
 from .tree import ProcessTree, load_reference_tree
 
 
@@ -114,9 +113,11 @@ _TYPE_FOR_FLAG = {flag: op_type for op_type, flag in PROCESSING_FLAGS.items()}
 _BASE_DEVICES = frozenset({"magnetic_gripper", "polisher", "welding_gun", "beveler"})
 
 
-def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
+def _candidate(tier: Tier, seed: int) -> tuple[TaskInstance, ScheduleGraph]:
+    """The instance for (tier, seed) and the exact schedule it records."""
     spec = TIER_SPECS[tier]
-    rng = random.Random(f"{tier.value}:{seed}:{attempt}")
+    # The fixed ":0" is part of the seed text: dropping it changes every byte.
+    rng = random.Random(f"{tier.value}:{seed}:0")
 
     n_robots = rng.randint(*spec.robots)
     n_workpieces = rng.randint(*spec.workpieces)
@@ -208,37 +209,49 @@ def _candidate(tier: Tier, seed: int, attempt: int) -> TaskInstance:
             program=None,
             schedule=schedule_to_record(schedule, source="optimal"),
         ),
-    )
+    ), schedule
 
 
-def _acceptable(task: TaskInstance, tree: ProcessTree) -> bool:
-    if validate_scene(task.scene):
-        return False
-    gt = task.ground_truth
-    if not validate_planner_output(
-        gt.operations, gt.allocation, gt.precedence, task.scene
-    ).ok:
-        return False
-    run = reference_run(task, tree)
-    return run.error is None and run.outcome.executed_fully and bool(run.status)
-
-
-# Candidates tried per (tier, seed) before generation gives up.
-GENERATION_ATTEMPTS = 8
+def _reference_fault(run: Run) -> ShopfloorError | None:
+    """Why a ground truth's run cannot be the reference, or None when it
+    can: the error of the stage that stopped it, else EmptyGtStatus when it
+    achieves no status fact, else a ValidationError naming the first
+    failure in its trace when an operation does not complete."""
+    if run.error is not None:
+        return run.error
+    if not run.status:
+        return EmptyGtStatus()
+    if not run.outcome.executed_fully:
+        failure = next(f for record in run.outcome.trace for f in record.failures)
+        return ValidationError(
+            f"ground truth does not execute fully: operation '{failure.op_id}' "
+            f"fails with {failure.reason}"
+        )
+    return None
 
 
 def generate_instance(tier: Tier, seed: int) -> TaskInstance:
     """Deterministic instance for (tier, seed): same arguments, same bytes.
-    Candidates that fail self-validation against the reference tree are
-    re-rolled up to GENERATION_ATTEMPTS times before giving up."""
-    tree = load_reference_tree()
-    for attempt in range(GENERATION_ATTEMPTS):
-        task = _candidate(tier, seed, attempt)
-        if _acceptable(task, tree):
-            return task
-    raise GenerationRetryExhausted(
-        f"no valid {tier.value} instance for seed {seed} after {GENERATION_ATTEMPTS} attempts"
-    )
+
+    One candidate, never re-rolled: a ValidationError names the tier, the
+    seed and the problems when it fails model.task_violations or
+    _reference_fault. Its ground truth is replayed on the exact solver's
+    graph and schedule, which the solver already checked.
+    """
+    task, schedule = _candidate(tier, seed)
+    problems = task_violations(task)
+    if not problems:
+        gt = task.ground_truth
+        run = run_plan(
+            task.scene, gt.operations, gt.allocation, load_reference_tree(), lambda: schedule
+        )
+        fault = _reference_fault(run)
+        problems = [str(fault)] if fault is not None else []
+    if problems:
+        raise ValidationError(
+            f"invalid {tier.value} instance for seed {seed}: {'; '.join(problems)}"
+        )
+    return task
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +288,20 @@ def generate_suite(
     return paths
 
 
-def _tier_from_stem(stem: str, name: str) -> Tier:
+def load_bench_task(path: str | Path) -> BenchTask:
+    """A task file of a suite, named <tier>_<suffix>.json: a name that gives
+    no tier raises ValueError, and since scoring needs the ground truth, a
+    file without one raises ValidationError."""
+    path = Path(path)
     tier = next(
-        (t for t in Tier if stem == t.value or stem.startswith(t.value + "_")),
+        (t for t in Tier if path.stem == t.value or path.stem.startswith(t.value + "_")),
         None,
     )
     if tier is None:
         raise ValueError(
-            f"cannot infer a tier from file name '{name}'; expected "
+            f"cannot infer a tier from file name '{path.name}'; expected "
             f"<tier>_<suffix>.json"
         )
-    return tier
-
-
-def load_bench_task(path: str | Path) -> BenchTask:
-    """A task file of a suite; scoring needs its ground truth, so a file
-    without one raises ValidationError."""
-    path = Path(path)
-    tier = _tier_from_stem(path.stem, path.name)
     instance = load_task_instance(path)
     if instance.ground_truth is None:
         raise ValidationError(f"{path}: task file carries no ground truth")
@@ -300,23 +309,10 @@ def load_bench_task(path: str | Path) -> BenchTask:
 
 
 def load_bundled_tasks() -> list[BenchTask]:
-    """The example tasks shipped inside the package."""
+    """The example tasks shipped inside the package, loaded as suite files."""
     root = resources.files("shopfloor").joinpath("data/tasks")
-    tasks: list[BenchTask] = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".json"):
-            continue
-        stem = entry.name[: -len(".json")]
-        tasks.append(
-            BenchTask(
-                task_id=stem,
-                tier=_tier_from_stem(stem, entry.name),
-                instance=parse_task_instance(
-                    entry.read_text(encoding="utf-8"), path=entry.name
-                ),
-            )
-        )
-    return tasks
+    with resources.as_file(root) as directory:
+        return [load_bench_task(path) for path in sorted(directory.glob("*.json"))]
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +341,7 @@ def _run_pipeline(
     task: TaskInstance, planner, tree: ProcessTree
 ) -> tuple[EvaluationReport, str | None]:
     reference = reference_run(task, tree)
-    invalid = reference.error
-    if invalid is None and not reference.status:
-        invalid = EmptyGtStatus()
+    invalid = _reference_fault(reference)
     if invalid is not None:
         metadata = {"gt_operation_count": len(task.ground_truth.operations)}
         zero = EvaluationReport(0.0, 0.0, 0.0, 0.0, 0.0, metadata)

@@ -50,7 +50,3 @@ class DegenerateDenominator(ShopfloorError):
 
 class PlannerUnavailable(ShopfloorError):
     """Raised when a remote planner backend cannot be reached or is misconfigured."""
-
-
-class GenerationRetryExhausted(ShopfloorError):
-    """Raised when instance generation keeps producing unsatisfiable draws."""

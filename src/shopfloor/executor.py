@@ -338,8 +338,9 @@ def trace_to_jsonl(trace: Sequence[StepRecord]) -> str:
 
 
 def parse_trace(text: str, path: str = "trace") -> tuple[StepRecord, ...]:
+    """Step records, one per LF-ended line; U+2028 and the like stay in strings."""
     records: list[StepRecord] = []
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(text.split("\n")):
         if line.strip():
             p = f"{path}:{i + 1}"
             records.append(STEP_RECORD.load(parse_json(line, p), p))

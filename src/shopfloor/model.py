@@ -1,9 +1,10 @@
 """Core domain model: scenes, operations, allocations, programs, task files.
 
 All types here are plain immutable data. Invariants are enforced by the
-validation entry points (load_task_instance, validate_scene,
-validate_planner_output), not by the constructors, so tests and tools can
-build deliberately broken values and feed them to the validators.
+validation entry points (task_violations, which parse_task_instance and
+load_task_instance raise on, validate_scene, validate_planner_output), not
+by the constructors, so tests and tools can build deliberately broken
+values and feed them to the validators.
 
 Each file format (task, scene, plan, program, schedule record) is declared
 once, as a codec built from the strict-JSON combinators below (STR, INT,
@@ -651,25 +652,29 @@ def serialize_task_instance(task: TaskInstance) -> str:
     return canonical_json(TASK.dump(task))
 
 
+def task_violations(task: TaskInstance) -> list[str]:
+    """Invariant violations of a parsed task (empty when valid): its scene,
+    its ground-truth plan, and a stored schedule that does not cover exactly
+    the ground-truth operations."""
+    violations = validate_scene(task.scene)
+    gt = task.ground_truth
+    if gt is not None:
+        report = validate_planner_output(gt.operations, gt.allocation, gt.precedence, task.scene)
+        violations.extend(report.violations)
+        op_ids = {op.id for op in gt.operations}
+        if gt.schedule is not None and set(gt.schedule.start_steps) != op_ids:
+            violations.append(
+                "ground-truth schedule must assign a start step to exactly the "
+                "ground-truth operations"
+            )
+    return violations
+
+
 def parse_task_instance(text: str, path: str = "task") -> TaskInstance:
     """Parse and fully validate a task document. Raises ParseError on shape
     problems and ValidationError on invariant violations."""
     task = TASK.load(parse_json(text, path), path)
-    violations = validate_scene(task.scene)
-    if task.ground_truth is not None:
-        gt = task.ground_truth
-        report = validate_planner_output(
-            gt.operations, gt.allocation, gt.precedence, task.scene
-        )
-        violations.extend(report.violations)
-        if gt.schedule is not None:
-            op_ids = {op.id for op in gt.operations}
-            if set(gt.schedule.start_steps) != op_ids:
-                violations.append(
-                    "ground-truth schedule must assign a start step to exactly the "
-                    "ground-truth operations"
-                )
-    if violations:
+    if violations := task_violations(task):
         raise ValidationError("; ".join(violations))
     return task
 

@@ -35,7 +35,8 @@ from .model import (
 SECTION_NAMES = ("OPERATIONS", "ALLOCATION", "PRECEDENCE")
 
 # A fence opens with ```NAME, optional spaces or tabs and a LF or CRLF line
-# end; body lines are read with splitlines, so CRLF bodies parse as LF ones.
+# end. Body lines split on LF alone (an id may hold U+2028 or another break
+# of splitlines); fields are stripped, so CRLF bodies parse as LF ones.
 _FENCE_RE = re.compile(r"```(\w+)[ \t]*\r?\n(.*?)```", re.DOTALL)
 _PLACEHOLDER_RE = re.compile(r"<<(SCENE|INSTRUCTION)>>")
 
@@ -92,7 +93,7 @@ def _rows(
 ) -> Iterator[list[str]]:
     """The stripped '|'-separated fields of each non-blank line of a section
     body; a line with a field count not in counts becomes a violation."""
-    for line in body.splitlines():
+    for line in body.split("\n"):
         if not line.strip():
             continue
         fields = [field.strip() for field in line.split("|")]

@@ -29,6 +29,11 @@ FULL_KIT = frozenset(
 )
 
 
+# The line breaks str.splitlines splits on besides LF and CR; any of them
+# may sit inside an id.
+LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def make_robot(robot_id="r1", devices=FULL_KIT, reachable=("conveyor", "table_1", "pallet_1", "pallet_2")):
     return Robot(id=robot_id, devices=frozenset(devices), reachable_machines=frozenset(reachable))
 

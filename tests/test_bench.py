@@ -24,7 +24,7 @@ from shopfloor.bench import (
     summarize,
     task_id_for,
 )
-from shopfloor.errors import GenerationRetryExhausted, PlannerUnavailable
+from shopfloor.errors import PlannerUnavailable, ValidationError
 from shopfloor.executor import trace_to_jsonl
 from shopfloor.graph import build_graph
 from shopfloor.metrics import (
@@ -163,10 +163,29 @@ def test_instruction_mentions_every_workpiece():
         assert wp.id in task.instruction
 
 
-def test_retry_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(bench, "_acceptable", lambda task, tree: False)
-    with pytest.raises(GenerationRetryExhausted, match="after 8 attempts"):
+def test_a_candidate_that_is_no_valid_task_raises(monkeypatch):
+    # One candidate per (tier, seed): without a polisher, no branch of the
+    # reference tree polishes, so seed 1's ground truth cannot be assembled.
+    monkeypatch.setattr(bench, "_BASE_DEVICES", bench._BASE_DEVICES - {"polisher"})
+    with pytest.raises(ValidationError) as caught:
+        generate_instance(Tier.SINGLE_ROBOT, 1)
+    assert str(caught.value).startswith(
+        "invalid single_robot instance for seed 1: operation 'o2': no complete branch"
+    )
+
+
+def test_a_candidate_that_fails_the_static_checks_raises(monkeypatch):
+    candidate = bench._candidate
+
+    def doubled_robots(tier, seed):
+        task, schedule = candidate(tier, seed)
+        scene = dataclasses.replace(task.scene, robots=task.scene.robots * 2)
+        return dataclasses.replace(task, scene=scene), schedule
+
+    monkeypatch.setattr(bench, "_candidate", doubled_robots)
+    with pytest.raises(ValidationError) as caught:
         generate_instance(Tier.SINGLE_ROBOT, 0)
+    assert str(caught.value) == "invalid single_robot instance for seed 0: duplicate robot id 'r1'"
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +297,20 @@ def test_run_benchmark_over_longer_files_matches_a_fresh_directory(tmp_path):
     assert _file_bytes(tmp_path / "reused") == _file_bytes(tmp_path / "fresh")
 
 
+def test_scored_bytes_are_pinned(tmp_path):
+    # Seeds 0-59 of every tier under the ground-truth planner: 180 metrics
+    # files, suite.csv and summary.json, in name order.
+    paths = generate_suite(tmp_path / "tasks", per_tier=60)
+    tasks = [load_bench_task(path) for path in paths]
+    run_benchmark(tasks, GroundTruthPlanner(), out_dir=tmp_path / "out")
+    files = _file_bytes(tmp_path / "out")
+    assert len(files) == 182
+    digest = hashlib.sha256(b"".join(files.values()))
+    assert digest.hexdigest() == (
+        "3cfe07248d5b870aad1598b872bbc5418d55ae218c8d6669b9478541b8ea1c69"
+    )
+
+
 class RefusingPlanner:
     def plan(self, task):
         from shopfloor.planner import parse_planner_text
@@ -379,21 +412,50 @@ def test_a_ground_truth_that_achieves_nothing_costs_no_planner_call():
     assert report.success_rate == 0.0
 
 
-def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
-    # The ground truth runs its stored program; the plan's own program is
-    # assembled for a scene whose robots lost the polisher, and no branch
-    # of the reference tree polishes without one.
+def _stored_program_without_polisher(robot_ids):
+    """simple_multi seed 3 with the program the reference tree assembles
+    for it stored in the ground truth, and the polisher taken from the
+    robots named."""
     task = generate_instance(Tier.SIMPLE_MULTI, 3)
     gt = task.ground_truth
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
     robots = tuple(
         dataclasses.replace(robot, devices=robot.devices - {"polisher"})
+        if robot.id in robot_ids else robot
         for robot in task.scene.robots
     )
     scene = dataclasses.replace(task.scene, robots=robots)
-    task = dataclasses.replace(
+    return dataclasses.replace(
         task, scene=scene, ground_truth=dataclasses.replace(gt, program=program)
     )
+
+
+def test_a_ground_truth_that_does_not_run_fully_costs_no_planner_call():
+    # Every robot lost the polisher: the stored program still runs, but o4
+    # fails with missing_device, so the reference would be a partial one.
+    task = _stored_program_without_polisher({"r1", "r2", "r3"})
+    gt = task.ground_truth
+    transport = RecordedTransport(
+        [render_planner_text(gt.operations, gt.allocation, gt.precedence)]
+    )
+    planner = LlmPlanner(LlmConfig(base_url="http://x", model="m"), transport)
+    report, error = bench._run_pipeline(task, planner, load_reference_tree())
+    assert transport.prompts == []
+    assert error == (
+        "ground truth invalid: ground truth does not execute fully: "
+        "operation 'o4' fails with missing_device"
+    )
+    assert [getattr(report, field) for field in bench.METRIC_FIELDS] == [0.0] * 5
+    assert report.metadata == {"gt_operation_count": len(gt.operations)}
+
+
+def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
+    # The ground truth runs its stored program, fully: r1 runs no polishing
+    # operation. The plan's own program is assembled for a scene where r1
+    # lost the polisher, and no branch of the reference tree polishes
+    # without one.
+    task = _stored_program_without_polisher({"r1"})
+    gt, scene = task.ground_truth, task.scene
     report, error = bench._run_pipeline(task, GroundTruthPlanner(), load_reference_tree())
     graph = build_graph(gt.operations, gt.precedence, gt.allocation, scene)
     fifo = solve_fifo(graph, [op.id for op in gt.operations])

@@ -16,6 +16,7 @@ import shopfloor.solve
 from shopfloor.cli import main
 from shopfloor.executor import parse_trace
 from shopfloor.graph import build_graph, to_dot
+from shopfloor.metrics import METRIC_FIELDS
 from shopfloor.model import SCHEDULE_RECORD, load_task_instance, serialize_task_instance
 from shopfloor.planner import (
     GroundTruthPlanner,
@@ -487,6 +488,49 @@ def test_evaluate_writes_its_report_and_exits_1_on_invalid_ground_truth(
         f"'{chain[0]}' -> '{chain[1]}'"
     )
     assert report["success_rate"] == 0.0
+
+
+def test_evaluate_exits_1_on_a_ground_truth_that_does_not_run_fully(capsys, tmp_path):
+    # The stored program of simple_multi seed 3 on robots without a
+    # polisher: it runs, but o4 never completes.
+    task_file, program_file = tmp_path / "task.json", tmp_path / "program.json"
+    assert main(["generate", "--tier", "simple_multi", "--seed", "3", "--out", str(task_file)]) == 0
+    assert main(["assemble", str(task_file), "--out", str(program_file)]) == 0
+    capsys.readouterr()
+    doc = json.loads(task_file.read_text(encoding="utf-8"))
+    doc["ground_truth"]["program"] = json.loads(program_file.read_text(encoding="utf-8"))
+    for robot in doc["scene"]["robots"]:
+        robot["devices"].remove("polisher")
+    task_file.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "evaluate", str(task_file))
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == (
+        "ground truth invalid: ground truth does not execute fully: "
+        "operation 'o4' fails with missing_device"
+    )
+    assert [report[key] for key in METRIC_FIELDS] == [0.0] * 5
+
+
+def test_a_line_separator_inside_a_robot_id_is_kept(capsys, tmp_path):
+    # U+2028 is a line break to str.splitlines, but not to the plan text or
+    # the trace, which split on LF alone.
+    task_file, trace_file = tmp_path / "task.json", tmp_path / "trace.jsonl"
+    assert main(["generate", "--tier", "simple_multi", "--seed", "3", "--out", str(task_file)]) == 0
+    capsys.readouterr()
+    text = task_file.read_text(encoding="utf-8").replace('"r1"', '"r\u20281"')
+    task_file.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "evaluate", str(task_file))
+    assert code == 0
+    report = json.loads(out)
+    assert report["error"] is None
+    assert [report[key] for key in METRIC_FIELDS] == [1.0] * 5
+    code, _, err = run_cli(capsys, "execute", str(task_file), "--trace", str(trace_file))
+    assert code == 0
+    assert "executed fully: True" in err
+    trace = parse_trace(trace_file.read_text(encoding="utf-8"))
+    robots = {run.robot for record in trace for run in record.operations}
+    assert "r\u20281" in robots
 
 
 def test_run_bundled_all_ones(capsys, tmp_path):

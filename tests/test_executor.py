@@ -42,6 +42,7 @@ from shopfloor.tree import assemble_program, load_reference_tree
 
 from conftest import (
     FULL_KIT,
+    LINE_BREAKS,
     arcless,
     make_machine,
     make_op,
@@ -521,6 +522,15 @@ def test_trace_round_trip_is_byte_identical(scene, plan):
 def test_empty_trace_serializes_to_empty_text():
     assert trace_to_jsonl(()) == ""
     assert parse_trace("") == ()
+
+
+@pytest.mark.parametrize("line_break", LINE_BREAKS)
+def test_a_line_break_inside_a_string_stays_in_its_trace_line(line_break):
+    trace = (
+        StepRecord(0, (OperationRun("o1", f"r{line_break}1", ()),), ()),
+        StepRecord(1, (), (Failure("o2", -1, "missing_call"),)),
+    )
+    assert parse_trace(trace_to_jsonl(trace)) == trace
 
 
 def test_trace_lines_carry_failures():

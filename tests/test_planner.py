@@ -35,7 +35,7 @@ from shopfloor.planner import (
     render_planner_text,
 )
 
-from conftest import make_scene, simple_plan
+from conftest import LINE_BREAKS, make_robot, make_scene, simple_plan
 from strategies import plan_triples
 
 
@@ -222,6 +222,17 @@ def test_parse_tolerates_crlf_and_blanks_after_section_tags(case, data):
     assert (sloppy.operations, sloppy.allocation, sloppy.precedence, sloppy.report) == (
         plain.operations, plain.allocation, plain.precedence, plain.report
     )
+
+
+@pytest.mark.parametrize("line_break", LINE_BREAKS)
+def test_a_line_break_inside_an_id_stays_in_its_field(line_break):
+    robot = f"r{line_break}1"
+    scene = make_scene(robots=(make_robot(robot), make_robot("r2")))
+    ops, alloc, prec = simple_plan()
+    alloc = Allocation(by_op={op: robot if r == "r1" else r for op, r in alloc.by_op.items()})
+    output = parse_planner_text(render_planner_text(ops, alloc, prec), scene)
+    assert output.ok, output.report.violations
+    assert output.allocation == alloc
 
 
 # ---------------------------------------------------------------------------
