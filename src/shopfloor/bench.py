@@ -436,8 +436,8 @@ def write_outputs(
     """Write <task_id>.metrics.json per task, suite.csv and summary.json.
 
     Files already in out_dir are overwritten in place through
-    model.write_file, not replaced atomically, and other files are left
-    alone.
+    model.write_file (cut only when the old file was longer), not replaced
+    atomically, and other files are left alone.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in results:

@@ -10,7 +10,8 @@ Each file format (task, scene, plan, program, schedule record) is declared
 once, as a codec built from the strict-JSON combinators below (STR, INT,
 BOOL, EnumOf, ArrayOf, MapOf, Wrap, Record); tree and executor declare the
 process tree and the trace line with them. A codec's load rejects every
-shape fault with a ParseError naming its path. Serialization is canonical:
+shape fault with a ParseError naming its path; the path is built only on
+failure, as the fault unwinds through the enclosing levels. Serialization is canonical:
 fixed key order, sorted collections where order carries no meaning,
 two-space indent, trailing newline. Re-serializing a parsed document always
 reproduces it byte for byte. canonical_json is the one writer of that
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring as _quote
-from operator import attrgetter
+from operator import attrgetter, length_hint
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Protocol, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -348,23 +349,63 @@ class ValidationReport:
 # offending element. Records check missing keys first, then unknown keys.
 
 
-def _fail(path: str, message: str) -> NoReturn:
-    raise ParseError(f"{path}: {message}")
+class _Fault(Exception):
+    """A shape fault found by a codec's read. Each enclosing level appends
+    its own segment (".key", "[i]") to segments as the fault unwinds, so
+    the path is built only on failure."""
+
+    def __init__(self, message: str) -> None:
+        self.message = message
+        self.segments: list[str] = []
 
 
-def _object(data: Any, path: str) -> dict:
+def _fail(message: str) -> NoReturn:
+    raise _Fault(message)
+
+
+def _object(data: Any) -> dict:
     if not isinstance(data, dict):
-        _fail(path, f"expected an object, got {type(data).__name__}")
+        _fail(f"expected an object, got {type(data).__name__}")
     return data
 
 
-class Codec(Protocol):
+class Codec:
+    """A strict-JSON format. Subclasses define dump(value) and read(data),
+    which checks and builds without a path and raises _Fault."""
+
+    # The exact type of every value when the codec is a Scalar, else None.
+    kind: type | None = None
+
     def dump(self, value: Any) -> Any: ...
 
-    def load(self, data: Any, path: str) -> Any: ...
+    def read(self, data: Any) -> Any: ...
+
+    def load(self, data: Any, path: str) -> Any:
+        """read(data); a shape fault raises ParseError naming its path."""
+        try:
+            return self.read(data)
+        except _Fault as fault:
+            raise ParseError(
+                f"{path}{''.join(reversed(fault.segments))}: {fault.message}"
+            ) from None
 
 
-class Scalar:
+def _read_each(item: Codec, values: Collection[Any], segment: Callable[[int], str]) -> Any:
+    """item.read of each of values, in order; a fault gets segment(i) for
+    the position i of the value that raised it. Values of a Scalar are
+    returned as they are when all have its exact type."""
+    if item.kind is not None and set(map(type, values)) <= {item.kind}:
+        return values
+    items = iter(values)
+    try:
+        return [item.read(v) for v in items]
+    except _Fault as fault:
+        # the iterator has yielded every value up to the one that raised
+        fault.segments.append(segment(len(values) - length_hint(items) - 1))
+        raise
+
+
+class Scalar(Codec):
     """A JSON string, integer or boolean. The type must match exactly, so a
     boolean is not an integer."""
 
@@ -374,9 +415,9 @@ class Scalar:
     def dump(self, value: Any) -> Any:
         return value
 
-    def load(self, data: Any, path: str) -> Any:
+    def read(self, data: Any) -> Any:
         if type(data) is not self.kind:
-            _fail(path, f"expected {self.noun}, got {type(data).__name__}")
+            _fail(f"expected {self.noun}, got {type(data).__name__}")
         return data
 
 
@@ -385,7 +426,7 @@ INT = Scalar(int, "an integer")
 BOOL = Scalar(bool, "a boolean")
 
 
-class EnumOf:
+class EnumOf(Codec):
     """An enum member stored as its value text; extra texts map to further
     values (the process tree's "general" node type is None)."""
 
@@ -397,14 +438,17 @@ class EnumOf:
     def dump(self, value: Any) -> str:
         return self.text_of[value]
 
-    def load(self, data: Any, path: str) -> Any:
-        text = STR.load(data, path)
-        if text not in self.by_text:
-            _fail(path, f"unknown {self.noun} '{text}'")
-        return self.by_text[text]
+    def read(self, data: Any) -> Any:
+        try:
+            return self.by_text[STR.read(data)]
+        except KeyError:
+            _fail(f"unknown {self.noun} '{data}'")
 
 
-class ArrayOf:
+_index_segment = "[{}]".format
+
+
+class ArrayOf(Codec):
     """A JSON array; load passes the items to build, dump lists them in the
     order that order(value) gives, or as they come when order is None."""
 
@@ -417,14 +461,13 @@ class ArrayOf:
         dump = self.item.dump
         return [dump(v) for v in value]
 
-    def load(self, data: Any, path: str) -> Any:
+    def read(self, data: Any) -> Any:
         if not isinstance(data, list):
-            _fail(path, f"expected an array, got {type(data).__name__}")
-        load = self.item.load
-        return self.build([load(v, f"{path}[{i}]") for i, v in enumerate(data)])
+            _fail(f"expected an array, got {type(data).__name__}")
+        return self.build(_read_each(self.item, data, _index_segment))
 
 
-class MapOf:
+class MapOf(Codec):
     """A JSON object with free keys, dumped in key order."""
 
     def __init__(self, item: Codec) -> None:
@@ -433,11 +476,12 @@ class MapOf:
     def dump(self, value: Mapping[str, Any]) -> dict:
         return {k: self.item.dump(value[k]) for k in sorted(value)}
 
-    def load(self, data: Any, path: str) -> dict:
-        return {k: self.item.load(v, f"{path}.{k}") for k, v in _object(data, path).items()}
+    def read(self, data: Any) -> dict:
+        obj = _object(data)
+        return dict(zip(obj, _read_each(self.item, obj.values(), lambda i: f".{list(obj)[i]}")))
 
 
-class Wrap:
+class Wrap(Codec):
     """A type with a single field, stored as that field alone."""
 
     def __init__(self, cls: type, attr: str, inner: Codec) -> None:
@@ -446,8 +490,8 @@ class Wrap:
     def dump(self, value: Any) -> Any:
         return self.inner.dump(getattr(value, self.attr))
 
-    def load(self, data: Any, path: str) -> Any:
-        return self.cls(**{self.attr: self.inner.load(data, path)})
+    def read(self, data: Any) -> Any:
+        return self.cls(**{self.attr: self.inner.read(data)})
 
 
 class Field(NamedTuple):
@@ -467,14 +511,15 @@ def opt(key: str, codec: Codec, attr: str | None = None) -> Field:
     return Field(key, codec, attr or key, True)
 
 
-class Record:
+class Record(Codec):
     """A JSON object with fixed keys, dumped in declaration order and
     loaded into cls by keyword."""
 
     def __init__(self, cls: type, *fields: Field) -> None:
         self.cls, self.fields = cls, fields
-        self.required = [f.key for f in fields if not f.optional]
         self.keys = frozenset(f.key for f in fields)
+        self.required = frozenset(f.key for f in fields if not f.optional)
+        self.reads = tuple((f.key, f.codec.read, f.attr) for f in fields)
 
     def dump(self, value: Any) -> dict:
         out = {}
@@ -484,21 +529,22 @@ class Record:
                 out[key] = codec.dump(item)
         return out
 
-    def load(self, data: Any, path: str) -> Any:
-        obj = _object(data, path)
-        for key in self.required:
-            if key not in obj:
-                _fail(path, f"missing required key '{key}'")
-        unknown = obj.keys() - self.keys
-        if unknown:
-            _fail(path, f"unknown keys: {', '.join(sorted(unknown))}")
-        return self.cls(
-            **{
-                attr: codec.load(obj[key], f"{path}.{key}")
-                for key, codec, attr, _ in self.fields
-                if key in obj
-            }
-        )
+    def read(self, data: Any) -> Any:
+        obj = _object(data)
+        # most objects carry every key, which one comparison shows
+        if obj.keys() != self.keys and not self.required <= obj.keys() <= self.keys:
+            for key, _, _, optional in self.fields:
+                if not optional and key not in obj:
+                    _fail(f"missing required key '{key}'")
+            _fail(f"unknown keys: {', '.join(sorted(obj.keys() - self.keys))}")
+        reads = iter(self.reads)
+        try:
+            kwargs = {attr: read(obj[key]) for key, read, attr in reads if key in obj}
+        except _Fault as fault:
+            # the iterator has yielded every field up to the one that raised
+            fault.segments.append(f".{self.fields[len(self.fields) - length_hint(reads) - 1].key}")
+            raise
+        return self.cls(**kwargs)
 
 
 def parse_json(text: str, path: str) -> Any:
@@ -693,18 +739,25 @@ def load_task_instance(path: str | Path) -> TaskInstance:
 def write_file(path: str | Path, text: str) -> None:
     """Write text as UTF-8 to path, overwriting an existing file in place.
 
-    The file is opened without O_TRUNC and, once every byte is written, cut
-    to the new length: on ext4 mounted with discard, rewriting an 800-byte
-    file took a median 90-130 us when truncated on open and 18 us in place.
-    A reader may see a half-written file; the write is not atomic. Targets
-    that are not regular files (/dev/null, a pipe) are written without the
-    cut, which they do not support.
+    The file is opened without O_TRUNC, written through its descriptor and,
+    only when the old file was longer, cut to the new length: on ext4
+    mounted with discard, rewriting an 800-byte file took a median
+    90-130 us when truncated on open and 18 us in place. A reader may see a
+    half-written file; the write is not atomic. Targets that are not
+    regular files (/dev/null, a pipe) are never cut, which they do not
+    support.
     """
     data = text.encode("utf-8")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
-        out.write(data)
-        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate(len(data))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, memoryview(data)[written:])
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The strict-JSON file formats: one pinned message per fault kind and
-document kind, and a property over generated tasks, programs and traces."""
+document kind, the exact message of every leaf and key of one generated
+task, program, tree and trace line, and a property over generated tasks,
+programs and traces."""
 
 from __future__ import annotations
 
@@ -82,6 +84,10 @@ def _delete(*path):
     return edit
 
 
+class _Text(str):
+    pass
+
+
 @pytest.mark.parametrize(
     "kind, edit, message",
     [
@@ -125,6 +131,20 @@ def _delete(*path):
          "task.ground_truth.operations[0].type: unknown operation type 'general'"),
         ("tree", _set(("nodes", 1, "type"), "painting"),
          "tree.nodes[1].type: unknown node type 'painting'"),
+        # single-type arrays and maps: a str subclass is not a string, a
+        # boolean not an integer, an integer not a string in a set either
+        ("program", _set(("executions", "exec_0_1_4", 0, "args", 2), _Text("on")),
+         "program.executions.exec_0_1_4[0].args[2]: expected a string, got _Text"),
+        ("tree", _set(("nodes", 0, "children"), [1, True]),
+         "tree.nodes[0].children[1]: expected an integer, got bool"),
+        ("schedule", _set(("start_steps", "o3"), False),
+         "schedule.start_steps.o3: expected an integer, got bool"),
+        ("task", _set(("scene", "robots", 0, "devices"), ["bracket_camera", 5, "polisher"]),
+         "task.scene.robots[0].devices[1]: expected a string, got int"),
+        # a malformed tree condition raises from the node's constructor,
+        # without a path
+        ("tree", _set(("nodes", 1, "condition"), "(not true true)"),
+         "(not ...) takes exactly one sub-expression"),
     ],
 )
 def test_each_fault_kind_names_its_path(kind, edit, message):
@@ -209,3 +229,78 @@ def test_single_leaf_mutations_fail_cleanly(tier, seed, kind, data):
     else:
         with pytest.raises(ParseError, match=r"expected an? \w+, got \w+"):
             READ[kind](mutated)
+
+
+# Where each document kind's messages start, as READ names it.
+_ROOT = {"task": "task", "program": "program", "tree": "tree", "trace": "trace:1"}
+# The key under which a JSON object has free keys (a map, not a record).
+_MAP_KEYS = {"allocation", "precedence", "args", "binding", "wrappers", "executions", "start_steps"}
+# Record keys that may be left out.
+_OPTIONAL_KEYS = {"ground_truth", "program", "schedule", "machine_2", "source"}
+_NOUN = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _rendered(kind, path):
+    return _ROOT[kind] + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path)
+
+
+def _objects(doc, path=()):
+    """(path, value) of every JSON object in doc."""
+    if isinstance(doc, dict):
+        yield path, doc
+        for key, value in doc.items():
+            yield from _objects(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _objects(value, path + (index,))
+
+
+def _fault(kind, doc):
+    """The ParseError text READ gives for doc, or None when it raises none."""
+    try:
+        READ[kind](doc)
+    except ParseError as exc:
+        return str(exc)
+    except ValidationError:
+        pass
+    return None
+
+
+@pytest.mark.parametrize("kind", sorted(_ROOT))
+def test_every_leaf_of_another_type_names_its_exact_path(kind):
+    doc = _doc(kind)
+    checked = 0
+    for path, value in _leaves(doc):
+        for replacement in _OTHER_TYPE[type(value)]:
+            mutated = copy.deepcopy(doc)
+            _set(path, replacement)(mutated)
+            expected = (
+                f"{_rendered(kind, path)}: expected {_NOUN[type(value)]}, "
+                f"got {type(replacement).__name__}"
+            )
+            assert _fault(kind, mutated) == expected
+            checked += 1
+    assert checked > 30
+
+
+@pytest.mark.parametrize("kind", sorted(_ROOT))
+def test_every_missing_and_unknown_key_names_its_parent(kind):
+    doc = _doc(kind)
+    records = 0
+    for path, obj in _objects(doc):
+        is_map = bool(path) and path[-1] in _MAP_KEYS
+        for key in obj:
+            mutated = copy.deepcopy(doc)
+            _delete(*path, key)(mutated)
+            if is_map or key in _OPTIONAL_KEYS:
+                assert _fault(kind, mutated) is None, (path, key)
+            else:
+                assert _fault(kind, mutated) == (
+                    f"{_rendered(kind, path)}: missing required key '{key}'"
+                )
+        if not is_map:
+            mutated = copy.deepcopy(doc)
+            _set(path + ("zz",), 1)(mutated)
+            assert _fault(kind, mutated) == f"{_rendered(kind, path)}: unknown keys: zz"
+            records += 1
+    assert records > 3

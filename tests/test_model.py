@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -473,6 +474,13 @@ def test_write_file_over_a_longer_file_leaves_no_stale_tail(tmp_path):
     assert path.read_bytes() == b"short\n"
 
 
+def test_write_file_over_a_file_of_the_same_length_leaves_the_new_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old text\n")
+    write_file(path, "new text\n")
+    assert path.read_bytes() == b"new text\n"
+
+
 def test_write_file_over_a_shorter_file_writes_every_byte(tmp_path):
     path = tmp_path / "out.json"
     path.write_bytes(b"x")
@@ -490,3 +498,20 @@ def test_write_file_to_a_pipe_delivers_the_exact_bytes():
         os.close(write_end)
     with os.fdopen(read_end, "rb") as reader:
         assert reader.read() == text.encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_write_file_to_a_pipe_past_its_buffer_delivers_every_byte():
+    text = "line \u00e9\n" * 32768  # 256 KiB, more than a pipe buffers
+    read_end, write_end = os.pipe()
+    received = []
+    with os.fdopen(read_end, "rb") as reader:
+        thread = threading.Thread(target=lambda: received.append(reader.read()))
+        thread.start()
+        try:
+            write_file(f"/dev/fd/{write_end}", text)
+        finally:
+            os.close(write_end)
+            thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert received == [text.encode("utf-8")]
