@@ -40,11 +40,10 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import EmptyGtStatus, PlannerUnavailable, ShopfloorError, ValidationError
 from .graph import build_graph
@@ -87,8 +86,7 @@ class Tier(str, Enum):
     COMPLEX_MULTI = "complex_multi"
 
 
-@dataclass(frozen=True)
-class TierSpec:
+class TierSpec(NamedTuple):
     robots: tuple[int, int]
     workpieces: tuple[int, int]
     max_operations: int
@@ -258,8 +256,7 @@ def generate_instance(tier: Tier, seed: int) -> TaskInstance:
 # suites on disk
 
 
-@dataclass(frozen=True)
-class BenchTask:
+class BenchTask(NamedTuple):
     task_id: str
     tier: Tier
     instance: TaskInstance
@@ -319,16 +316,14 @@ def load_bundled_tasks() -> list[BenchTask]:
 # running a suite
 
 
-@dataclass(frozen=True)
-class TaskResult:
+class TaskResult(NamedTuple):
     task_id: str
     tier: Tier
     report: EvaluationReport
     error: str | None
 
 
-@dataclass(frozen=True)
-class BenchmarkResult:
+class BenchmarkResult(NamedTuple):
     results: tuple[TaskResult, ...]
     summary: dict
 

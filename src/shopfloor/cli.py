@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -200,8 +199,8 @@ def _cmd_execute(args) -> int:
     gt = _ground_truth(task)
     record = _load_file(args.schedule, "schedule", SCHEDULE_RECORD)
     program = _load_file(args.program, "program", PROGRAM)
-    gt = replace(gt, schedule=record or gt.schedule, program=program or gt.program)
-    run = ground_truth_run(replace(task, ground_truth=gt))
+    gt = gt._replace(schedule=record or gt.schedule, program=program or gt.program)
+    run = ground_truth_run(task._replace(ground_truth=gt))
     _emit(trace_to_jsonl(run.outcome.trace), args.trace)
     print(
         f"executed fully: {run.outcome.executed_fully}; makespan {run.schedule.makespan}; "

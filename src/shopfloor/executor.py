@@ -45,9 +45,8 @@ from the strict-JSON combinators in model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import (
     INT,
@@ -66,7 +65,6 @@ from .model import (
     at_label,
     classify_args,
     parse_json,
-    req,
 )
 from .solve import ScheduleGraph
 
@@ -82,8 +80,7 @@ FAILURE_REASONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SymbolicState:
+class SymbolicState(NamedTuple):
     locations: Mapping[str, str]
     flags: Mapping[str, frozenset[str]]
 
@@ -91,29 +88,25 @@ class SymbolicState:
         return self.flags.get(workpiece_id, frozenset())
 
 
-@dataclass(frozen=True)
-class OperationRun:
+class OperationRun(NamedTuple):
     op_id: str
     robot: str
     skills: tuple[SkillCall, ...]
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     op_id: str
     skill_index: int
     reason: str
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     operations: tuple[OperationRun, ...]
     failures: tuple[Failure, ...]
 
 
-@dataclass(frozen=True)
-class ExecutionOutcome:
+class ExecutionOutcome(NamedTuple):
     trace: tuple[StepRecord, ...]
     final_state: SymbolicState
     executed_fully: bool
@@ -319,15 +312,10 @@ def status_delta(
 # trace files (JSON lines, one step per line)
 
 
-OPERATION_RUN = Record(
-    OperationRun, req("op_id", STR), req("robot", STR), req("skills", ArrayOf(SKILL_CALL))
-)
-FAILURE = Record(Failure, req("op_id", STR), req("skill_index", INT), req("reason", STR))
+OPERATION_RUN = Record(OperationRun, op_id=STR, robot=STR, skills=ArrayOf(SKILL_CALL))
+FAILURE = Record(Failure, op_id=STR, skill_index=INT, reason=STR)
 STEP_RECORD = Record(
-    StepRecord,
-    req("step", INT),
-    req("operations", ArrayOf(OPERATION_RUN)),
-    req("failures", ArrayOf(FAILURE)),
+    StepRecord, step=INT, operations=ArrayOf(OPERATION_RUN), failures=ArrayOf(FAILURE)
 )
 
 

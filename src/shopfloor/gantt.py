@@ -6,9 +6,7 @@ against each other; only the presentation differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import Allocation, Operation
 from .solve import ScheduleGraph
@@ -23,8 +21,12 @@ _TYPE_FILLS = {
 _UNASSIGNED = "(unassigned)"
 
 
-@dataclass(frozen=True)
-class GanttChart:
+def _escape(text: str) -> str:
+    """text with &, < and > written as XML entities, as in SVG text content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+class GanttChart(NamedTuple):
     text: str
     svg: str
 
@@ -103,7 +105,7 @@ def render_gantt(
         )
     for j, robot in enumerate(robots):
         y = top + j * cell_h
-        parts.append(f'<text x="4" y="{y + 18}">{escape(robot)}</text>')
+        parts.append(f'<text x="4" y="{y + 18}">{_escape(robot)}</text>')
         for i, step in enumerate(steps):
             x = left + i * cell_w
             parts.append(
@@ -119,7 +121,7 @@ def render_gantt(
                 )
                 label = ", ".join(label for label, _ in entries)
                 parts.append(
-                    f'<text x="{x + 4}" y="{y + 18}">{escape(label)}</text>'
+                    f'<text x="{x + 4}" y="{y + 18}">{_escape(label)}</text>'
                 )
     parts.append("</svg>")
     return GanttChart(text=text, svg="".join(parts))

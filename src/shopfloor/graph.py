@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .model import Allocation, Operation, PrecedenceSet, Scene
@@ -34,8 +34,7 @@ Resource = tuple[Literal["machine", "robot"], str]  # (kind, id) of a resource
 _COLOR = {"machine": "firebrick", "robot": "steelblue"}
 
 
-@dataclass(frozen=True, slots=True)
-class DisjunctiveArc:
+class DisjunctiveArc(NamedTuple):
     """Undirected scheduling choice between two operations (a < b) that
     compete for one exclusive machine or one robot."""
 

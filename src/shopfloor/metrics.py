@@ -24,8 +24,7 @@ reference's graph when only the start steps differ.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AmbiguousBranch,
@@ -127,8 +126,7 @@ def success_rate(se: float, gcr: float) -> float:
 # whole-instance evaluation
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """One plan taken through the stages: its schedule, execution outcome
     and status delta, each None when an earlier stage stopped the run, and
     the error that stopped it."""
@@ -225,8 +223,7 @@ def ground_truth_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run
     return run
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     operation_consistency: float
     scheduling_efficiency: float
     executability: float

@@ -6,12 +6,23 @@ load_task_instance raise on, validate_scene, validate_planner_output), not
 by the constructors, so tests and tools can build deliberately broken
 values and feed them to the validators.
 
+The package's records are typing.NamedTuple classes, which generate no
+methods per class at import; a copy with changed fields is
+record._replace(...). A named tuple equals any tuple of the same items, so
+records are compared only with records of their own type. Four classes
+stay frozen dataclasses because they build state when constructed, which
+a tuple cannot hold: Scene (its id indexes), tree.TreeNode (its parsed
+condition), tree.ProcessTree (its branch table) and graph.DisjunctiveGraph
+(its cached relations).
+
 Each file format (task, scene, plan, program, schedule record) is declared
 once, as a codec built from the strict-JSON combinators below (STR, INT,
 BOOL, EnumOf, ArrayOf, MapOf, Wrap, Record); tree and executor declare the
-process tree and the trace line with them. A codec's load rejects every
-shape fault with a ParseError naming its path; the path is built only on
-failure, as the fault unwinds through the enclosing levels. Serialization is canonical:
+process tree and the trace line with them. A Record or Wrap takes its keys
+from its class's constructor, so a record's fields are written only in the
+class. A codec's load rejects every shape fault with a ParseError naming
+its path; the path is built only on failure, as the fault unwinds through
+the enclosing levels. Serialization is canonical:
 fixed key order, sorted collections where order carries no meaning,
 two-space indent, trailing newline. Re-serializing a parsed document always
 reproduces it byte for byte. canonical_json is the one writer of that
@@ -22,6 +33,7 @@ newline, without the stdlib's pure-Python indent encoder.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -115,15 +127,13 @@ def parse_at_label(label: str) -> str | None:
 # Scene
 
 
-@dataclass(frozen=True, slots=True)
-class Robot:
+class Robot(NamedTuple):
     id: str
     devices: frozenset[str]
     reachable_machines: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class Machine:
+class Machine(NamedTuple):
     """A workstation. exclusive machines admit one operation per step.
 
     points are named reference positions (opaque labels) that skill calls
@@ -137,8 +147,7 @@ class Machine:
     held_workpieces: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Workpiece:
+class Workpiece(NamedTuple):
     id: str
     kind: str
     state_sequence: tuple[str, ...] = ()
@@ -192,8 +201,7 @@ class Scene:
 # Plan triple
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
+class Operation(NamedTuple):
     """One scheduling unit. machine_2 is meaningful only for transport."""
 
     id: str
@@ -208,8 +216,7 @@ class Operation:
         return (self.machine_1, self.machine_2)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Total mapping from operation id to the robot that performs it."""
 
     by_op: Mapping[str, str]
@@ -218,8 +225,7 @@ class Allocation:
         return self.by_op.get(op_id)
 
 
-@dataclass(frozen=True)
-class PrecedenceSet:
+class PrecedenceSet(NamedTuple):
     """Per-workpiece operation chains; each chain is a total order."""
 
     chains: Mapping[str, tuple[str, ...]]
@@ -229,8 +235,7 @@ class PrecedenceSet:
 # Program
 
 
-@dataclass(frozen=True, slots=True)
-class SkillCall:
+class SkillCall(NamedTuple):
     skill: str
     args: tuple[str, ...]
 
@@ -266,8 +271,7 @@ def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProgramCall:
+class ProgramCall(NamedTuple):
     """Entry point for one operation: invokes a wrapper with bound arguments."""
 
     op_id: str
@@ -275,8 +279,7 @@ class ProgramCall:
     args: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class Wrapper:
+class Wrapper(NamedTuple):
     """Binds one operation's concrete robot/machines/workpiece into a shared
     execution function's placeholders."""
 
@@ -284,8 +287,7 @@ class Wrapper:
     binding: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     calls: tuple[ProgramCall, ...]
     wrappers: Mapping[str, Wrapper]
     executions: Mapping[str, tuple[SkillCall, ...]]
@@ -295,8 +297,7 @@ class Program:
 # Schedule record (file form; the solver's richer ScheduleGraph lives in solve)
 
 
-@dataclass(frozen=True)
-class ScheduleRecord:
+class ScheduleRecord(NamedTuple):
     """Start step per operation plus makespan, as stored in files.
 
     source, when present, names how the schedule was produced: "optimal"
@@ -314,8 +315,7 @@ class ScheduleRecord:
 # Task instance
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     operations: tuple[Operation, ...]
     allocation: Allocation
     precedence: PrecedenceSet
@@ -323,15 +323,13 @@ class GroundTruth:
     schedule: ScheduleRecord | None = None
 
 
-@dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(NamedTuple):
     scene: Scene
     instruction: str
     ground_truth: GroundTruth | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a validation pass: ok iff violations is empty."""
 
     violations: tuple[str, ...] = ()
@@ -482,16 +480,22 @@ class MapOf(Codec):
 
 
 class Wrap(Codec):
-    """A type with a single field, stored as that field alone."""
+    """A type whose constructor takes one parameter, stored as that
+    parameter's value alone."""
 
-    def __init__(self, cls: type, attr: str, inner: Codec) -> None:
-        self.cls, self.attr, self.inner = cls, attr, inner
+    def __init__(self, cls: type, inner: Codec) -> None:
+        params = list(inspect.signature(cls).parameters)
+        if len(params) != 1:
+            raise TypeError(
+                f"Wrap({cls.__name__}): the constructor takes {len(params)} parameters, not 1"
+            )
+        self.cls, self.attr, self.inner = cls, params[0], inner
 
     def dump(self, value: Any) -> Any:
         return self.inner.dump(getattr(value, self.attr))
 
     def read(self, data: Any) -> Any:
-        return self.cls(**{self.attr: self.inner.read(data)})
+        return self.cls(self.inner.read(data))
 
 
 class Field(NamedTuple):
@@ -501,25 +505,31 @@ class Field(NamedTuple):
     optional: bool
 
 
-def req(key: str, codec: Codec, attr: str | None = None) -> Field:
-    """A required record field; attr names the attribute when it differs."""
-    return Field(key, codec, attr or key, False)
-
-
-def opt(key: str, codec: Codec, attr: str | None = None) -> Field:
-    """An optional record field, omitted from the dump while None."""
-    return Field(key, codec, attr or key, True)
-
-
 class Record(Codec):
-    """A JSON object with fixed keys, dumped in declaration order and
-    loaded into cls by keyword."""
+    """A JSON object with one key per parameter of cls's constructor, dumped
+    in the constructor's order and loaded into cls by keyword. codecs names
+    each parameter's codec; keys maps a parameter to its key where the two
+    differ. A parameter whose default is None is optional: its key may be
+    missing, and the dump leaves it out while it is None. Codec names other
+    than exactly the parameters raise TypeError when the Record is made."""
 
-    def __init__(self, cls: type, *fields: Field) -> None:
-        self.cls, self.fields = cls, fields
-        self.keys = frozenset(f.key for f in fields)
-        self.required = frozenset(f.key for f in fields if not f.optional)
-        self.reads = tuple((f.key, f.codec.read, f.attr) for f in fields)
+    def __init__(self, cls: type, keys: Mapping[str, str] = {}, **codecs: Codec) -> None:
+        params = inspect.signature(cls).parameters
+        missing = [name for name in params if name not in codecs]
+        unknown = [name for name in (*codecs, *keys) if name not in params]
+        if missing or unknown:
+            raise TypeError(
+                f"Record({cls.__name__}) takes one codec per constructor parameter; "
+                f"missing: {', '.join(missing) or '-'}; unknown: {', '.join(unknown) or '-'}"
+            )
+        self.cls = cls
+        self.fields = tuple(
+            Field(keys.get(name, name), codecs[name], name, param.default is None)
+            for name, param in params.items()
+        )
+        self.keys = frozenset(f.key for f in self.fields)
+        self.required = frozenset(f.key for f in self.fields if not f.optional)
+        self.reads = tuple((f.key, f.codec.read, f.attr) for f in self.fields)
 
     def dump(self, value: Any) -> dict:
         out = {}
@@ -629,64 +639,49 @@ STR_SET = ArrayOf(STR, build=frozenset, order=sorted)
 STR_MAP = MapOf(STR)
 _sorted_by_id = partial(sorted, key=attrgetter("id"))
 
-ROBOT = Record(
-    Robot, req("id", STR), req("devices", STR_SET), req("reachable_machines", STR_SET)
-)
-MACHINE = Record(
-    Machine,
-    req("id", STR),
-    req("name", STR),
-    req("exclusive", BOOL),
-    req("points", STR_SET),
-    req("held_workpieces", STRS),
-)
-WORKPIECE = Record(Workpiece, req("id", STR), req("kind", STR), req("state_sequence", STRS))
+ROBOT = Record(Robot, id=STR, devices=STR_SET, reachable_machines=STR_SET)
+MACHINE = Record(Machine, id=STR, name=STR, exclusive=BOOL, points=STR_SET, held_workpieces=STRS)
+WORKPIECE = Record(Workpiece, id=STR, kind=STR, state_sequence=STRS)
 SCENE = Record(
     Scene,
-    req("robots", ArrayOf(ROBOT, order=_sorted_by_id)),
-    req("machines", ArrayOf(MACHINE, order=_sorted_by_id)),
-    req("workpieces", ArrayOf(WORKPIECE, order=_sorted_by_id)),
+    robots=ArrayOf(ROBOT, order=_sorted_by_id),
+    machines=ArrayOf(MACHINE, order=_sorted_by_id),
+    workpieces=ArrayOf(WORKPIECE, order=_sorted_by_id),
 )
 
 OPERATION = Record(
     Operation,
-    req("id", STR),
-    req("type", EnumOf(OperationType, "operation type"), attr="op_type"),
-    req("workpiece", STR),
-    req("machine_1", STR),
-    opt("machine_2", STR),
+    keys={"op_type": "type"},
+    id=STR,
+    op_type=EnumOf(OperationType, "operation type"),
+    workpiece=STR,
+    machine_1=STR,
+    machine_2=STR,
 )
-ALLOCATION = Wrap(Allocation, "by_op", STR_MAP)
-PRECEDENCE = Wrap(PrecedenceSet, "chains", MapOf(STRS))
+ALLOCATION = Wrap(Allocation, STR_MAP)
+PRECEDENCE = Wrap(PrecedenceSet, MapOf(STRS))
 
-SKILL_CALL = Record(SkillCall, req("skill", STR), req("args", STRS))
-PROGRAM_CALL = Record(ProgramCall, req("op_id", STR), req("wrapper", STR), req("args", STR_MAP))
-WRAPPER = Record(Wrapper, req("execution", STR), req("binding", STR_MAP))
+SKILL_CALL = Record(SkillCall, skill=STR, args=STRS)
+PROGRAM_CALL = Record(ProgramCall, op_id=STR, wrapper=STR, args=STR_MAP)
+WRAPPER = Record(Wrapper, execution=STR, binding=STR_MAP)
 PROGRAM = Record(
     Program,
-    req("calls", ArrayOf(PROGRAM_CALL)),
-    req("wrappers", MapOf(WRAPPER)),
-    req("executions", MapOf(ArrayOf(SKILL_CALL))),
+    calls=ArrayOf(PROGRAM_CALL),
+    wrappers=MapOf(WRAPPER),
+    executions=MapOf(ArrayOf(SKILL_CALL)),
 )
 
-SCHEDULE_RECORD = Record(
-    ScheduleRecord, req("start_steps", MapOf(INT)), req("makespan", INT), opt("source", STR)
-)
+SCHEDULE_RECORD = Record(ScheduleRecord, start_steps=MapOf(INT), makespan=INT, source=STR)
 
 GROUND_TRUTH = Record(
     GroundTruth,
-    req("operations", ArrayOf(OPERATION)),
-    req("allocation", ALLOCATION),
-    req("precedence", PRECEDENCE),
-    opt("program", PROGRAM),
-    opt("schedule", SCHEDULE_RECORD),
+    operations=ArrayOf(OPERATION),
+    allocation=ALLOCATION,
+    precedence=PRECEDENCE,
+    program=PROGRAM,
+    schedule=SCHEDULE_RECORD,
 )
-TASK = Record(
-    TaskInstance,
-    req("scene", SCENE),
-    req("instruction", STR),
-    opt("ground_truth", GROUND_TRUTH),
-)
+TASK = Record(TaskInstance, scene=SCENE, instruction=STR, ground_truth=GROUND_TRUTH)
 
 # Whole-document entry points.
 scene_to_json = SCENE.dump

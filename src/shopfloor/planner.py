@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import PlannerUnavailable
 from .model import (
@@ -41,8 +40,7 @@ _FENCE_RE = re.compile(r"```(\w+)[ \t]*\r?\n(.*?)```", re.DOTALL)
 _PLACEHOLDER_RE = re.compile(r"<<(SCENE|INSTRUCTION)>>")
 
 
-@dataclass(frozen=True)
-class PlannerOutput:
+class PlannerOutput(NamedTuple):
     """What came back from a planner: the parsed triple (pieces may be None
     when their section was missing or unreadable), the raw text, and every
     problem found on the way."""
@@ -204,8 +202,7 @@ class GroundTruthPlanner:
         return parse_planner_text(text, task.scene)
 
 
-@dataclass(frozen=True)
-class LlmConfig:
+class LlmConfig(NamedTuple):
     base_url: str
     model: str
     api_key: str | None = None

@@ -22,9 +22,8 @@ is_feasible asks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InstanceTooLarge, ValidationError
 from .graph import DisjunctiveGraph, Resource
@@ -36,8 +35,7 @@ SEARCH_BUDGET = 20_000
 DEFAULT_BRUTE_FORCE_CAP = 10
 
 
-@dataclass(frozen=True)
-class ScheduleGraph:
+class ScheduleGraph(NamedTuple):
     """The start step of every operation of the graph they solve."""
 
     graph: DisjunctiveGraph

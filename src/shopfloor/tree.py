@@ -73,7 +73,6 @@ from .model import (
     Wrapper,
     canonical_json,
     parse_json,
-    req,
 )
 
 
@@ -268,22 +267,23 @@ def _by_index(nodes: Iterable[TreeNode]) -> dict[int, TreeNode]:
 
 TREE_NODE = Record(
     TreeNode,
-    req("index", INT),
-    req("type", EnumOf(OperationType, "node type", general=None), attr="op_type"),
-    req("description", STR),
-    req("condition", STR),
-    req("snippet", ArrayOf(SKILL_CALL)),
-    req("children", ArrayOf(INT)),
+    keys={"op_type": "type"},
+    index=INT,
+    op_type=EnumOf(OperationType, "node type", general=None),
+    description=STR,
+    condition=STR,
+    snippet=ArrayOf(SKILL_CALL),
+    children=ArrayOf(INT),
 )
 TREE = Record(
     ProcessTree,
-    req("root", INT),
+    root=INT,
     # A JSON array in index order, keyed by index on load.
-    req(
-        "nodes",
-        ArrayOf(TREE_NODE, build=_by_index, order=lambda nodes: [nodes[i] for i in sorted(nodes)]),
+    nodes=ArrayOf(
+        TREE_NODE, build=_by_index, order=lambda nodes: [nodes[i] for i in sorted(nodes)]
     ),
 )
+
 
 def serialize_tree(tree: ProcessTree) -> str:
     return canonical_json(TREE.dump(tree))

@@ -180,7 +180,7 @@ def test_a_candidate_that_fails_the_static_checks_raises(monkeypatch):
     def doubled_robots(tier, seed):
         task, schedule = candidate(tier, seed)
         scene = dataclasses.replace(task.scene, robots=task.scene.robots * 2)
-        return dataclasses.replace(task, scene=scene), schedule
+        return task._replace(scene=scene), schedule
 
     monkeypatch.setattr(bench, "_candidate", doubled_robots)
     with pytest.raises(ValidationError) as caught:
@@ -372,10 +372,8 @@ def test_an_invalid_ground_truth_costs_no_planner_call(tmp_path):
     chain = list(gt.precedence.chains["w1"])
     chain[0], chain[1] = chain[1], chain[0]
     precedence = PrecedenceSet(chains={**gt.precedence.chains, "w1": tuple(chain)})
-    instance = dataclasses.replace(
-        task.instance, ground_truth=dataclasses.replace(gt, precedence=precedence)
-    )
-    broken = dataclasses.replace(task, instance=instance)
+    instance = task.instance._replace(ground_truth=gt._replace(precedence=precedence))
+    broken = task._replace(instance=instance)
     transport = RecordedTransport(
         [render_planner_text(gt.operations, gt.allocation, gt.precedence)]
     )
@@ -396,11 +394,10 @@ def test_a_ground_truth_that_achieves_nothing_costs_no_planner_call():
     task = generate_instance(Tier.SINGLE_ROBOT, 0)
     gt = task.ground_truth
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
-    robots = tuple(dataclasses.replace(r, devices=frozenset()) for r in task.scene.robots)
-    task = dataclasses.replace(
-        task,
+    robots = tuple(r._replace(devices=frozenset()) for r in task.scene.robots)
+    task = task._replace(
         scene=dataclasses.replace(task.scene, robots=robots),
-        ground_truth=dataclasses.replace(gt, program=program),
+        ground_truth=gt._replace(program=program),
     )
     transport = RecordedTransport(
         [render_planner_text(gt.operations, gt.allocation, gt.precedence)]
@@ -420,14 +417,12 @@ def _stored_program_without_polisher(robot_ids):
     gt = task.ground_truth
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
     robots = tuple(
-        dataclasses.replace(robot, devices=robot.devices - {"polisher"})
+        robot._replace(devices=robot.devices - {"polisher"})
         if robot.id in robot_ids else robot
         for robot in task.scene.robots
     )
     scene = dataclasses.replace(task.scene, robots=robots)
-    return dataclasses.replace(
-        task, scene=scene, ground_truth=dataclasses.replace(gt, program=program)
-    )
+    return task._replace(scene=scene, ground_truth=gt._replace(program=program))
 
 
 def test_a_ground_truth_that_does_not_run_fully_costs_no_planner_call():
@@ -545,7 +540,7 @@ def _with_stored_program():
     task = generate_instance(Tier.SIMPLE_MULTI, 3)
     gt = task.ground_truth
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
-    return dataclasses.replace(task, ground_truth=dataclasses.replace(gt, program=program))
+    return task._replace(ground_truth=gt._replace(program=program))
 
 
 def _case(name):

@@ -17,8 +17,18 @@ from shopfloor.errors import ParseError, ValidationError
 from shopfloor.executor import execute, parse_trace, trace_to_jsonl
 from shopfloor.graph import build_graph
 from shopfloor.model import (
+    INT,
+    MACHINE,
+    OPERATION,
     PROGRAM,
     SCHEDULE_RECORD,
+    STR,
+    Machine,
+    Operation,
+    OperationType,
+    Record,
+    ScheduleRecord,
+    Wrap,
     canonical_json,
     parse_task_instance,
     program_to_json,
@@ -304,3 +314,44 @@ def test_every_missing_and_unknown_key_names_its_parent(kind):
             assert _fault(kind, mutated) == f"{_rendered(kind, path)}: unknown keys: zz"
             records += 1
     assert records > 3
+
+
+@pytest.mark.parametrize(
+    "codecs, named",
+    [
+        ({"start_steps": INT, "makespan": INT}, "missing: source; unknown: -"),
+        ({"start_steps": INT, "makespan": INT, "source": STR, "sources": STR},
+         "missing: -; unknown: sources"),
+    ],
+)
+def test_a_record_takes_exactly_one_codec_per_constructor_parameter(codecs, named):
+    with pytest.raises(TypeError) as exc:
+        Record(ScheduleRecord, **codecs)
+    assert str(exc.value) == (
+        f"Record(ScheduleRecord) takes one codec per constructor parameter; {named}"
+    )
+
+
+def test_a_renamed_key_must_name_a_constructor_parameter():
+    with pytest.raises(TypeError, match=r"^Record\(ScheduleRecord\) .*; unknown: span$"):
+        Record(ScheduleRecord, keys={"span": "steps"}, start_steps=INT, makespan=INT, source=STR)
+
+
+def test_a_wrap_needs_a_constructor_of_one_parameter():
+    with pytest.raises(TypeError, match=r"^Wrap\(ScheduleRecord\): .* 3 parameters, not 1$"):
+        Wrap(ScheduleRecord, INT)
+
+
+def test_record_keys_follow_the_constructor_and_only_a_none_default_is_optional():
+    machine = Machine("m1", "table")
+    assert list(MACHINE.dump(machine)) == ["id", "name", "exclusive", "points", "held_workpieces"]
+    # exclusive defaults to True, so its key is still required
+    doc = MACHINE.dump(machine)
+    del doc["exclusive"]
+    with pytest.raises(ParseError, match=r"^machine: missing required key 'exclusive'$"):
+        MACHINE.load(doc, "machine")
+    # machine_2 defaults to None: left out of the dump, loaded as None
+    op = Operation("o1", OperationType.POLISHING, "w1", "m1")
+    doc = OPERATION.dump(op)
+    assert doc == {"id": "o1", "type": "polishing", "workpiece": "w1", "machine_1": "m1"}
+    assert OPERATION.load(doc, "operation") == op

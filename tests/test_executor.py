@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 
@@ -658,10 +657,9 @@ def _break(program, scene, kind, i, j):
     if kind == "drop_device":
         robot = robots[i % len(robots)]
         device = _nth(robot.devices, j)
-        robots[i % len(robots)] = dataclasses.replace(robot, devices=robot.devices - {device})
+        robots[i % len(robots)] = robot._replace(devices=robot.devices - {device})
     elif kind == "clear_points":
-        machines[i % len(machines)] = dataclasses.replace(machines[i % len(machines)],
-                                                          points=frozenset())
+        machines[i % len(machines)] = machines[i % len(machines)]._replace(points=frozenset())
     elif kind == "drop_binding_key":
         name = _nth(wrappers, i)
         wrapper = wrappers[name]
@@ -748,7 +746,7 @@ def test_traces_do_not_depend_on_which_run_resolves_first(tier):
     replay = generated_run(tier, 7)
     # the ground truth as a plan with other operation ids, scheduled by FIFO:
     # its operations bind the replay's role values
-    plan_ops = tuple(dataclasses.replace(op, id="plan_" + op.id) for op in gt.operations)
+    plan_ops = tuple(op._replace(id="plan_" + op.id) for op in gt.operations)
     plan_alloc = Allocation(by_op={"plan_" + k: v for k, v in gt.allocation.by_op.items()})
     plan_prec = PrecedenceSet(
         chains={w: tuple("plan_" + o for o in chain) for w, chain in gt.precedence.chains.items()}

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 from shopfloor.gantt import render_gantt
 from shopfloor.graph import build_graph
-from shopfloor.model import Allocation
+from shopfloor.model import Allocation, Operation, OperationType
 from shopfloor.solve import ScheduleGraph, solve_fifo
 
 from conftest import arcless, make_scene, simple_plan
@@ -95,3 +95,15 @@ def test_missing_allocation_renders_unassigned_row():
     )
     chart = render_gantt(schedule, Allocation(by_op={}), ops)
     assert "(unassigned)" in chart.text
+
+
+def test_svg_text_escapes_ampersand_and_angle_brackets():
+    schedule = ScheduleGraph(graph=arcless("a&b<c>"), start_steps={"a&b<c>": 0}, makespan=1)
+    ops = (Operation("a&b<c>", OperationType.TRANSPORT, "w1", "m1", "m2"),)
+    chart = render_gantt(schedule, Allocation(by_op={"a&b<c>": "r<1>&co"}), ops)
+    assert '<text x="4" y="44">r&lt;1&gt;&amp;co</text>' in chart.svg
+    assert '<text x="114" y="44">a&amp;b&lt;c&gt; (transport)</text>' in chart.svg
+    # the text chart is plain text and keeps the characters as they are
+    assert "r<1>&co | a&b<c> (transport)" in chart.text
+    texts = [el.text for el in ET.fromstring(chart.svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[-2:] == ["r<1>&co", "a&b<c> (transport)"]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -411,8 +410,7 @@ def _renaming(ids, prefix):
 
 def _rename_plan(ops, alloc, prec, op_ids, robot_ids, machine_ids):
     renamed = tuple(
-        replace(
-            op,
+        op._replace(
             id=op_ids[op.id],
             machine_1=machine_ids[op.machine_1],
             machine_2=None if op.machine_2 is None else machine_ids[op.machine_2],
@@ -436,16 +434,15 @@ def _rename_task(task, op_ids, robot_ids, machine_ids):
     scene = task.scene
     renamed_scene = Scene(
         robots=tuple(
-            replace(
-                r,
+            r._replace(
                 id=robot_ids[r.id],
                 reachable_machines=frozenset(machine_ids[m] for m in r.reachable_machines),
             )
             for r in scene.robots
         ),
-        machines=tuple(replace(m, id=machine_ids[m.id]) for m in scene.machines),
+        machines=tuple(m._replace(id=machine_ids[m.id]) for m in scene.machines),
         workpieces=tuple(
-            replace(w, state_sequence=tuple(map(label, w.state_sequence)))
+            w._replace(state_sequence=tuple(map(label, w.state_sequence)))
             for w in scene.workpieces
         ),
     )
@@ -454,11 +451,11 @@ def _rename_task(task, op_ids, robot_ids, machine_ids):
     ops, alloc, prec = _rename_plan(
         gt.operations, gt.allocation, gt.precedence, op_ids, robot_ids, machine_ids
     )
-    schedule = replace(
-        gt.schedule, start_steps={op_ids[o]: s for o, s in gt.schedule.start_steps.items()}
+    schedule = gt.schedule._replace(
+        start_steps={op_ids[o]: s for o, s in gt.schedule.start_steps.items()}
     )
-    renamed = replace(
-        task, scene=renamed_scene, ground_truth=GroundTruth(ops, alloc, prec, None, schedule)
+    renamed = task._replace(
+        scene=renamed_scene, ground_truth=GroundTruth(ops, alloc, prec, None, schedule)
     )
     # the renamed task must still be a valid task file
     return parse_task_instance(serialize_task_instance(renamed))

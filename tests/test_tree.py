@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from functools import cache
@@ -370,23 +369,23 @@ def mutated_scenes(scene):
         refit(scene, lambda d: d | CAMERAS, every),
         Scene(robots=scene.robots, machines=scene.machines, workpieces=()),
         Scene(
-            robots=tuple(dataclasses.replace(r, reachable_machines=frozenset())
+            robots=tuple(r._replace(reachable_machines=frozenset())
                          for r in scene.robots),
             machines=scene.machines, workpieces=scene.workpieces,
         ),
         Scene(
             robots=scene.robots,
-            machines=tuple(dataclasses.replace(m, points=frozenset())
+            machines=tuple(m._replace(points=frozenset())
                            for m in scene.machines),
             workpieces=scene.workpieces,
         ),
         Scene(
             robots=scene.robots,
-            machines=tuple(dataclasses.replace(m, name=m.name + " (renamed)")
+            machines=tuple(m._replace(name=m.name + " (renamed)")
                            for m in scene.machines),
-            workpieces=tuple(dataclasses.replace(w, kind="steel plate")
+            workpieces=tuple(w._replace(kind="steel plate")
                              if w.kind != "steel plate" else
-                             dataclasses.replace(w, kind="cast part")
+                             w._replace(kind="cast part")
                              for w in scene.workpieces),
         ),
     )
@@ -396,9 +395,9 @@ def mutated_ops(op):
     """op and variants with an unknown or unset machine."""
     return (
         op,
-        dataclasses.replace(op, machine_1="ghost"),
-        dataclasses.replace(op, machine_2="ghost"),
-        dataclasses.replace(op, machine_2=None),
+        op._replace(machine_1="ghost"),
+        op._replace(machine_2="ghost"),
+        op._replace(machine_2=None),
     )
 
 
