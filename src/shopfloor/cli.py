@@ -38,8 +38,6 @@ from .model import (
     canonical_json,
     load_task_instance,
     parse_json,
-    program_to_json,
-    schedule_record_to_json,
     serialize_task_instance,
     write_file,
 )
@@ -180,7 +178,7 @@ def _cmd_solve(args) -> int:
         schedule = solve_fifo(graph, [op.id for op in gt.operations])
         source = "fifo"
     record = schedule_to_record(schedule, source=source)
-    _emit(canonical_json(schedule_record_to_json(record)), args.out)
+    _emit(SCHEDULE_RECORD.serialize(record), args.out)
     return 0
 
 
@@ -190,7 +188,7 @@ def _cmd_assemble(args) -> int:
     program = assemble_program(
         load_reference_tree(), gt.operations, gt.allocation, task.scene
     )
-    _emit(canonical_json(program_to_json(program)), args.out)
+    _emit(PROGRAM.serialize(program), args.out)
     return 0
 
 

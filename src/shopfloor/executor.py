@@ -26,7 +26,7 @@ Each run indexes the call of every operation (the first call wins when a
 program holds several) and the operations due at every step. Execution
 functions are linked once per process, keyed by their skills (names and
 argument tuples), never by their names: a link holds each skill with its
-classified arguments (model.classify_args), whether every skill is known,
+classified arguments (classify_args), whether every skill is known,
 the roles, devices and points the arguments need, and the resolved calls
 for every tuple of role values seen so far. Resolving an operation takes
 three subset tests (its binding has the roles, its robot the devices, each
@@ -39,12 +39,12 @@ execution and role-value tuple it ran, whose SkillCall objects are
 themselves shared, one per distinct call.
 
 The trace line format is declared once, as a codec (STEP_RECORD) built
-from the strict-JSON combinators in model.
+from the strict-JSON combinators in model, which renders each line as
+json.dumps(..., ensure_ascii=False) writes it.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
@@ -53,6 +53,7 @@ from .model import (
     SKILL_CALL,
     STR,
     ArrayOf,
+    MACHINE_ROLES,
     Operation,
     OperationType,
     PROCESSING_FLAGS,
@@ -63,8 +64,10 @@ from .model import (
     SkillCall,
     SKILLS,
     at_label,
-    classify_args,
+    device_name,
     parse_json,
+    point_name,
+    role_placeholder,
 )
 from .solve import ScheduleGraph
 
@@ -118,6 +121,37 @@ def initial_state(scene: Scene) -> SymbolicState:
         for w in machine.held_workpieces:
             locations[w] = machine.id
     return SymbolicState(locations=locations, flags={})
+
+
+# A classified skill-call argument: (kind, name, machine_role). kind is
+# "role" ("{machine_1}"), "device" ("{device:camera}"), "point"
+# ("{point:Photo_Point}") or "literal"; name is the role, device or point
+# name, or the literal text. machine_role is None except for a point, where
+# it names the machine that must carry it: the first machine-role
+# placeholder in the same call, else machine_1. They are read when an
+# execution is linked, once per process, and after that only to fill the
+# calls of role values not seen before or to find the first failing
+# argument of an operation that fails.
+SkillArg = tuple[str, str, str | None]
+
+
+def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
+    """A skill call's arguments, classified in order; see SkillArg."""
+    context = next(
+        (role for role in map(role_placeholder, args) if role in MACHINE_ROLES),
+        "machine_1",
+    )
+    out: list[SkillArg] = []
+    for arg in args:
+        if (role := role_placeholder(arg)) is not None:
+            out.append(("role", role, None))
+        elif (device := device_name(arg)) is not None:
+            out.append(("device", device, None))
+        elif (point := point_name(arg)) is not None:
+            out.append(("point", point, context))
+        else:
+            out.append(("literal", arg, None))
+    return tuple(out)
 
 
 class _Link:
@@ -320,9 +354,7 @@ STEP_RECORD = Record(
 
 
 def trace_to_jsonl(trace: Sequence[StepRecord]) -> str:
-    return "".join(
-        json.dumps(STEP_RECORD.dump(record), ensure_ascii=False) + "\n" for record in trace
-    )
+    return "".join([STEP_RECORD.render(record, "") + "\n" for record in trace])
 
 
 def parse_trace(text: str, path: str = "trace") -> tuple[StepRecord, ...]:

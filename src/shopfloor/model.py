@@ -25,10 +25,11 @@ its path; the path is built only on failure, as the fault unwinds through
 the enclosing levels. Serialization is canonical:
 fixed key order, sorted collections where order carries no meaning,
 two-space indent, trailing newline. Re-serializing a parsed document always
-reproduces it byte for byte. canonical_json is the one writer of that
-layout (task files, trees, prompts, metrics, summaries): one recursive pass
-whose bytes equal json.dumps(data, indent=2, ensure_ascii=False) plus a
-newline, without the stdlib's pure-Python indent encoder.
+reproduces it byte for byte. Codecs render typed values straight to text
+and canonical_json renders plain ones (metrics, summaries), all in one
+layout (_layout) whose bytes equal json.dumps(data, indent=2,
+ensure_ascii=False) plus a newline, or json.dumps(data, ensure_ascii=False)
+for the one line of a trace step, without the stdlib's Python encoder.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ import re
 import stat
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter, length_hint
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, Collection, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -240,37 +241,6 @@ class SkillCall(NamedTuple):
     args: tuple[str, ...]
 
 
-# A classified skill-call argument: (kind, name, machine_role). kind is
-# "role" ("{machine_1}"), "device" ("{device:camera}"), "point"
-# ("{point:Photo_Point}") or "literal"; name is the role, device or point
-# name, or the literal text. machine_role is None except for a point, where
-# it names the machine that must carry it: the first machine-role
-# placeholder in the same call, else machine_1. The executor reads them
-# when it links an execution, once per process, and after that only to fill
-# the calls of role values it has not seen or to find the first failing
-# argument of an operation that fails.
-SkillArg = tuple[str, str, str | None]
-
-
-def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
-    """A skill call's arguments, classified in order; see SkillArg."""
-    context = next(
-        (role for role in map(role_placeholder, args) if role in MACHINE_ROLES),
-        "machine_1",
-    )
-    out: list[SkillArg] = []
-    for arg in args:
-        if (role := role_placeholder(arg)) is not None:
-            out.append(("role", role, None))
-        elif (device := device_name(arg)) is not None:
-            out.append(("device", device, None))
-        elif (point := point_name(arg)) is not None:
-            out.append(("point", point, context))
-        else:
-            out.append(("literal", arg, None))
-    return tuple(out)
-
-
 class ProgramCall(NamedTuple):
     """Entry point for one operation: invokes a wrapper with bound arguments."""
 
@@ -340,11 +310,87 @@ class ValidationReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# JSON text
+
+
+def parse_json(text: str, path: str) -> Any:
+    """The JSON value of text. A syntax error, a document nested deeper than
+    the decoder recurses and an integer too long to convert all raise
+    ParseError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def canonical_json(data: Any) -> str:
+    """Render a plain JSON document in the package's canonical layout.
+
+    A non-empty dict is "{", then each `key: value` on its own line two
+    spaces deeper than the enclosing one, separated by ",", then "}" on a
+    line at the enclosing depth; lists and tuples are laid out the same way
+    between brackets, and empty ones are "{}" and "[]". Strings and keys are
+    escaped by json.encoder.encode_basestring, ints and floats written by
+    their repr (NaN and infinities as NaN, Infinity, -Infinity), and True,
+    False and None as true, false and null. A trailing newline ends the
+    document. On documents of str-keyed dicts, lists, tuples, str, int,
+    float, bool and None this equals json.dumps(data, indent=2,
+    ensure_ascii=False) + "\\n", which on CPython 3.10 and 3.11 runs its
+    pure-Python encoder whenever an indent is set.
+
+    Values are dispatched on their exact type: any other value, a subclass
+    of those types included, raises TypeError, and so does a dict key that
+    is not a str (json.dumps would coerce an int, float, bool or None key).
+    """
+    return _render(data, "\n") + "\n"
+
+
+@lru_cache(maxsize=64)
+def _layout(newline: str) -> tuple[str, str]:
+    """(inner, separator) of a container rendered after newline: the opening
+    bracket, inner, the items joined by separator, newline, the closing
+    bracket; the brackets alone when empty. inner is two spaces deeper; in
+    the one-line layout (newline "") it is "" and separator is ", "."""
+    inner = newline and newline + "  "
+    return inner, "," + (inner or " ")
+
+
+def _render(value: Any, newline: str) -> str:
+    """A plain value in the canonical layout; newline is "\\n" plus the
+    indent of the line value starts on, or "" for the one-line layout."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        return _PLAIN_OBJECT.render(value, newline)
+    if kind is list or kind is tuple:
+        return _PLAIN_ARRAY.render(value, newline)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+# ---------------------------------------------------------------------------
 # Strict JSON codecs
 #
-# A codec's dump(value) gives the canonical JSON value; load(data, path)
-# checks data and builds the value, raising ParseError with the path of the
-# offending element. Records check missing keys first, then unknown keys.
+# A codec's render(value, newline) writes value's text straight from the
+# typed value, in the layout of _layout; load(data, path) checks data and
+# builds the value, raising ParseError with the path of the offending
+# element. Records check missing keys first, then unknown keys.
 
 
 class _Fault(Exception):
@@ -368,15 +414,16 @@ def _object(data: Any) -> dict:
 
 
 class Codec:
-    """A strict-JSON format. Subclasses define dump(value) and read(data),
-    which checks and builds without a path and raises _Fault."""
+    """A strict-JSON format: render(value, newline) writes value's text, as
+    _render does (a container's is a closure over its items' render), and
+    read(data) checks and builds without a path, raising _Fault."""
 
     # The exact type of every value when the codec is a Scalar, else None.
     kind: type | None = None
 
-    def dump(self, value: Any) -> Any: ...
-
-    def read(self, data: Any) -> Any: ...
+    def serialize(self, value: Any) -> str:
+        """value as a canonical document, ended by a newline."""
+        return self.render(value, "\n") + "\n"
 
     def load(self, data: Any, path: str) -> Any:
         """read(data); a shape fault raises ParseError naming its path."""
@@ -405,13 +452,13 @@ def _read_each(item: Codec, values: Collection[Any], segment: Callable[[int], st
 
 class Scalar(Codec):
     """A JSON string, integer or boolean. The type must match exactly, so a
-    boolean is not an integer."""
+    boolean is not an integer. A value renders as in canonical_json, so one
+    of another type renders or raises by its own type."""
 
     def __init__(self, kind: type, noun: str) -> None:
         self.kind, self.noun = kind, noun
 
-    def dump(self, value: Any) -> Any:
-        return value
+    render = staticmethod(_render)
 
     def read(self, data: Any) -> Any:
         if type(data) is not self.kind:
@@ -431,10 +478,8 @@ class EnumOf(Codec):
     def __init__(self, enum: type[Enum], noun: str, **extra: Any) -> None:
         self.noun = noun
         self.by_text = {member.value: member for member in enum} | extra
-        self.text_of = {value: text for text, value in self.by_text.items()}
-
-    def dump(self, value: Any) -> str:
-        return self.text_of[value]
+        quoted = {value: _quote(text) for text, value in self.by_text.items()}
+        self.render = lambda value, newline: quoted[value]
 
     def read(self, data: Any) -> Any:
         try:
@@ -447,17 +492,21 @@ _index_segment = "[{}]".format
 
 
 class ArrayOf(Codec):
-    """A JSON array; load passes the items to build, dump lists them in the
-    order that order(value) gives, or as they come when order is None."""
+    """A JSON array; load passes the items to build, render lists them in
+    the order that order(value) gives, or as they come when order is None."""
 
     def __init__(self, item: Codec, build: Callable = tuple, order: Callable | None = None) -> None:
         self.item, self.build, self.order = item, build, order
+        render_item, scalar = item.render, item.kind is not None
 
-    def dump(self, value: Iterable[Any]) -> list:
-        if self.order is not None:
-            value = self.order(value)
-        dump = self.item.dump
-        return [dump(v) for v in value]
+        def render(value, newline):
+            if order is not None:
+                value = order(value)
+            inner, separator = _layout(newline)
+            parts = [_quote(v) if scalar and type(v) is str else render_item(v, inner)
+                     for v in value]
+            return f"[{inner}{separator.join(parts)}{newline}]" if parts else "[]"
+        self.render = render
 
     def read(self, data: Any) -> Any:
         if not isinstance(data, list):
@@ -466,17 +515,28 @@ class ArrayOf(Codec):
 
 
 class MapOf(Codec):
-    """A JSON object with free keys, dumped in key order."""
+    """A JSON object with free keys, rendered in the order that order(value)
+    gives its keys, sorted by default."""
 
-    def __init__(self, item: Codec) -> None:
+    def __init__(self, item: Codec, order: Callable = sorted) -> None:
         self.item = item
+        render_item = item.render
 
-    def dump(self, value: Mapping[str, Any]) -> dict:
-        return {k: self.item.dump(value[k]) for k in sorted(value)}
+        def render(value, newline):
+            inner, separator = _layout(newline)
+            # encode_basestring raises TypeError for a key that is not a str
+            parts = [f"{_quote(k)}: {render_item(value[k], inner)}" for k in order(value)]
+            return f"{{{inner}{separator.join(parts)}{newline}}}" if parts else "{}"
+        self.render = render
 
     def read(self, data: Any) -> dict:
         obj = _object(data)
         return dict(zip(obj, _read_each(self.item, obj.values(), lambda i: f".{list(obj)[i]}")))
+
+
+# Plain JSON containers, which canonical_json renders; never read.
+_PLAIN_ARRAY = ArrayOf(Scalar(object, "a JSON value"))
+_PLAIN_OBJECT = MapOf(_PLAIN_ARRAY.item, order=iter)
 
 
 class Wrap(Codec):
@@ -490,27 +550,19 @@ class Wrap(Codec):
                 f"Wrap({cls.__name__}): the constructor takes {len(params)} parameters, not 1"
             )
         self.cls, self.attr, self.inner = cls, params[0], inner
-
-    def dump(self, value: Any) -> Any:
-        return self.inner.dump(getattr(value, self.attr))
+        render_inner, get = inner.render, attrgetter(self.attr)
+        self.render = lambda value, newline: render_inner(get(value), newline)
 
     def read(self, data: Any) -> Any:
         return self.cls(self.inner.read(data))
 
 
-class Field(NamedTuple):
-    key: str
-    codec: Codec
-    attr: str
-    optional: bool
-
-
 class Record(Codec):
-    """A JSON object with one key per parameter of cls's constructor, dumped
+    """A JSON object with one key per parameter of cls's constructor, rendered
     in the constructor's order and loaded into cls by keyword. codecs names
     each parameter's codec; keys maps a parameter to its key where the two
     differ. A parameter whose default is None is optional: its key may be
-    missing, and the dump leaves it out while it is None. Codec names other
+    missing, and render leaves it out while it is None. Codec names other
     than exactly the parameters raise TypeError when the Record is made."""
 
     def __init__(self, cls: type, keys: Mapping[str, str] = {}, **codecs: Codec) -> None:
@@ -523,28 +575,33 @@ class Record(Codec):
                 f"missing: {', '.join(missing) or '-'}; unknown: {', '.join(unknown) or '-'}"
             )
         self.cls = cls
-        self.fields = tuple(
-            Field(keys.get(name, name), codecs[name], name, param.default is None)
-            for name, param in params.items()
+        # (key, codec, attribute, optional) of each parameter, in order
+        fields = [(keys.get(name, name), codecs[name], name, param.default is None)
+                  for name, param in params.items()]
+        self.keys = frozenset(key for key, _, _, _ in fields)
+        self.required = frozenset(key for key, _, _, optional in fields if not optional)
+        self.reads = tuple((key, codec.read, attr) for key, codec, attr, _ in fields)
+        renders = tuple(
+            (f"{_quote(key)}: ", codec.render, attr, optional, codec.kind is not None)
+            for key, codec, attr, optional in fields
         )
-        self.keys = frozenset(f.key for f in self.fields)
-        self.required = frozenset(f.key for f in self.fields if not f.optional)
-        self.reads = tuple((f.key, f.codec.read, f.attr) for f in self.fields)
 
-    def dump(self, value: Any) -> dict:
-        out = {}
-        for key, codec, attr, optional in self.fields:
-            item = getattr(value, attr)
-            if item is not None or not optional:
-                out[key] = codec.dump(item)
-        return out
+        def render(value, newline):
+            inner, separator = _layout(newline)
+            parts = [
+                prefix + (_quote(item) if scalar and type(item) is str else render_item(item, inner))
+                for prefix, render_item, attr, optional, scalar in renders
+                if (item := getattr(value, attr)) is not None or not optional
+            ]
+            return f"{{{inner}{separator.join(parts)}{newline}}}" if parts else "{}"
+        self.render = render
 
     def read(self, data: Any) -> Any:
         obj = _object(data)
         # most objects carry every key, which one comparison shows
         if obj.keys() != self.keys and not self.required <= obj.keys() <= self.keys:
-            for key, _, _, optional in self.fields:
-                if not optional and key not in obj:
+            for key, _, _ in self.reads:
+                if key in self.required and key not in obj:
                     _fail(f"missing required key '{key}'")
             _fail(f"unknown keys: {', '.join(sorted(obj.keys() - self.keys))}")
         reads = iter(self.reads)
@@ -552,83 +609,9 @@ class Record(Codec):
             kwargs = {attr: read(obj[key]) for key, read, attr in reads if key in obj}
         except _Fault as fault:
             # the iterator has yielded every field up to the one that raised
-            fault.segments.append(f".{self.fields[len(self.fields) - length_hint(reads) - 1].key}")
+            fault.segments.append(f".{self.reads[len(self.reads) - length_hint(reads) - 1][0]}")
             raise
         return self.cls(**kwargs)
-
-
-def parse_json(text: str, path: str) -> Any:
-    """The JSON value of text. A syntax error, a document nested deeper than
-    the decoder recurses and an integer too long to convert all raise
-    ParseError."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-
-
-def canonical_json(data: Any) -> str:
-    """Render a JSON document in the package's canonical layout.
-
-    A non-empty dict is "{", then each `key: value` on its own line two
-    spaces deeper than the enclosing one, separated by ",", then "}" on a
-    line at the enclosing depth; lists and tuples are laid out the same way
-    between brackets, and empty ones are "{}" and "[]". Strings and keys are
-    escaped by json.encoder.encode_basestring, ints and floats written by
-    their repr (NaN and infinities as NaN, Infinity, -Infinity), and True,
-    False and None as true, false and null. A trailing newline ends the
-    document. On documents of str-keyed dicts, lists, tuples, str, int,
-    float, bool and None this equals json.dumps(data, indent=2,
-    ensure_ascii=False) + "\\n", which on CPython 3.10 and 3.11 runs its
-    pure-Python encoder whenever an indent is set.
-
-    Values are dispatched on their exact type: any other value, a subclass
-    of those types included, raises TypeError, and so does a dict key that
-    is not a str (json.dumps would coerce an int, float, bool or None key).
-    """
-    return _render(data, "\n") + "\n"
-
-
-def _render(value: Any, newline: str) -> str:
-    """value in the canonical layout; newline is "\\n" plus the indent of
-    the line value starts on."""
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        # encode_basestring raises TypeError for a key that is not a str
-        return "{" + inner + ("," + inner).join([
-            f"{_quote(key)}: {_quote(item) if type(item) is str else _render(item, inner)}"
-            for key, item in value.items()
-        ]) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            _quote(item) if type(item) is str else _render(item, inner)
-            for item in value
-        ]) + newline + "]"
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +666,10 @@ GROUND_TRUTH = Record(
 )
 TASK = Record(TaskInstance, scene=SCENE, instruction=STR, ground_truth=GROUND_TRUTH)
 
-# Whole-document entry points.
-scene_to_json = SCENE.dump
-program_to_json = PROGRAM.dump
-schedule_record_to_json = SCHEDULE_RECORD.dump
 
 
 def serialize_task_instance(task: TaskInstance) -> str:
-    return canonical_json(TASK.dump(task))
+    return TASK.serialize(task)
 
 
 def task_violations(task: TaskInstance) -> list[str]:

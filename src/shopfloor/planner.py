@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import PlannerUnavailable
 from .model import (
+    SCENE,
     Allocation,
     Operation,
     OperationType,
@@ -26,8 +27,6 @@ from .model import (
     Scene,
     TaskInstance,
     ValidationReport,
-    canonical_json,
-    scene_to_json,
     validate_planner_output,
 )
 
@@ -255,7 +254,7 @@ def build_prompt(task: TaskInstance, template: str | None = None) -> str:
     instruction stays literal."""
     text = template if template is not None else load_prompt_template()
     values = {
-        "SCENE": canonical_json(scene_to_json(task.scene)),
+        "SCENE": SCENE.serialize(task.scene),
         "INSTRUCTION": task.instruction,
     }
     return _PLACEHOLDER_RE.sub(lambda m: values[m[1]], text)

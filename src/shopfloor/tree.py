@@ -71,7 +71,6 @@ from .model import (
     Scene,
     SkillCall,
     Wrapper,
-    canonical_json,
     parse_json,
 )
 
@@ -286,7 +285,7 @@ TREE = Record(
 
 
 def serialize_tree(tree: ProcessTree) -> str:
-    return canonical_json(TREE.dump(tree))
+    return TREE.serialize(tree)
 
 
 def parse_tree(text: str, path: str = "tree") -> ProcessTree:

@@ -12,6 +12,7 @@ from shopfloor.executor import (
     OperationRun,
     StepRecord,
     SymbolicState,
+    classify_args,
     initial_state,
 )
 from shopfloor.model import (
@@ -23,7 +24,6 @@ from shopfloor.model import (
     PrecedenceSet,
     Scene,
     SkillCall,
-    classify_args,
 )
 
 _TYPES = list(OperationType)

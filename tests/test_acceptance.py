@@ -31,10 +31,7 @@ from shopfloor.model import (
     Allocation,
     OperationType,
     PrecedenceSet,
-    canonical_json,
     parse_task_instance,
-    program_to_json,
-    schedule_record_to_json,
     serialize_task_instance,
 )
 from shopfloor.planner import GroundTruthPlanner, parse_planner_text, render_planner_text
@@ -331,23 +328,21 @@ def test_criterion_9_every_artifact_round_trips_byte_identically():
     generated = generate_instance(Tier.COMPLEX_MULTI, 0)
     text = serialize_task_instance(generated)
     assert serialize_task_instance(TASK.load(json.loads(text), "task")) == text
-    assert canonical_json(TASK.dump(generated)) == text
+    assert TASK.serialize(generated) == text
 
     tree_text = data.joinpath("process_tree.json").read_text(encoding="utf-8")
     assert serialize_tree(parse_tree(tree_text)) == tree_text
 
     gt = generated.ground_truth
-    record_text = canonical_json(schedule_record_to_json(gt.schedule))
-    assert canonical_json(
-        schedule_record_to_json(SCHEDULE_RECORD.load(json.loads(record_text), "schedule"))
+    record_text = SCHEDULE_RECORD.serialize(gt.schedule)
+    assert SCHEDULE_RECORD.serialize(
+        SCHEDULE_RECORD.load(json.loads(record_text), "schedule")
     ) == record_text
 
     run = ground_truth_run(generated, load_reference_tree())
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, generated.scene)
-    program_text = canonical_json(program_to_json(program))
-    assert canonical_json(
-        program_to_json(PROGRAM.load(json.loads(program_text), "program"))
-    ) == program_text
+    program_text = PROGRAM.serialize(program)
+    assert PROGRAM.serialize(PROGRAM.load(json.loads(program_text), "program")) == program_text
 
     trace_text = trace_to_jsonl(run.outcome.trace)
     assert trace_to_jsonl(parse_trace(trace_text)) == trace_text

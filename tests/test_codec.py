@@ -31,8 +31,6 @@ from shopfloor.model import (
     Wrap,
     canonical_json,
     parse_task_instance,
-    program_to_json,
-    schedule_record_to_json,
     serialize_task_instance,
 )
 from shopfloor.solve import schedule_from_record
@@ -51,8 +49,8 @@ def _documents(tier: Tier, seed: int) -> dict[str, str]:
     trace = execute(schedule, program, task.scene, gt.operations).trace
     return {
         "task": serialize_task_instance(task),
-        "program": canonical_json(program_to_json(program)),
-        "schedule": canonical_json(schedule_record_to_json(gt.schedule)),
+        "program": PROGRAM.serialize(program),
+        "schedule": SCHEDULE_RECORD.serialize(gt.schedule),
         "tree": serialize_tree(TREE),
         "trace": trace_to_jsonl(trace),
     }
@@ -62,8 +60,8 @@ def _documents(tier: Tier, seed: int) -> dict[str, str]:
 # entry point; a trace document is one of its lines.
 READ = {
     "task": lambda doc: serialize_task_instance(parse_task_instance(canonical_json(doc))),
-    "program": lambda doc: canonical_json(program_to_json(PROGRAM.load(doc, "program"))),
-    "schedule": lambda doc: canonical_json(schedule_record_to_json(SCHEDULE_RECORD.load(doc, "schedule"))),
+    "program": lambda doc: PROGRAM.serialize(PROGRAM.load(doc, "program")),
+    "schedule": lambda doc: SCHEDULE_RECORD.serialize(SCHEDULE_RECORD.load(doc, "schedule")),
     "tree": lambda doc: serialize_tree(parse_tree(canonical_json(doc))),
     "trace": lambda doc: trace_to_jsonl(parse_trace(json.dumps(doc))),
 }
@@ -344,14 +342,14 @@ def test_a_wrap_needs_a_constructor_of_one_parameter():
 
 def test_record_keys_follow_the_constructor_and_only_a_none_default_is_optional():
     machine = Machine("m1", "table")
-    assert list(MACHINE.dump(machine)) == ["id", "name", "exclusive", "points", "held_workpieces"]
+    doc = json.loads(MACHINE.serialize(machine))
+    assert list(doc) == ["id", "name", "exclusive", "points", "held_workpieces"]
     # exclusive defaults to True, so its key is still required
-    doc = MACHINE.dump(machine)
     del doc["exclusive"]
     with pytest.raises(ParseError, match=r"^machine: missing required key 'exclusive'$"):
         MACHINE.load(doc, "machine")
-    # machine_2 defaults to None: left out of the dump, loaded as None
+    # machine_2 defaults to None: left out of the text, loaded as None
     op = Operation("o1", OperationType.POLISHING, "w1", "m1")
-    doc = OPERATION.dump(op)
+    doc = json.loads(OPERATION.serialize(op))
     assert doc == {"id": "o1", "type": "polishing", "workpiece": "w1", "machine_1": "m1"}
     assert OPERATION.load(doc, "operation") == op

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shopfloor.errors import ParseError, ValidationError
+from shopfloor.executor import classify_args
 from shopfloor.model import (
     SCENE,
     Allocation,
@@ -22,14 +23,12 @@ from shopfloor.model import (
     Workpiece,
     at_label,
     canonical_json,
-    classify_args,
     device_name,
     parse_at_label,
     parse_json,
     parse_task_instance,
     point_name,
     role_placeholder,
-    scene_to_json,
     serialize_task_instance,
     validate_planner_output,
     validate_scene,
@@ -257,7 +256,7 @@ def test_duplicate_op_id_rejected(scene, plan):
 def _task_doc(scene):
     ops, alloc, prec = simple_plan(scene)
     return {
-        "scene": scene_to_json(scene),
+        "scene": json.loads(SCENE.serialize(scene)),
         "instruction": "polish both plates and stack them on the pallets",
         "ground_truth": {
             "operations": [
@@ -381,7 +380,7 @@ def test_scene_serialization_is_order_insensitive(scene):
         machines=tuple(reversed(scene.machines)),
         workpieces=tuple(reversed(scene.workpieces)),
     )
-    assert canonical_json(scene_to_json(scene)) == canonical_json(scene_to_json(shuffled))
+    assert SCENE.serialize(scene) == SCENE.serialize(shuffled)
 
 
 def test_operations_keep_list_order(scene):
@@ -410,10 +409,10 @@ def test_scene_round_trip_property(pieces):
     machines = (make_machine("m1", held=[w.id for w in workpieces]),)
     scene = Scene(robots=(make_robot("r1", reachable=("m1",)),),
                   machines=machines, workpieces=workpieces)
-    text = canonical_json(scene_to_json(scene))
+    text = SCENE.serialize(scene)
     parsed = SCENE.load(json.loads(text), "scene")
-    assert canonical_json(scene_to_json(parsed)) == text
-    assert SCENE.load(json.loads(canonical_json(scene_to_json(parsed))), "scene") == parsed
+    assert SCENE.serialize(parsed) == text
+    assert SCENE.load(json.loads(SCENE.serialize(parsed)), "scene") == parsed
 
 
 # The JSON data model canonical_json takes: str-keyed dicts, lists,

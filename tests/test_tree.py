@@ -20,11 +20,9 @@ from shopfloor.model import (
     Scene,
     PROGRAM,
     SkillCall,
-    program_to_json,
     canonical_json,
 )
 from shopfloor.tree import (
-    TREE,
     ProcessTree,
     TreeNode,
     assemble_program,
@@ -189,14 +187,14 @@ def test_reference_tree_round_trips(tree):
 
 
 def test_dangling_child_rejected(tree):
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     doc["nodes"][0]["children"] = [1, 2, 99]
     with pytest.raises(ValidationError, match="missing child 99"):
         parse_tree(canonical_json(doc))
 
 
 def test_cycle_rejected(tree):
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     for node in doc["nodes"]:
         if node["index"] == 3:
             node["children"] = [0]
@@ -205,7 +203,7 @@ def test_cycle_rejected(tree):
 
 
 def test_unreachable_node_rejected(tree):
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     doc["nodes"].append({
         "index": 40, "type": "general", "description": "orphan",
         "condition": "true", "snippet": [], "children": [],
@@ -215,7 +213,7 @@ def test_unreachable_node_rejected(tree):
 
 
 def test_missing_type_coverage_rejected(tree):
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     doc["nodes"] = [n for n in doc["nodes"] if n["index"] != 6]
     for node in doc["nodes"]:
         node["children"] = [c for c in node["children"] if c != 6]
@@ -224,7 +222,7 @@ def test_missing_type_coverage_rejected(tree):
 
 
 def test_unknown_skill_rejected(tree):
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     doc["nodes"][1]["snippet"] = [{"skill": "levitate", "args": []}]
     with pytest.raises(ValidationError, match="unknown skill 'levitate'"):
         parse_tree(canonical_json(doc))
@@ -236,7 +234,7 @@ def test_unknown_skill_rejected(tree):
 def test_malformed_condition_in_tree_file_raises_parse_error(tree, condition):
     with pytest.raises(ParseError) as expected:
         parse_condition(condition)
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     doc["nodes"][2]["condition"] = condition
     with pytest.raises(ParseError) as raised:
         parse_tree(canonical_json(doc))
@@ -244,7 +242,7 @@ def test_malformed_condition_in_tree_file_raises_parse_error(tree, condition):
 
 
 def test_duplicate_index_rejected(tree):
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     doc["nodes"].append(dict(doc["nodes"][3]))
     with pytest.raises(ValidationError, match="not unique"):
         parse_tree(canonical_json(doc))
@@ -508,7 +506,7 @@ def test_table_hits_raise_with_their_own_operation_id(tree):
 def test_trees_do_not_share_table_entries(tree):
     # A variant of the reference tree with another root gate and entry
     # description: equal features, different outcomes.
-    doc = TREE.dump(tree)
+    doc = json.loads(serialize_tree(tree))
     doc["nodes"][0]["condition"] = '(device-present robot "magnetic_gripper")'
     doc["nodes"][0]["description"] = "gripper entry"
     variant = parse_tree(json.dumps(doc))
@@ -574,12 +572,12 @@ def test_assembly_is_deterministic(tree, scene):
     ops, alloc, prec = simple_plan(scene)
     one = assemble_program(tree, ops, alloc, scene)
     two = assemble_program(tree, ops, alloc, scene)
-    assert program_to_json(one) == program_to_json(two)
+    assert PROGRAM.serialize(one) == PROGRAM.serialize(two)
 
 
 def test_program_json_round_trip(tree, scene):
     ops, alloc, prec = simple_plan(scene)
     program = assemble_program(tree, ops, alloc, scene)
-    text = canonical_json(program_to_json(program))
+    text = PROGRAM.serialize(program)
     parsed = PROGRAM.load(json.loads(text), "program")
-    assert canonical_json(program_to_json(parsed)) == text
+    assert PROGRAM.serialize(parsed) == text
