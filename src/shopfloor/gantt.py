@@ -6,7 +6,7 @@ against each other; only the presentation differs.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import Allocation, Operation
 from .solve import ScheduleGraph

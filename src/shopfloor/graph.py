@@ -10,22 +10,22 @@ already ordered by a workpiece chain get no disjunctive arc: the chain is a
 total order on its workpiece, so only cross-workpiece pairs remain.
 
 The graph stores each resource's users, not their pairs, which grow
-with the square of the users. It derives, once, each operation's chain
-predecessor (preds) and held resources (held), and the arcs (disjunctive)
-only for to_dot and tests. It stays undirected on its disjunctive arcs: a
-schedule's start steps fix the order of every conflicting pair.
+with the square of the users. It builds each operation's chain
+predecessor (preds) and held resources (held) when constructed, and
+derives the arcs (disjunctive) each time they are read, which only to_dot
+and tests do. It stays undirected on its disjunctive arcs: a schedule's
+start steps fix the order of every conflicting pair.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Literal, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .model import Allocation, Operation, PrecedenceSet, Scene
+from .value import Value
 
 SOURCE = "__source__"
 TERMINAL = "__terminal__"
@@ -44,36 +44,32 @@ class DisjunctiveArc(NamedTuple):
     resource: str
 
 
-@dataclass(frozen=True)
-class DisjunctiveGraph:
+class DisjunctiveGraph(Value):
     """op_ids and each resource's users in plan order; chains one per
-    workpiece in workpiece order, empty chains dropped."""
+    workpiece in workpiece order, empty chains dropped. Built with it: each
+    operation's chain predecessor (preds, empty for a chain head) and the
+    resources it occupies during its step (held)."""
 
-    op_ids: tuple[str, ...]
-    chains: tuple[tuple[str, ...], ...]
-    resources: Mapping[Resource, tuple[str, ...]]
+    _fields = ("op_ids", "chains", "resources")
+    __slots__ = (*_fields, "preds", "held")
 
-    @cached_property
-    def preds(self) -> dict[str, frozenset[str]]:
-        """Each operation's chain predecessor (empty for a chain head)."""
-        preds = dict.fromkeys(self.op_ids, frozenset())
-        for chain in self.chains:
+    def __init__(self, op_ids: tuple[str, ...], chains: tuple[tuple[str, ...], ...],
+                 resources: Mapping[Resource, tuple[str, ...]]) -> None:
+        preds: dict[str, frozenset[str]] = dict.fromkeys(op_ids, frozenset())
+        for chain in chains:
             for u, v in zip(chain, chain[1:]):
                 preds[v] = frozenset((u,))
-        return preds
-
-    @cached_property
-    def held(self) -> dict[str, tuple[Resource, ...]]:
-        """The resources each operation occupies during its step."""
-        held: dict[str, tuple[Resource, ...]] = dict.fromkeys(self.op_ids, ())
-        for resource, users in self.resources.items():
+        held: dict[str, tuple[Resource, ...]] = dict.fromkeys(op_ids, ())
+        for resource, users in resources.items():
             for op in users:
                 held[op] += (resource,)
-        return held
+        self.op_ids, self.chains, self.resources = op_ids, chains, resources
+        self.preds, self.held = preds, held
 
-    @cached_property
+    @property
     def disjunctive(self) -> frozenset[DisjunctiveArc]:
-        """One arc per resource for every cross-workpiece pair of its users."""
+        """One arc per resource for every cross-workpiece pair of its users,
+        derived at each read."""
         workpiece = {op: i for i, chain in enumerate(self.chains) for op in chain}
         arcs: set[DisjunctiveArc] = set()
         for (kind, resource), users in self.resources.items():

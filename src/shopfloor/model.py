@@ -10,19 +10,19 @@ The package's records are typing.NamedTuple classes, which generate no
 methods per class at import; a copy with changed fields is
 record._replace(...). A named tuple equals any tuple of the same items, so
 records are compared only with records of their own type. Four classes
-stay frozen dataclasses because they build state when constructed, which
-a tuple cannot hold: Scene (its id indexes), tree.TreeNode (its parsed
-condition), tree.ProcessTree (its branch table) and graph.DisjunctiveGraph
-(its cached relations).
+build state when constructed, which a tuple cannot hold, so they are
+slotted value.Value classes: Scene (its id indexes), tree.TreeNode (its
+parsed condition), tree.ProcessTree (its branch table) and
+graph.DisjunctiveGraph (its chain predecessors and held resources).
 
 Each file format (task, scene, plan, program, schedule record) is declared
 once, as a codec built from the strict-JSON combinators below (STR, INT,
 BOOL, EnumOf, ArrayOf, MapOf, Wrap, Record); tree and executor declare the
 process tree and the trace line with them. A Record or Wrap takes its keys
-from its class's constructor, so a record's fields are written only in the
-class. A codec's load rejects every shape fault with a ParseError naming
-its path; the path is built only on failure, as the fault unwinds through
-the enclosing levels. Serialization is canonical:
+from its class's _fields and _field_defaults, so a record's fields are
+written only in the class. A codec's load rejects every shape fault with
+a ParseError naming its path; the path is built only on failure, as the
+fault unwinds through the enclosing levels. Serialization is canonical:
 fixed key order, sorted collections where order carries no meaning,
 two-space indent, trailing newline. Re-serializing a parsed document always
 reproduces it byte for byte. Codecs render typed values straight to text
@@ -34,13 +34,11 @@ for the one line of a trace step, without the stdlib's Python encoder.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import os
 import re
 import stat
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from json.encoder import encode_basestring as _quote
@@ -49,6 +47,7 @@ from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ParseError, ValidationError
+from .value import Value
 
 
 class OperationType(Enum):
@@ -154,30 +153,20 @@ class Workpiece(NamedTuple):
     state_sequence: tuple[str, ...] = ()
 
 
-def _first_by_id(items: Sequence[Any]) -> dict[str, Any]:
-    """id -> entity; with duplicate ids the first entry wins."""
-    index: dict[str, Any] = {}
-    for item in items:
-        index.setdefault(item.id, item)
-    return index
-
-
-@dataclass(frozen=True, slots=True)
-class Scene:
+class Scene(Value):
     """The floor. Lookups by id go through indexes built at construction;
     with duplicate ids (which validate_scene reports) the first entry wins."""
 
-    robots: tuple[Robot, ...]
-    machines: tuple[Machine, ...]
-    workpieces: tuple[Workpiece, ...]
-    _robots: Mapping[str, Robot] = field(init=False, repr=False, compare=False)
-    _machines: Mapping[str, Machine] = field(init=False, repr=False, compare=False)
-    _workpieces: Mapping[str, Workpiece] = field(init=False, repr=False, compare=False)
+    _fields = ("robots", "machines", "workpieces")
+    __slots__ = (*_fields, "_robots", "_machines", "_workpieces")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_robots", _first_by_id(self.robots))
-        object.__setattr__(self, "_machines", _first_by_id(self.machines))
-        object.__setattr__(self, "_workpieces", _first_by_id(self.workpieces))
+    def __init__(self, robots: tuple[Robot, ...], machines: tuple[Machine, ...],
+                 workpieces: tuple[Workpiece, ...]) -> None:
+        self.robots, self.machines, self.workpieces = robots, machines, workpieces
+        # read in reverse, so that the first entry of an id is the last set
+        self._robots = {robot.id: robot for robot in reversed(robots)}
+        self._machines = {machine.id: machine for machine in reversed(machines)}
+        self._workpieces = {piece.id: piece for piece in reversed(workpieces)}
 
     def robot(self, robot_id: str) -> Robot:
         return self._robots[robot_id]
@@ -540,11 +529,11 @@ _PLAIN_OBJECT = MapOf(_PLAIN_ARRAY.item, order=iter)
 
 
 class Wrap(Codec):
-    """A type whose constructor takes one parameter, stored as that
-    parameter's value alone."""
+    """A type whose constructor takes one parameter (its _fields), stored as
+    that parameter's value alone."""
 
     def __init__(self, cls: type, inner: Codec) -> None:
-        params = list(inspect.signature(cls).parameters)
+        params = cls._fields
         if len(params) != 1:
             raise TypeError(
                 f"Wrap({cls.__name__}): the constructor takes {len(params)} parameters, not 1"
@@ -558,15 +547,16 @@ class Wrap(Codec):
 
 
 class Record(Codec):
-    """A JSON object with one key per parameter of cls's constructor, rendered
-    in the constructor's order and loaded into cls by keyword. codecs names
-    each parameter's codec; keys maps a parameter to its key where the two
-    differ. A parameter whose default is None is optional: its key may be
-    missing, and render leaves it out while it is None. Codec names other
-    than exactly the parameters raise TypeError when the Record is made."""
+    """A JSON object with one key per parameter of cls's constructor (its
+    _fields, with defaults in _field_defaults), rendered in that order and
+    loaded into cls by keyword. codecs names each parameter's codec; keys
+    maps a parameter to its key where the two differ. A parameter whose
+    default is None is optional: its key may be missing, and render leaves
+    it out while it is None. Codec names other than exactly the parameters
+    raise TypeError when the Record is made."""
 
     def __init__(self, cls: type, keys: Mapping[str, str] = {}, **codecs: Codec) -> None:
-        params = inspect.signature(cls).parameters
+        params, defaults = cls._fields, cls._field_defaults
         missing = [name for name in params if name not in codecs]
         unknown = [name for name in (*codecs, *keys) if name not in params]
         if missing or unknown:
@@ -576,8 +566,8 @@ class Record(Codec):
             )
         self.cls = cls
         # (key, codec, attribute, optional) of each parameter, in order
-        fields = [(keys.get(name, name), codecs[name], name, param.default is None)
-                  for name, param in params.items()]
+        fields = [(keys.get(name, name), codecs[name], name,
+                   name in defaults and defaults[name] is None) for name in params]
         self.keys = frozenset(key for key, _, _, _ in fields)
         self.required = frozenset(key for key, _, _, optional in fields if not optional)
         self.reads = tuple((key, codec.read, attr) for key, codec, attr, _ in fields)

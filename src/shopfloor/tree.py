@@ -49,7 +49,6 @@ the three are parsed by one rule and evaluated by one lookup:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -73,21 +72,20 @@ from .model import (
     Wrapper,
     parse_json,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    index: int
-    op_type: OperationType | None  # None means general
-    description: str
-    condition: str
-    snippet: tuple[SkillCall, ...]
-    children: tuple[int, ...]
-    # The parsed condition; a malformed condition raises ParseError here.
-    expr: Any = field(init=False, repr=False, compare=False)
+class TreeNode(Value):
+    _fields = ("index", "op_type", "description", "condition", "snippet", "children")
+    __slots__ = (*_fields, "expr")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "expr", parse_condition(self.condition))
+    def __init__(self, index: int, op_type: OperationType | None,  # None means general
+                 description: str, condition: str, snippet: tuple[SkillCall, ...],
+                 children: tuple[int, ...]) -> None:
+        self.index, self.op_type, self.description = index, op_type, description
+        self.condition, self.snippet, self.children = condition, snippet, children
+        # The parsed condition; a malformed condition raises ParseError here.
+        self.expr = parse_condition(condition)
 
 
 Branch = tuple[TreeNode, ...]
@@ -136,16 +134,16 @@ def features(op: Operation, scene: Scene) -> Features:
 _Outcome = _Selection | tuple[type[NoBranch] | type[AmbiguousBranch], str]
 
 
-@dataclass(frozen=True)
-class ProcessTree:
-    root: int
-    nodes: Mapping[int, TreeNode]
-    # Branch table: Features -> outcome, filled by the walk on a miss. The
-    # walk reads only the key and the immutable nodes, so an entry can never
-    # go stale.
-    branches: dict[Features, _Outcome] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+class ProcessTree(Value):
+    _fields = ("root", "nodes")
+    __slots__ = (*_fields, "branches")
+
+    def __init__(self, root: int, nodes: Mapping[int, TreeNode]) -> None:
+        self.root, self.nodes = root, nodes
+        # Branch table: Features -> outcome, filled by the walk on a miss. The
+        # walk reads only the key and the immutable nodes, so an entry can
+        # never go stale.
+        self.branches: dict[Features, _Outcome] = {}
 
     def node(self, index: int) -> TreeNode:
         return self.nodes[index]

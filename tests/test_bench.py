@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -13,7 +12,6 @@ import shopfloor.bench as bench
 import shopfloor.metrics as metrics
 from shopfloor.bench import (
     TIER_SPECS,
-    BenchTask,
     Tier,
     generate_instance,
     generate_suite,
@@ -35,7 +33,13 @@ from shopfloor.metrics import (
     run_plan,
     score,
 )
-from shopfloor.model import Allocation, PrecedenceSet, canonical_json, serialize_task_instance
+from shopfloor.model import (
+    Allocation,
+    PrecedenceSet,
+    Scene,
+    canonical_json,
+    serialize_task_instance,
+)
 from shopfloor.planner import (
     GroundTruthPlanner,
     LlmConfig,
@@ -179,7 +183,7 @@ def test_a_candidate_that_fails_the_static_checks_raises(monkeypatch):
 
     def doubled_robots(tier, seed):
         task, schedule = candidate(tier, seed)
-        scene = dataclasses.replace(task.scene, robots=task.scene.robots * 2)
+        scene = Scene(task.scene.robots * 2, task.scene.machines, task.scene.workpieces)
         return task._replace(scene=scene), schedule
 
     monkeypatch.setattr(bench, "_candidate", doubled_robots)
@@ -396,7 +400,7 @@ def test_a_ground_truth_that_achieves_nothing_costs_no_planner_call():
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
     robots = tuple(r._replace(devices=frozenset()) for r in task.scene.robots)
     task = task._replace(
-        scene=dataclasses.replace(task.scene, robots=robots),
+        scene=Scene(robots, task.scene.machines, task.scene.workpieces),
         ground_truth=gt._replace(program=program),
     )
     transport = RecordedTransport(
@@ -421,7 +425,7 @@ def _stored_program_without_polisher(robot_ids):
         if robot.id in robot_ids else robot
         for robot in task.scene.robots
     )
-    scene = dataclasses.replace(task.scene, robots=robots)
+    scene = Scene(robots, task.scene.machines, task.scene.workpieces)
     return task._replace(scene=scene, ground_truth=gt._replace(program=program))
 
 

@@ -14,11 +14,9 @@ from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import ParseError
 from shopfloor.executor import (
     FAILURE_REASONS,
-    ExecutionOutcome,
     Failure,
     OperationRun,
     StepRecord,
-    SymbolicState,
     execute,
     initial_state,
     parse_trace,

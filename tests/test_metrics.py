@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from shopfloor.bench import METRIC_FIELDS, Tier, _run_pipeline, generate_instance
 from shopfloor.errors import DegenerateDenominator, EmptyGtStatus
-from shopfloor.executor import execute, initial_state, status_delta
+from shopfloor.executor import execute
 from shopfloor.graph import build_graph
 from shopfloor.metrics import (
     EvaluationReport,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -12,15 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from shopfloor.errors import ParseError, ValidationError
 from shopfloor.executor import classify_args
+from shopfloor.graph import DisjunctiveGraph
 from shopfloor.model import (
     SCENE,
     Allocation,
-    Machine,
     OperationType,
     PrecedenceSet,
-    Robot,
     Scene,
-    Workpiece,
     at_label,
     canonical_json,
     device_name,
@@ -34,6 +33,7 @@ from shopfloor.model import (
     validate_scene,
     write_file,
 )
+from shopfloor.tree import ProcessTree, TreeNode
 
 from conftest import make_machine, make_op, make_robot, make_scene, make_workpiece, simple_plan
 
@@ -119,6 +119,13 @@ def test_scene_equality_ignores_its_indexes(scene):
     copy = Scene(robots=scene.robots, machines=scene.machines, workpieces=scene.workpieces)
     assert copy == scene and hash(copy) == hash(scene)
     assert "_robots" not in repr(scene)
+
+
+@pytest.mark.parametrize("cls", [Scene, TreeNode, ProcessTree, DisjunctiveGraph])
+def test_a_value_class_names_its_constructor_parameters_in_fields(cls):
+    # the codecs, equality, hashing and repr all read _fields
+    assert tuple(inspect.signature(cls).parameters) == cls._fields
+    assert cls._field_defaults == {}
 
 
 # ---------------------------------------------------------------------------

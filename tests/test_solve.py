@@ -633,7 +633,12 @@ def test_three_users_on_one_step_name_the_two_smallest_ids():
         schedule_from_record(g, record)
 
 
-def test_scoring_path_never_builds_the_arc_set():
+def test_scoring_path_never_builds_the_arc_set(monkeypatch):
+    derived = []
+    arcs = DisjunctiveGraph.disjunctive.fget
+    monkeypatch.setattr(
+        DisjunctiveGraph, "disjunctive", property(lambda g: derived.append(g) or arcs(g))
+    )
     task = generate_instance(Tier.COMPLEX_MULTI, 0)
     gt = task.ground_truth
     graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
@@ -642,4 +647,5 @@ def test_scoring_path_never_builds_the_arc_set():
     assert execute(schedule, program, task.scene, gt.operations).executed_fully
     assert _fault(graph, schedule.start_steps, schedule.makespan) is None
     assert schedule_from_record(graph, gt.schedule).makespan == gt.schedule.makespan
-    assert "disjunctive" not in graph.__dict__
+    assert derived == []
+    assert graph.disjunctive and derived == [graph]  # the count sees a read

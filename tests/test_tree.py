@@ -14,9 +14,7 @@ from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from shopfloor.model import (
     MACHINE_ROLES,
-    Allocation,
     OperationType,
-    PrecedenceSet,
     Scene,
     PROGRAM,
     SkillCall,
@@ -24,7 +22,6 @@ from shopfloor.model import (
 )
 from shopfloor.tree import (
     ProcessTree,
-    TreeNode,
     assemble_program,
     eval_condition,
     features,
@@ -35,7 +32,7 @@ from shopfloor.tree import (
     serialize_tree,
 )
 
-from conftest import FULL_KIT, make_op, make_robot, make_scene, make_workpiece, simple_plan
+from conftest import FULL_KIT, make_op, make_robot, make_scene, simple_plan
 
 HANDHELD_KIT = FULL_KIT  # camera in hand, no bracket_camera
 BRACKET_KIT = frozenset(
