@@ -38,6 +38,10 @@ and their calls stay for the life of the process: one entry per distinct
 execution and role-value tuple it ran, whose SkillCall objects are
 themselves shared, one per distinct call.
 
+The skill-argument grammar (role placeholders such as "{machine_1}",
+"{device:NAME}", "{point:NAME}") is stated once, in classify_args, its
+only reader.
+
 The trace line format is declared once, as a codec (STEP_RECORD) built
 from the strict-JSON combinators in model, which renders each line as
 json.dumps(..., ensure_ascii=False) writes it.
@@ -53,7 +57,6 @@ from .model import (
     SKILL_CALL,
     STR,
     ArrayOf,
-    MACHINE_ROLES,
     Operation,
     OperationType,
     PROCESSING_FLAGS,
@@ -64,10 +67,7 @@ from .model import (
     SkillCall,
     SKILLS,
     at_label,
-    device_name,
     parse_json,
-    point_name,
-    role_placeholder,
 )
 from .solve import ScheduleGraph
 
@@ -134,24 +134,32 @@ def initial_state(scene: Scene) -> SymbolicState:
 # argument of an operation that fails.
 SkillArg = tuple[str, str, str | None]
 
+# The role placeholders a wrapper binds, by their text in a skill call.
+_ROLE_OF = {f"{{{role}}}": role for role in ("robot", "machine_1", "machine_2", "workpiece")}
+
+
+def _classify(arg: str) -> tuple[str, str]:
+    """(kind, name) of one argument. A role is exactly a key of _ROLE_OF; a
+    device or point reads "{device:NAME}" or "{point:NAME}", NAME non-empty
+    and brace-free, and may end in one LF; anything else is a literal."""
+    if arg in _ROLE_OF:
+        return "role", _ROLE_OF[arg]
+    body = arg[:-1] if arg.endswith("}\n") else arg
+    kind, _, name = body[1:-1].partition(":")
+    if (body[:1] == "{" and body[-1:] == "}" and kind in ("device", "point") and name
+            and "{" not in name and "}" not in name):
+        return kind, name
+    return "literal", arg
+
 
 def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
     """A skill call's arguments, classified in order; see SkillArg."""
+    kinds = [_classify(arg) for arg in args]
     context = next(
-        (role for role in map(role_placeholder, args) if role in MACHINE_ROLES),
+        (name for kind, name in kinds if kind == "role" and name in ("machine_1", "machine_2")),
         "machine_1",
     )
-    out: list[SkillArg] = []
-    for arg in args:
-        if (role := role_placeholder(arg)) is not None:
-            out.append(("role", role, None))
-        elif (device := device_name(arg)) is not None:
-            out.append(("device", device, None))
-        elif (point := point_name(arg)) is not None:
-            out.append(("point", point, context))
-        else:
-            out.append(("literal", arg, None))
-    return tuple(out)
+    return tuple((kind, name, context if kind == "point" else None) for kind, name in kinds)
 
 
 class _Link:
@@ -189,6 +197,15 @@ _call = cache(SkillCall)
 _UNRESOLVED = {"role": "unbound_placeholder", "device": "missing_device", "point": "missing_point"}
 
 
+def _has_point(
+    op: Operation, binding: Mapping[str, str], scene: Scene, machine_role: str, name: str
+) -> bool:
+    """Whether the machine bound to machine_role (op's machine_1 when the
+    role is unbound) exists and carries the point name."""
+    machine_id = binding.get(machine_role, op.machine_1)
+    return scene.has_machine(machine_id) and name in scene.machine(machine_id).points
+
+
 def _walk(
     op: Operation,
     link: _Link,
@@ -207,8 +224,7 @@ def _walk(
             elif kind == "device":
                 present = name in devices
             elif kind == "point":
-                machine_id = binding.get(machine_role, op.machine_1)
-                present = scene.has_machine(machine_id) and name in scene.machine(machine_id).points
+                present = _has_point(op, binding, scene, machine_role, name)
             else:
                 present = True
             if not present:
@@ -246,8 +262,7 @@ def _run_operation(
     )
     resolves = link.known and binding.keys() >= link.roles and link.devices <= devices
     for role, name in link.points if resolves else ():
-        machine_id = binding.get(role, op.machine_1)
-        if not (scene.has_machine(machine_id) and name in scene.machine(machine_id).points):
+        if not _has_point(op, binding, scene, role, name):
             resolves = False
             break
     if resolves:

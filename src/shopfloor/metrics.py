@@ -286,7 +286,6 @@ def score(
         metadata={
             "gt_operation_count": len(gt.operations),
             "gt_makespan": reference.schedule.makespan,
-            "gt_executed_fully": reference.outcome.executed_fully,
             "generated_operation_count": len(operations) if operations is not None else None,
             "generated_makespan": schedule.makespan if schedule is not None else None,
             "generated_executed_fully": execution.executed_fully if execution is not None else None,

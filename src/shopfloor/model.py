@@ -4,7 +4,9 @@ All types here are plain immutable data. Invariants are enforced by the
 validation entry points (task_violations, which parse_task_instance and
 load_task_instance raise on, validate_scene, validate_planner_output), not
 by the constructors, so tests and tools can build deliberately broken
-values and feed them to the validators.
+values and feed them to the validators. The skill-argument grammar
+(role placeholders, "{device:NAME}", "{point:NAME}") is not here but in
+its only reader, executor.classify_args.
 
 The package's records are typing.NamedTuple classes, which generate no
 methods per class at import; a copy with changed fields is
@@ -87,29 +89,11 @@ SKILLS = frozenset(
     }
 )
 
-# Role placeholders a wrapper must bind; written in snippets as "{robot}" etc.
-PLACEHOLDER_ROLES = ("robot", "machine_1", "machine_2", "workpiece")
-MACHINE_ROLES = ("machine_1", "machine_2")
-_ROLE_OF_PLACEHOLDER = {"{" + role + "}": role for role in PLACEHOLDER_ROLES}
-
-_POINT_RE = re.compile(r"^\{point:([^{}]+)\}$")
-_DEVICE_RE = re.compile(r"^\{device:([^{}]+)\}$")
 _AT_RE = re.compile(r"^at\(([^()]+)\)$")
 
-
-def role_placeholder(arg: str) -> str | None:
-    """Return the role name if arg is a role placeholder like "{machine_1}"."""
-    return _ROLE_OF_PLACEHOLDER.get(arg)
-
-
-def point_name(arg: str) -> str | None:
-    m = _POINT_RE.match(arg)
-    return m.group(1) if m else None
-
-
-def device_name(arg: str) -> str | None:
-    m = _DEVICE_RE.match(arg)
-    return m.group(1) if m else None
+# Vertex ids of the disjunctive graph's source and terminal (graph.to_dot),
+# which no operation may take.
+SOURCE, TERMINAL = "__source__", "__terminal__"
 
 
 def at_label(machine_id: str) -> str:
@@ -783,10 +767,13 @@ def validate_planner_output(
 ) -> ValidationReport:
     """Check a plan triple against the scene. Never raises; returns a report.
 
-    A passing report guarantees the triple can be turned into a graph:
-    ids are unique, references resolve, machine_2 appears exactly on
-    transport operations, the allocation is total over reachable robots,
-    and each operation sits in exactly one workpiece chain.
+    This is the one statement of plan validity: a passing report is the
+    precondition of graph.build_graph and tree.assemble_program. It
+    guarantees that ids are unique and none is the graph's source or
+    terminal vertex ("__source__", "__terminal__"), references resolve,
+    machine_2 appears exactly on transport operations, the allocation is
+    total over reachable robots, and each operation sits in exactly one
+    workpiece chain.
     """
     problems: list[str] = []
     op_ids: set[str] = set()
@@ -794,6 +781,8 @@ def validate_planner_output(
         if op.id in op_ids:
             problems.append(f"duplicate operation id '{op.id}'")
         op_ids.add(op.id)
+        if op.id in (SOURCE, TERMINAL):
+            problems.append(f"operation id '{op.id}' collides with a reserved vertex")
         if op.op_type is OperationType.TRANSPORT:
             if op.machine_2 is None:
                 problems.append(f"transport operation '{op.id}' is missing machine_2")

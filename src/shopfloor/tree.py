@@ -432,12 +432,13 @@ def assemble_program(
     allocation: Allocation,
     scene: Scene,
 ) -> Program:
-    """Build the three-layer program for a validated plan.
+    """Build the three-layer program for a plan.
 
-    Operations selecting the same branch share one execution function
-    (keyed by the branch's node-index sequence); each operation gets its
-    own wrapper binding robot, machines and workpiece. Deterministic and
-    idempotent for a fixed input.
+    Precondition: the plan passes model.validate_planner_output, so every
+    operation has an allocated robot. Operations selecting the same branch
+    share one execution function (keyed by the branch's node-index
+    sequence); each operation gets its own wrapper binding robot, machines
+    and workpiece. Deterministic and idempotent for a fixed input.
     """
     executions: dict[str, tuple[SkillCall, ...]] = {}
     wrappers: dict[str, Wrapper] = {}
@@ -447,8 +448,6 @@ def assemble_program(
         exec_name = selection.execution
         executions.setdefault(exec_name, selection.skills)
         robot = allocation.robot_for(op.id)
-        if robot is None:
-            raise ValidationError(f"operation '{op.id}' has no allocated robot")
         binding = {"robot": robot, "machine_1": op.machine_1, "workpiece": op.workpiece}
         if op.machine_2 is not None:
             binding["machine_2"] = op.machine_2

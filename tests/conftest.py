@@ -100,6 +100,19 @@ def simple_plan(scene=None):
     return ops, alloc, prec
 
 
+def renamed_plan(ops, alloc, prec, old, new):
+    """The plan triple with operation id old renamed to new throughout."""
+
+    def rename(op_id):
+        return new if op_id == old else op_id
+
+    return (
+        tuple(op._replace(id=rename(op.id)) for op in ops),
+        Allocation(by_op={rename(k): v for k, v in alloc.by_op.items()}),
+        PrecedenceSet(chains={w: tuple(map(rename, c)) for w, c in prec.chains.items()}),
+    )
+
+
 def unscheduled_task():
     """b1 and a1 share robot r1 and the ground truth lists b1 first, with no
     stored schedule: FIFO in that order delays the chain a1 -> a2 -> a3 by

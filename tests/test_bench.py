@@ -50,7 +50,7 @@ from shopfloor.planner import (
 from shopfloor.solve import solve_fifo
 from shopfloor.tree import assemble_program, load_reference_tree
 
-from conftest import FixedPlanner, unscheduled_task
+from conftest import FixedPlanner, renamed_plan, unscheduled_task
 
 SWEEP_SEEDS = range(6)
 
@@ -311,7 +311,7 @@ def test_scored_bytes_are_pinned(tmp_path):
     assert len(files) == 182
     digest = hashlib.sha256(b"".join(files.values()))
     assert digest.hexdigest() == (
-        "3cfe07248d5b870aad1598b872bbc5418d55ae218c8d6669b9478541b8ea1c69"
+        "69aed8063372288f49daa1a705939d772194026ab328cf1ace9e4e8e96272425"
     )
 
 
@@ -320,6 +320,17 @@ class RefusingPlanner:
         from shopfloor.planner import parse_planner_text
 
         return parse_planner_text("I cannot plan this.", task.scene)
+
+
+def test_a_reply_naming_a_reserved_vertex_is_invalid_planner_output(tmp_path):
+    task = small_suite(tmp_path)[0]
+    gt = task.instance.ground_truth
+    plan = renamed_plan(gt.operations, gt.allocation, gt.precedence, "o1", "__source__")
+    (row,) = run_benchmark([task], FixedPlanner(*plan)).results
+    assert row.error == (
+        "planner output invalid: operation id '__source__' collides with a reserved vertex"
+    )
+    assert row.report.success_rate == 0.0
 
 
 class DownPlanner:

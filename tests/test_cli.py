@@ -153,6 +153,19 @@ def test_task_without_ground_truth_exits_2(capsys, bare_task_file, argv):
     assert "task file carries no ground truth" in err
 
 
+def test_a_ground_truth_naming_a_reserved_vertex_exits_2(capsys, task_file):
+    text = task_file.read_text(encoding="utf-8")
+    assert '"o1"' in text
+    task_file.write_text(text.replace('"o1"', '"__source__"'), encoding="utf-8")
+    for command in ("graph", "evaluate"):
+        code, out, err = run_cli(capsys, command, str(task_file))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"invalid task file {task_file}: "
+            "operation id '__source__' collides with a reserved vertex\n"
+        )
+
+
 def test_run_over_a_task_without_ground_truth_exits_2(capsys, bare_task_file):
     code, out, err = run_cli(capsys, "run", "--tasks", str(bare_task_file.parent))
     assert (code, out) == (2, "")

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 
-from shopfloor.errors import ValidationError
 from shopfloor.graph import DisjunctiveArc, DisjunctiveGraph, build_graph, to_dot
 from shopfloor.model import Allocation, OperationType, PrecedenceSet
 
@@ -124,13 +122,6 @@ def test_transport_occupies_both_machines():
     )
     g = build_graph(ops, prec, alloc, scene)
     assert g.disjunctive == {DisjunctiveArc("x1", "y1", "machine", "m_target")}
-
-
-def test_unchained_operation_rejected():
-    ops, alloc, prec, scene = _two_by_two()
-    broken = PrecedenceSet(chains={"w1": ("a1", "a2"), "w2": ("b1",)})
-    with pytest.raises(ValidationError, match="missing from every chain"):
-        build_graph(ops, broken, alloc, scene)
 
 
 def test_dot_export_styles():

@@ -258,7 +258,6 @@ def test_evaluate_instance_perfect_pipeline_scores_all_ones():
     assert report.success_rate == 1.0
     assert report.metadata["gt_makespan"] == 6
     assert report.metadata["generated_makespan"] == 6
-    assert report.metadata["gt_executed_fully"] is True
     assert report.metadata["generated_executed_fully"] is True
 
 

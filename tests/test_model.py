@@ -22,12 +22,9 @@ from shopfloor.model import (
     Scene,
     at_label,
     canonical_json,
-    device_name,
     parse_at_label,
     parse_json,
     parse_task_instance,
-    point_name,
-    role_placeholder,
     serialize_task_instance,
     validate_planner_output,
     validate_scene,
@@ -35,7 +32,9 @@ from shopfloor.model import (
 )
 from shopfloor.tree import ProcessTree, TreeNode
 
-from conftest import make_machine, make_op, make_robot, make_scene, make_workpiece, simple_plan
+from conftest import (
+    make_machine, make_op, make_robot, make_scene, make_workpiece, renamed_plan, simple_plan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +52,38 @@ def test_at_label_round_trip():
                  ("{machine_2}", "machine_2"), ("{workpiece}", "workpiece")]
 )
 def test_role_placeholders(arg, role):
-    assert role_placeholder(arg) == role
+    assert classify_args((arg,)) == (("role", role, None),)
 
 
 def test_non_role_args_are_not_placeholders():
-    assert role_placeholder("conveyor") is None
-    assert role_placeholder("{point:Photo_Point}") is None
-    assert point_name("{point:Photo_Point}") == "Photo_Point"
-    assert device_name("{device:camera}") == "camera"
-    assert point_name("{device:camera}") is None
+    assert classify_args(("conveyor",)) == (("literal", "conveyor", None),)
+    assert classify_args(("{point:Photo_Point}",)) == (("point", "Photo_Point", "machine_1"),)
+    assert classify_args(("{device:camera}",)) == (("device", "camera", None),)
+
+
+@pytest.mark.parametrize(
+    "arg,kind,name",
+    [
+        # one trailing LF is allowed after a device or a point, not a role
+        ("{device:camera}\n", "device", "camera"),
+        ("{point:Photo_Point}\n", "point", "Photo_Point"),
+        ("{robot}\n", "literal", "{robot}\n"),
+        ("{device:camera}\n\n", "literal", "{device:camera}\n\n"),
+        # a name is non-empty, may hold a colon or an LF, and holds no brace
+        ("{device:}", "literal", "{device:}"),
+        ("{device:a:b}", "device", "a:b"),
+        ("{point:a\nb}", "point", "a\nb"),
+        ("{point:{x}}", "literal", "{point:{x}}"),
+        ("{device:a}}", "literal", "{device:a}}"),
+        ("{devices:a}", "literal", "{devices:a}"),
+        ("{ robot}", "literal", "{ robot}"),
+        ("{point:a", "literal", "{point:a"),
+        ("", "literal", ""),
+    ],
+)
+def test_classify_args_grammar_edges(arg, kind, name):
+    ((got_kind, got_name, _),) = classify_args((arg,))
+    assert (got_kind, got_name) == (kind, name)
 
 
 def test_classify_args_kinds_and_point_context():
@@ -247,6 +269,12 @@ def test_chain_workpiece_mismatch_rejected(scene, plan):
     prec = PrecedenceSet(chains={"w1": ("t1", "p1", "t2", "t4"), "w2": ("t3", "p2")})
     report = validate_planner_output(ops, alloc, prec, scene)
     assert any("sits in chain of" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("reserved", ["__source__", "__terminal__"])
+def test_reserved_vertex_id_rejected(scene, plan, reserved):
+    report = validate_planner_output(*renamed_plan(*plan, "t1", reserved), scene)
+    assert report.violations == (f"operation id '{reserved}' collides with a reserved vertex",)
 
 
 def test_duplicate_op_id_rejected(scene, plan):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
 from shopfloor.model import (
-    MACHINE_ROLES,
     OperationType,
     Scene,
     PROGRAM,
@@ -21,6 +20,7 @@ from shopfloor.model import (
     canonical_json,
 )
 from shopfloor.tree import (
+    _LEAVES,
     ProcessTree,
     assemble_program,
     eval_condition,
@@ -460,9 +460,10 @@ def conditions(words):
             lambda attr: st.sampled_from(words[attr]).map(lambda v: ["=", attr, v])
         ),
         st.sampled_from(words["device-present"]).map(lambda d: ["device-present", "robot", d]),
-        st.tuples(st.sampled_from(MACHINE_ROLES), st.sampled_from(words["point-present"])).map(
-            lambda rp: ["point-present", *rp]
-        ),
+        st.tuples(
+            st.sampled_from(tuple(_LEAVES["point-present"])),  # the machine roles
+            st.sampled_from(words["point-present"]),
+        ).map(lambda rp: ["point-present", *rp]),
     )
     return st.recursive(
         leaves,
