@@ -26,17 +26,19 @@ Each run indexes the call of every operation (the first call wins when a
 program holds several) and the operations due at every step. Execution
 functions are linked once per process, keyed by their skills (names and
 argument tuples), never by their names: a link holds each skill with its
-classified arguments (classify_args), whether every skill is known,
-the roles, devices and points the arguments need, and the resolved calls
-for every tuple of role values seen so far. Resolving an operation takes
-three subset tests (its binding has the roles, its robot the devices, each
-machine the points) and a lookup of its role values; every operation that
-binds the same values gets the same immutable tuple of calls. The skills
-are walked one argument at a time only to fill the calls of values not
-seen before, or, when a test fails, to find the first failure. The links
-and their calls stay for the life of the process: one entry per distinct
-execution and role-value tuple it ran, whose SkillCall objects are
-themselves shared, one per distinct call.
+classified arguments (classify_args) and the outcomes of _walk, the one
+statement of how skills resolve. _walk reads the skills, the wrapper's
+binding, the robot's devices and the points of the machines that the
+machine_1 and machine_2 roles name (op.machine_1 when a role is unbound);
+nothing else. Its outcome, the executed calls and the (skill index,
+reason) of the first failure, is memoized under a key of exactly those
+inputs beyond the skills: the binding's items, the device set (empty for
+an unknown robot) and the two point sets (None for an unknown machine).
+The key holds no operation id, so every operation that resolves the same
+way shares one immutable tuple of calls, and the Failure, which names the
+operation, is built by the run. The outcomes stay for the life of the
+process: one entry per distinct execution and key it ran, whose SkillCall
+objects are themselves shared, one per distinct call.
 
 The skill-argument grammar (role placeholders such as "{machine_1}",
 "{device:NAME}", "{point:NAME}") is stated once, in classify_args, its
@@ -129,9 +131,8 @@ def initial_state(scene: Scene) -> SymbolicState:
 # name, or the literal text. machine_role is None except for a point, where
 # it names the machine that must carry it: the first machine-role
 # placeholder in the same call, else machine_1. They are read when an
-# execution is linked, once per process, and after that only to fill the
-# calls of role values not seen before or to find the first failing
-# argument of an operation that fails.
+# execution is linked, once per process, and after that only by _walk, for
+# a key it has not seen before.
 SkillArg = tuple[str, str, str | None]
 
 # The role placeholders a wrapper binds, by their text in a skill call.
@@ -164,21 +165,14 @@ def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
 
 class _Link:
     """An execution function, linked once per process: its skills with
-    their classified arguments, whether every skill is known, the roles
-    and devices its arguments need and the (machine role, point) pairs,
-    and the resolved calls for each tuple of role values seen so far."""
+    their classified arguments, and _walk's outcome for each key seen so
+    far (see _run_operation)."""
 
-    __slots__ = ("skills", "known", "roles", "devices", "points", "calls")
+    __slots__ = ("skills", "outcomes")
 
     def __init__(self, skills: tuple[SkillCall, ...]) -> None:
         self.skills = tuple((skill, classify_args(skill.args)) for skill in skills)
-        args = [arg for _, skill_args in self.skills for arg in skill_args]
-        self.known = all(skill.skill in SKILLS for skill in skills)
-        self.roles = frozenset(name for kind, name, _ in args if kind == "role")
-        self.devices = frozenset(name for kind, name, _ in args if kind == "device")
-        self.points = frozenset((role, name) for kind, name, role in args if kind == "point")
-        # values of self.roles, in its iteration order -> resolved calls
-        self.calls: dict[tuple[str, ...], tuple[SkillCall, ...]] = {}
+        self.outcomes: dict[tuple, tuple[tuple[SkillCall, ...], tuple[int, str] | None]] = {}
 
 
 @cache
@@ -190,31 +184,25 @@ def _link(skills: tuple[SkillCall, ...]) -> _Link:
 
 
 # One SkillCall per distinct resolved call, shared by every tuple of calls
-# that holds it: links keep their calls for the life of the process.
+# that holds it: links keep their outcomes for the life of the process.
 _call = cache(SkillCall)
 
 # The failure reason of an argument that does not resolve, by its kind.
 _UNRESOLVED = {"role": "unbound_placeholder", "device": "missing_device", "point": "missing_point"}
 
 
-def _has_point(
-    op: Operation, binding: Mapping[str, str], scene: Scene, machine_role: str, name: str
-) -> bool:
-    """Whether the machine bound to machine_role (op's machine_1 when the
-    role is unbound) exists and carries the point name."""
-    machine_id = binding.get(machine_role, op.machine_1)
-    return scene.has_machine(machine_id) and name in scene.machine(machine_id).points
-
-
 def _walk(
-    op: Operation,
     link: _Link,
     binding: Mapping[str, str],
     devices: frozenset[str],
-    scene: Scene,
-) -> tuple[tuple[SkillCall, ...], Failure | None]:
-    """Resolve link's skills one argument at a time: the executed calls
-    (up to and including the first skill that fails) and that failure."""
+    points_1: frozenset[str] | None,
+    points_2: frozenset[str] | None,
+) -> tuple[tuple[SkillCall, ...], tuple[int, str] | None]:
+    """Resolve link's skills one argument at a time against the binding,
+    the robot's devices and the points of the machines that machine_1 and
+    machine_2 resolve to (None for an unknown machine): the executed calls,
+    up to and including the first skill that fails, and that skill's
+    (index, reason)."""
     executed: list[SkillCall] = []
     for index, (skill, args) in enumerate(link.skills):
         reason = None if skill.skill in SKILLS else "unknown_skill"
@@ -224,7 +212,8 @@ def _walk(
             elif kind == "device":
                 present = name in devices
             elif kind == "point":
-                present = _has_point(op, binding, scene, machine_role, name)
+                points = points_2 if machine_role == "machine_2" else points_1
+                present = points is not None and name in points
             else:
                 present = True
             if not present:
@@ -232,7 +221,7 @@ def _walk(
                 break
         if reason is not None:
             executed.append(skill)
-            return tuple(executed), Failure(op.id, index, reason)
+            return tuple(executed), (index, reason)
         resolved = tuple(binding[name] if kind == "role" else name for kind, name, _ in args)
         executed.append(_call(skill.skill, resolved))
     return tuple(executed), None
@@ -257,22 +246,18 @@ def _run_operation(
     if locations.get(op.workpiece) != op.machine_1:
         return OperationRun(op.id, robot_id, ()), Failure(op.id, -1, "wrong_location")
 
-    devices = (
-        scene.robot(robot_id).devices if robot_id and scene.has_robot(robot_id) else frozenset()
-    )
-    resolves = link.known and binding.keys() >= link.roles and link.devices <= devices
-    for role, name in link.points if resolves else ():
-        if not _has_point(op, binding, scene, role, name):
-            resolves = False
-            break
-    if resolves:
-        values = tuple(map(binding.__getitem__, link.roles))
-        calls = link.calls.get(values)
-        if calls is None:
-            calls = link.calls[values] = _walk(op, link, binding, devices, scene)[0]
-        return OperationRun(op.id, robot_id, calls), None
-    executed, failure = _walk(op, link, binding, devices, scene)
-    return OperationRun(op.id, robot_id, executed), failure
+    robot = scene.robot(robot_id) if robot_id else None
+    devices = robot.devices if robot is not None else frozenset()
+    machine_1 = scene.machine(binding.get("machine_1", op.machine_1))
+    machine_2 = scene.machine(binding.get("machine_2", op.machine_1))
+    points_1 = machine_1.points if machine_1 is not None else None
+    points_2 = machine_2.points if machine_2 is not None else None
+    key = (tuple(binding.items()), devices, points_1, points_2)
+    outcome = link.outcomes.get(key)
+    if outcome is None:
+        outcome = link.outcomes[key] = _walk(link, binding, devices, points_1, points_2)
+    calls, failed = outcome
+    return OperationRun(op.id, robot_id, calls), (Failure(op.id, *failed) if failed else None)
 
 
 def execute(

@@ -138,8 +138,9 @@ class Workpiece(NamedTuple):
 
 
 class Scene(Value):
-    """The floor. Lookups by id go through indexes built at construction;
-    with duplicate ids (which validate_scene reports) the first entry wins."""
+    """The floor. Lookups by id go through indexes built at construction
+    and give None for an unknown id; with duplicate ids (which
+    validate_scene reports) the first entry wins."""
 
     _fields = ("robots", "machines", "workpieces")
     __slots__ = (*_fields, "_robots", "_machines", "_workpieces")
@@ -152,23 +153,14 @@ class Scene(Value):
         self._machines = {machine.id: machine for machine in reversed(machines)}
         self._workpieces = {piece.id: piece for piece in reversed(workpieces)}
 
-    def robot(self, robot_id: str) -> Robot:
-        return self._robots[robot_id]
+    def robot(self, robot_id: str) -> Robot | None:
+        return self._robots.get(robot_id)
 
-    def machine(self, machine_id: str) -> Machine:
-        return self._machines[machine_id]
+    def machine(self, machine_id: str) -> Machine | None:
+        return self._machines.get(machine_id)
 
-    def workpiece(self, workpiece_id: str) -> Workpiece:
-        return self._workpieces[workpiece_id]
-
-    def has_robot(self, robot_id: str) -> bool:
-        return robot_id in self._robots
-
-    def has_machine(self, machine_id: str) -> bool:
-        return machine_id in self._machines
-
-    def has_workpiece(self, workpiece_id: str) -> bool:
-        return workpiece_id in self._workpieces
+    def workpiece(self, workpiece_id: str) -> Workpiece | None:
+        return self._workpieces.get(workpiece_id)
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +786,10 @@ def validate_planner_output(
             problems.append(
                 f"operation '{op.id}' is not a transport but carries machine_2"
             )
-        if not scene.has_workpiece(op.workpiece):
+        if scene.workpiece(op.workpiece) is None:
             problems.append(f"operation '{op.id}' references unknown workpiece '{op.workpiece}'")
         for m in op.machines_used():
-            if not scene.has_machine(m):
+            if scene.machine(m) is None:
                 problems.append(f"operation '{op.id}' references unknown machine '{m}'")
 
     for op_id in sorted(allocation.by_op):
@@ -808,12 +800,12 @@ def validate_planner_output(
         if robot_id is None:
             problems.append(f"operation '{op.id}' has no allocated robot")
             continue
-        if not scene.has_robot(robot_id):
+        robot = scene.robot(robot_id)
+        if robot is None:
             problems.append(f"operation '{op.id}' is allocated to unknown robot '{robot_id}'")
             continue
-        robot = scene.robot(robot_id)
         for m in op.machines_used():
-            if scene.has_machine(m) and m not in robot.reachable_machines:
+            if scene.machine(m) is not None and m not in robot.reachable_machines:
                 problems.append(
                     f"robot '{robot_id}' cannot reach machine '{m}' "
                     f"required by operation '{op.id}'"
@@ -822,7 +814,7 @@ def validate_planner_output(
     seen_in_chain: dict[str, str] = {}
     for w in sorted(precedence.chains):
         chain = precedence.chains[w]
-        if not scene.has_workpiece(w):
+        if scene.workpiece(w) is None:
             problems.append(f"precedence chain for unknown workpiece '{w}'")
         chain_seen: set[str] = set()
         for op_id in chain:

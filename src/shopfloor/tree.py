@@ -115,12 +115,13 @@ class Features(NamedTuple):
 
 
 def features(op: Operation, scene: Scene) -> Features:
-    m1 = scene.machine(op.machine_1) if scene.has_machine(op.machine_1) else None
-    m2 = scene.machine(op.machine_2) if scene.has_machine(op.machine_2) else None
+    m1 = scene.machine(op.machine_1)
+    m2 = scene.machine(op.machine_2)
+    piece = scene.workpiece(op.workpiece)
     crew = [r.devices for r in scene.robots if op.machine_1 in r.reachable_machines]
     return Features(
         op.op_type,
-        scene.workpiece(op.workpiece).kind if scene.has_workpiece(op.workpiece) else None,
+        piece.kind if piece else None,
         m1.name if m1 else None,
         m2.name if m2 else None,
         frozenset.intersection(*crew) if crew else frozenset(),

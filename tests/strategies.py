@@ -204,8 +204,8 @@ def execute_by_argument(schedule, program, scene, operations):
         robot_id = binding.get("robot", "")
         if locations.get(op.workpiece) != op.machine_1:
             return OperationRun(op.id, robot_id, ()), Failure(op.id, -1, "wrong_location")
-        devices = (scene.robot(robot_id).devices
-                   if robot_id and scene.has_robot(robot_id) else frozenset())
+        robot = scene.robot(robot_id) if robot_id else None
+        devices = robot.devices if robot is not None else frozenset()
         executed = []
         for index, skill in enumerate(skills):
             reason = None if skill.skill in SKILLS else "unknown_skill"
@@ -216,9 +216,8 @@ def execute_by_argument(schedule, program, scene, operations):
                 elif kind == "device":
                     present = name in devices
                 elif kind == "point":
-                    machine_id = binding.get(machine_role, op.machine_1)
-                    present = (scene.has_machine(machine_id)
-                               and name in scene.machine(machine_id).points)
+                    machine = scene.machine(binding.get(machine_role, op.machine_1))
+                    present = machine is not None and name in machine.points
                 else:
                     present = True
                 if not present:

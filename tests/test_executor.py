@@ -252,8 +252,8 @@ def test_missing_call_reported_without_a_run():
     assert outcome.executed_fully is False
 
 
-def hand_program(execution):
-    binding = {"robot": "r1", "machine_1": "table_1", "workpiece": "w1"}
+def hand_program(execution, binding=None):
+    binding = binding or {"robot": "r1", "machine_1": "table_1", "workpiece": "w1"}
     return Program(
         calls=(ProgramCall(op_id="p1", wrapper="op_p1", args=binding),),
         wrappers={"op_p1": Wrapper(execution="exec_x", binding=binding)},
@@ -295,6 +295,44 @@ def test_unbound_placeholder_run_keeps_the_resolved_prefix():
     )
     assert outcome.trace[0].failures == (Failure("p1", 1, "unbound_placeholder"),)
     assert outcome.final_state == initial_state(scene)
+
+
+def test_each_input_of_a_walk_is_in_its_memo_key():
+    """One execution run, without relinking, on scenes and bindings that
+    each change one thing _walk reads: each matches the oracle, on its
+    first walk and again from the memo."""
+
+    def floor(devices=FULL_KIT, table_points=("Photo_Point", "Drop_Point"),
+              pallet_points=("Drop_Point",)):
+        return make_scene(
+            robots=(make_robot("r1", devices=devices),),
+            machines=(make_machine("table_1", points=table_points, held=("w1",)),
+                      make_machine("pallet_1", name="pallet", points=pallet_points)),
+            workpieces=(make_workpiece("w1"),),
+        )
+
+    skills = [
+        SkillCall("control_device", ("{robot}", "{device:camera}", "on")),
+        SkillCall("motion_plan", ("{robot}", "{machine_1}", "{point:Photo_Point}")),
+        SkillCall("motion_plan", ("{robot}", "{point:Drop_Point}", "{machine_2}")),
+    ]
+    bound = {"robot": "r1", "machine_1": "table_1", "machine_2": "pallet_1", "workpiece": "w1"}
+    ops, alloc, prec = polish_only_plan()
+    schedule = fifo_schedule(ops, alloc, prec, floor())
+    variants = [
+        (floor(), bound, ()),
+        (floor(devices=FULL_KIT - {"camera"}), bound, ((0, "missing_device"),)),
+        (floor(table_points=("Drop_Point",)), bound, ((1, "missing_point"),)),
+        (floor(pallet_points=()), bound, ((2, "missing_point"),)),
+        (floor(), {**bound, "machine_1": "pallet_1"}, ((1, "missing_point"),)),
+        # an unbound machine_2 reads the points of op.machine_1, table_1
+        (floor(), {k: v for k, v in bound.items() if k != "machine_2"},
+         ((2, "unbound_placeholder"),)),
+    ]
+    executor._link.cache_clear()
+    for scene, binding, failed in variants + variants[::-1]:
+        outcome = assert_runs_like_the_oracle(schedule, hand_program(skills, binding), scene, ops)
+        assert outcome.trace[0].failures == tuple(Failure("p1", *f) for f in failed)
 
 
 def test_missing_call_when_the_wrapper_names_no_execution():
@@ -678,6 +716,12 @@ def _break(program, scene, kind, i, j):
         args = ("{robot}", point, "{machine_2}") if j % 4 < 2 else ("{robot}", "{machine_2}", point)
         skills.insert((j // 4) % (len(skills) + 1), SkillCall("motion_plan", args))
         executions[name] = tuple(skills)
+    elif kind == "rebind_machine":
+        name = _nth(wrappers, i)
+        wrapper = wrappers[name]
+        role = "machine_2" if j % 2 else "machine_1"
+        binding = {**wrapper.binding, role: machines[(j // 2) % len(machines)].id}
+        wrappers[name] = Wrapper(execution=wrapper.execution, binding=binding)
     return (
         Program(calls=program.calls, wrappers=wrappers, executions=executions),
         Scene(robots=tuple(robots), machines=tuple(machines), workpieces=scene.workpieces),
@@ -685,7 +729,7 @@ def _break(program, scene, kind, i, j):
 
 
 BREAKS = ("drop_device", "clear_points", "drop_binding_key", "unknown_skill",
-          "drop_execution", "point_on_machine_2")
+          "drop_execution", "point_on_machine_2", "rebind_machine")
 
 
 @settings(max_examples=400, deadline=None)
@@ -737,26 +781,27 @@ def test_executions_link_by_their_skills_not_their_names(tier):
     assert executor._link.cache_info().currsize == len(set(program.executions.values()))
 
 
-@pytest.mark.parametrize("tier", list(Tier))
-def test_traces_do_not_depend_on_which_run_resolves_first(tier):
-    task = generated_task(tier, 7)
+def prefixed_plan(task, scene):
+    """The ground truth as a plan with "plan_"-prefixed operation ids,
+    scheduled by FIFO and assembled on the task's scene, run on scene: its
+    operations bind the replay's role values."""
     gt = task.ground_truth
-    replay = generated_run(tier, 7)
-    # the ground truth as a plan with other operation ids, scheduled by FIFO:
-    # its operations bind the replay's role values
     plan_ops = tuple(op._replace(id="plan_" + op.id) for op in gt.operations)
     plan_alloc = Allocation(by_op={"plan_" + k: v for k, v in gt.allocation.by_op.items()})
     plan_prec = PrecedenceSet(
         chains={w: tuple("plan_" + o for o in chain) for w, chain in gt.precedence.chains.items()}
     )
-    plan = (
+    return (
         fifo_schedule(plan_ops, plan_alloc, plan_prec, task.scene),
         assemble_program(TREE, plan_ops, plan_alloc, task.scene),
-        task.scene,
+        scene,
         plan_ops,
     )
 
-    traces = set()
+
+def runs_in_both_orders(plan, replay):
+    """(plan outcome, replay outcome) with the plan run first, then with
+    the replay run first, each pair on freshly linked executions."""
     for plan_first in (True, False):
         executor._link.cache_clear()
         if plan_first:
@@ -765,6 +810,15 @@ def test_traces_do_not_depend_on_which_run_resolves_first(tier):
         else:
             replay_run = assert_runs_like_the_oracle(*replay)
             plan_run = assert_runs_like_the_oracle(*plan)
+        yield plan_run, replay_run
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_traces_do_not_depend_on_which_run_resolves_first(tier):
+    replay = generated_run(tier, 7)
+    plan = prefixed_plan(generated_task(tier, 7), replay[2])
+    traces = set()
+    for plan_run, replay_run in runs_in_both_orders(plan, replay):
         traces.add((trace_to_jsonl(plan_run.trace), trace_to_jsonl(replay_run.trace)))
         # operations binding the same values share one tuple of calls
         plan_calls = {r.op_id.removeprefix("plan_"): r.skills
@@ -773,3 +827,25 @@ def test_traces_do_not_depend_on_which_run_resolves_first(tier):
             for r in step.operations:
                 assert plan_calls[r.op_id] is r.skills
     assert len(traces) == 1
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_a_memoized_failure_names_its_own_operation(tier):
+    schedule, program, scene, ops = generated_run(tier, 7)
+    # drop, from every robot, a device that some skill of the program needs
+    device = min(
+        name for skills in program.executions.values() for skill in skills
+        for kind, name, _ in executor.classify_args(skill.args) if kind == "device"
+    )
+    broken = Scene(
+        robots=tuple(r._replace(devices=r.devices - {device}) for r in scene.robots),
+        machines=scene.machines,
+        workpieces=scene.workpieces,
+    )
+    plan = prefixed_plan(generated_task(tier, 7), broken)
+    replay = (schedule, program, broken, ops)
+    for outcomes in runs_in_both_orders(plan, replay):
+        for (_, _, _, run_ops), outcome in zip((plan, replay), outcomes):
+            failures = [f for step in outcome.trace for f in step.failures]
+            assert "missing_device" in {f.reason for f in failures}
+            assert {f.op_id for f in failures} <= {op.id for op in run_ops}

@@ -116,25 +116,18 @@ def test_scene_lookups_with_duplicate_ids_return_the_first_entry():
     assert scene.workpiece("w1") is w_first
 
 
-def test_scene_unknown_ids_raise_key_error(scene):
-    for lookup in (scene.robot, scene.machine, scene.workpiece):
-        with pytest.raises(KeyError) as info:
-            lookup("nowhere")
-        assert info.value.args == ("nowhere",)
-
-
-def test_scene_has_agrees_with_lookups(scene):
+def test_scene_lookup_gives_the_first_entry_of_an_id_or_none(scene):
+    """An unknown id gives None, and a duplicated id gives its first entry."""
+    scene = Scene(robots=scene.robots + (make_robot("r1", devices=()),),
+                  machines=scene.machines + (make_machine("table_1", name="second"),),
+                  workpieces=scene.workpieces + (make_workpiece("w1", kind="second"),))
     ids = ["r1", "r2", "conveyor", "table_1", "pallet_1", "w1", "w2", "nowhere", ""]
-    for has, lookup in ((scene.has_robot, scene.robot),
-                        (scene.has_machine, scene.machine),
-                        (scene.has_workpiece, scene.workpiece)):
+    for entities, lookup in ((scene.robots, scene.robot),
+                             (scene.machines, scene.machine),
+                             (scene.workpieces, scene.workpiece)):
         for entity_id in ids:
-            try:
-                lookup(entity_id)
-                found = True
-            except KeyError:
-                found = False
-            assert has(entity_id) is found
+            first = next((e for e in entities if e.id == entity_id), None)
+            assert lookup(entity_id) is first
 
 
 def test_scene_equality_ignores_its_indexes(scene):

@@ -164,14 +164,17 @@ def reference_holds(expr, op, scene):
         return bool(crew) and all(rest[1] in r.devices for r in crew)
     if head == "point-present":
         machine_id = op.machine_1 if rest[0] == "machine_1" else op.machine_2
-        return scene.has_machine(machine_id) and rest[1] in scene.machine(machine_id).points
+        machine = scene.machine(machine_id)
+        return machine is not None and rest[1] in machine.points
     attr, value = rest
     if attr == "op.type":
         return op.op_type.value == value
     if attr == "workpiece.kind":
-        return scene.has_workpiece(op.workpiece) and scene.workpiece(op.workpiece).kind == value
+        piece = scene.workpiece(op.workpiece)
+        return piece is not None and piece.kind == value
     machine_id = op.machine_1 if attr == "machine_1.name" else op.machine_2
-    return scene.has_machine(machine_id) and scene.machine(machine_id).name == value
+    machine = scene.machine(machine_id)
+    return machine is not None and machine.name == value
 
 
 # ---------------------------------------------------------------------------
