@@ -15,24 +15,23 @@ both: model.task_violations, which every load checks, and _reference_fault,
 why a ground truth's run cannot be the reference, which the scorer checks.
 The generator draws one candidate per (tier, seed).
 
-run_benchmark scores each task by comparing two runs of metrics.run_plan,
-the one chain of stages (graph, schedule, assembly, symbolic execution).
-The ground truth runs first, on its stored schedule, else the exact one.
-A task whose ground truth cannot be solved, replayed or run fully, or
-achieves nothing, scores zero on every metric, with an error that starts
-with GROUND_TRUTH_INVALID, and its planner is never called. A planner that
-raises anything but PlannerUnavailable scores its task zero with an error
-that starts with INTERNAL_ERROR, naming the exception, and prints its
-traceback to standard error. Otherwise the plan runs (metrics.fifo_run),
-scheduled first-in-first-out in the order the planner listed its
-operations, and a stage that fails scores zero instead of aborting the
-suite. When the plan is the ground truth in its listed order, the task
-stores no program and FIFO gives the reference's start steps, as under
-GroundTruthPlanner on every generated task, the plan reuses the reference
-run: one graph, assembly and execution per task. When only FIFO's start
-steps differ, the plan's schedule callback returns the FIFO schedule made
-on the reference's graph, so the plan builds no graph of its own: one
-graph and two executions per task.
+run_benchmark scores each task by comparing two runs of the stages
+(graph, schedule, assembly, symbolic execution; metrics.run_plan runs the
+last two on a given schedule). The ground truth runs first, on its stored
+schedule, else the exact one. A task whose ground truth cannot be solved,
+replayed or run fully, or achieves nothing, scores zero on every metric,
+with an error that starts with GROUND_TRUTH_INVALID, and its planner is
+never called. A planner that raises anything but PlannerUnavailable
+scores its task zero with an error that starts with INTERNAL_ERROR,
+naming the exception, and prints its traceback to standard error.
+Otherwise the plan runs (metrics.fifo_run), scheduled first-in-first-out
+in the order the planner listed its operations, and a stage that fails
+scores zero instead of aborting the suite. A plan whose triple equals the
+ground truth's runs on the reference's graph, so it builds no graph of
+its own. When, in addition, the task stores no program and FIFO gives the
+reference's start steps, as under GroundTruthPlanner on every generated
+task, the plan reuses the whole reference run: one graph, assembly and
+execution per task. Otherwise the plan takes one more execution.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import csv
 import io
 import random
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -240,9 +238,7 @@ def generate_instance(tier: Tier, seed: int) -> TaskInstance:
     problems = task_violations(task)
     if not problems:
         gt = task.ground_truth
-        run = run_plan(
-            task.scene, gt.operations, gt.allocation, load_reference_tree(), lambda: schedule
-        )
+        run = run_plan(task.scene, gt.operations, gt.allocation, load_reference_tree(), schedule)
         fault = _reference_fault(run)
         problems = [str(fault)] if fault is not None else []
     if problems:
@@ -307,9 +303,8 @@ def load_bench_task(path: str | Path) -> BenchTask:
 
 def load_bundled_tasks() -> list[BenchTask]:
     """The example tasks shipped inside the package, loaded as suite files."""
-    root = resources.files("shopfloor").joinpath("data/tasks")
-    with resources.as_file(root) as directory:
-        return [load_bench_task(path) for path in sorted(directory.glob("*.json"))]
+    directory = Path(__file__).parent / "data" / "tasks"
+    return [load_bench_task(path) for path in sorted(directory.glob("*.json"))]
 
 
 # ---------------------------------------------------------------------------

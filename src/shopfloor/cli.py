@@ -274,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate benchmark task files")
-    p.add_argument("--tier", choices=[t.value for t in Tier], help="tier for a single task")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--tier", choices=[t.value for t in Tier], help="tier for a single task")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file for a single task")
-    p.add_argument("--suite", help="directory to fill with a full suite")
+    target.add_argument("--suite", help="directory to fill with a full suite")
     p.add_argument("--per-tier", type=_positive_int, default=5)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--tiers", type=_tier_list, help="comma-separated tier names for --suite")
@@ -325,8 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gantt)
 
     p = sub.add_parser("run", help="run a benchmark suite")
-    p.add_argument("--tasks", help="directory of task JSON files")
-    p.add_argument("--bundled", action="store_true", help="use the tasks shipped with the package")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--tasks", help="directory of task JSON files")
+    source.add_argument("--bundled", action="store_true",
+                        help="use the tasks shipped with the package")
     p.add_argument("--planner", choices=["gt", "llm"], default="gt")
     p.add_argument("--out", help="directory for metrics, CSV and summary")
     p.set_defaults(func=_cmd_run)

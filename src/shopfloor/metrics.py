@@ -7,24 +7,25 @@ worst serial schedule, gated on perfect consistency), executability
 condition recall (ground-truth status facts actually achieved), and
 success rate (all-or-nothing on efficiency and recall).
 
-run_plan is the one chain of stages, for a plan and for its ground truth
+A plan's run is one chain of stages, for a plan and for its ground truth
 alike: disjunctive graph, schedule, process-tree program, symbolic
-execution and status delta. Its schedule callback takes no argument and
-builds the graph itself, so a caller that already holds the plan's graph
-builds none. A stage that fails stops the run and is kept as its error.
-reference_run takes the ground truth through it (the stored schedule,
-else the exact one), and score compares a plan's run with that reference
-run; stages the plan never reached score zero.
-bench runs the reference first, before any planner call, then the plan
-through fifo_run, which reuses the reference run's outcome and status
-when every stage input of the plan equals the reference's, and the
-reference's graph when only the start steps differ.
+execution and status delta. run_plan takes the schedule, which holds its
+graph, and runs the last three stages; a stage that fails stops the run
+and is kept as its error. reference_run builds the ground truth's graph
+and schedule (the stored record, else the exact one), and score compares
+a plan's run with that reference run; stages the plan never reached
+score zero. bench runs the reference first, before any planner call,
+then the plan through fifo_run. Its graph rule is one: a plan whose
+triple equals the ground truth's runs on the reference's graph, any
+other plan on its own. It reuses the whole reference run when, in
+addition, the ground truth stores no program and FIFO gives the
+reference's start steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AmbiguousBranch,
@@ -142,41 +143,38 @@ def run_plan(
     operations: Sequence[Operation],
     allocation: Allocation,
     tree: ProcessTree,
-    solve: Callable[[], ScheduleGraph],
+    schedule: ScheduleGraph,
     program: Program | None = None,
 ) -> Run:
-    """Schedule the plan with solve(), which builds the plan's disjunctive
-    graph unless it reuses one already built, assemble its program from
-    tree unless one is given, execute it and take the status delta. A stage
-    that raises ValidationError, NoBranch, AmbiguousBranch or
-    InstanceTooLarge stops the run, which keeps what the stages before it
-    made, and the error."""
-    schedule = None
+    """Run the plan on schedule: assemble its program from tree unless one
+    is given, execute it and take the status delta. An assembly that raises
+    NoBranch or AmbiguousBranch stops the run, which keeps the schedule and
+    the error."""
     try:
-        schedule = solve()
         if program is None:
             program = assemble_program(tree, operations, allocation, scene)
-        outcome = execute(schedule, program, scene, operations)
-    except (ValidationError, NoBranch, AmbiguousBranch, InstanceTooLarge) as exc:
+    except (NoBranch, AmbiguousBranch) as exc:
         return Run(schedule, error=exc)
+    outcome = execute(schedule, program, scene, operations)
     return Run(schedule, outcome, status_delta(outcome.final_state, initial_state(scene)))
 
 
 def reference_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:
     """run_plan on the task's ground truth: scheduled with reference_schedule
     over its stored record, running its stored program, else one assembled
-    from tree (the reference tree by default)."""
+    from tree (the reference tree by default). A record that does not solve
+    the graph, or an exact search that gives up, stops the run without a
+    schedule."""
     gt = task.ground_truth
     if gt is None:
         raise ValueError("task carries no ground truth to evaluate against")
-    return run_plan(
-        task.scene, gt.operations, gt.allocation,
-        tree if tree is not None else load_reference_tree(),
-        lambda: reference_schedule(
-            build_graph(gt.operations, gt.precedence, gt.allocation, task.scene), gt.schedule
-        ),
-        gt.program,
-    )
+    graph = build_graph(gt.operations, gt.precedence, gt.allocation, task.scene)
+    try:
+        schedule = reference_schedule(graph, gt.schedule)
+    except (ValidationError, InstanceTooLarge) as exc:
+        return Run(error=exc)
+    tree = tree if tree is not None else load_reference_tree()
+    return run_plan(task.scene, gt.operations, gt.allocation, tree, schedule, gt.program)
 
 
 def fifo_run(
@@ -189,30 +187,25 @@ def fifo_run(
 ) -> Run:
     """run_plan on a plan of task, scheduled first-in-first-out in the order
     it lists its operations. reference is the task's reference_run on the
-    same tree, without error. run_plan is a function of the scene, plan
-    triple, tree, start steps and program: when the plan's operations are
-    the ground truth's in the same order, its allocation and chains are
-    equal, the ground truth stores no program and FIFO over that order gives
-    the reference's start steps, the run is the reference's outcome and
-    status under the FIFO schedule. When only the start steps differ, the
-    plan's graph is the reference's, so the FIFO schedule already made on
-    that graph is the plan's, and no graph is built again."""
-    order = [op.id for op in operations]
+    same tree, without error. The graph depends only on the scene and the
+    plan triple, so a plan that lists the ground truth's operations in the
+    same order, with an equal allocation and equal chains, runs on the
+    reference's graph. When, moreover, the ground truth stores no program
+    and FIFO gives the reference's start steps, every input of run_plan is
+    the reference's, and the run is the reference's outcome and status
+    under the FIFO schedule."""
     gt = task.ground_truth
-    if (
-        gt.program is None
-        and tuple(operations) == gt.operations
-        and allocation == gt.allocation
-        and precedence == gt.precedence
-    ):
-        schedule = solve_fifo(reference.schedule.graph, order)
-        if schedule.start_steps == reference.schedule.start_steps:
-            return Run(schedule, reference.outcome, reference.status)
-        return run_plan(task.scene, operations, allocation, tree, lambda: schedule)
-    return run_plan(
-        task.scene, operations, allocation, tree,
-        lambda: solve_fifo(build_graph(operations, precedence, allocation, task.scene), order),
+    same = (tuple(operations), allocation, precedence) == (
+        gt.operations, gt.allocation, gt.precedence
     )
+    if same:
+        graph = reference.schedule.graph
+    else:
+        graph = build_graph(operations, precedence, allocation, task.scene)
+    schedule = solve_fifo(graph, [op.id for op in operations])
+    if same and gt.program is None and schedule.start_steps == reference.schedule.start_steps:
+        return Run(schedule, reference.outcome, reference.status)
+    return run_plan(task.scene, operations, allocation, tree, schedule)
 
 
 def ground_truth_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:

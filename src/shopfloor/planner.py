@@ -14,7 +14,7 @@ import math
 import os
 import re
 from functools import cache
-from importlib import resources
+from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import PlannerUnavailable
@@ -238,11 +238,7 @@ def config_from_env(environ: Mapping[str, str] = os.environ) -> LlmConfig:
 
 @cache
 def load_prompt_template() -> str:
-    return (
-        resources.files("shopfloor")
-        .joinpath("data/planner_prompt.txt")
-        .read_text(encoding="utf-8")
-    )
+    return (Path(__file__).parent / "data" / "planner_prompt.txt").read_text(encoding="utf-8")
 
 
 def build_prompt(task: TaskInstance, template: str | None = None) -> str:

@@ -58,8 +58,11 @@ def _fault(graph: DisjunctiveGraph, start_steps: Mapping[str, int], makespan: in
     """Why start steps and a makespan do not solve the graph, or None when
     they do: they must cover exactly its operations, none may be negative,
     every chain arc must go forward, no two users of a resource may share a
-    step and the makespan must match the steps. Arcs that all point forward
-    in time cannot close a cycle, so acyclicity needs no check of its own.
+    step, the makespan must match the steps, and it may not exceed the
+    number of operations. Both solvers start at least one operation per
+    step, so a longer schedule comes from no solver, and replaying it would
+    walk every idle step. Arcs that all point forward in time cannot close
+    a cycle, so acyclicity needs no check of its own.
     Users of one workpiece on one step run a chain arc backwards first."""
     if set(start_steps) != set(graph.op_ids):
         return "schedule record does not cover exactly the graph's operations"
@@ -89,6 +92,11 @@ def _fault(graph: DisjunctiveGraph, start_steps: Mapping[str, int], makespan: in
     span = max(start_steps.values()) + 1 if start_steps else 0
     if makespan != span:
         return f"schedule record claims makespan {makespan}, start steps imply {span}"
+    if makespan > len(start_steps):
+        return (
+            f"schedule record claims makespan {makespan} for {len(start_steps)} "
+            f"operations; a step would start none"
+        )
     return None
 
 
@@ -282,6 +290,7 @@ def schedule_from_record(graph: DisjunctiveGraph, record: ScheduleRecord) -> Sch
 
     Raises ValidationError when the record is not a feasible schedule of
     the graph: missing operations, a negative start, a chain arc run
-    backwards, a resource double-booked on one step or a wrong makespan.
+    backwards, a resource double-booked on one step, a wrong makespan or
+    one above the number of operations.
     """
     return _checked(graph, dict(record.start_steps), record.makespan)

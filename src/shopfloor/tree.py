@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from importlib import resources
+from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
@@ -298,11 +298,7 @@ def load_reference_tree() -> ProcessTree:
     """The tree shipped with the package, covering all five operation types
     with bracket-camera and handheld-camera location variants. Parsed once
     per process; callers share it and must not mutate it."""
-    text = (
-        resources.files("shopfloor")
-        .joinpath("data/process_tree.json")
-        .read_text(encoding="utf-8")
-    )
+    text = (Path(__file__).parent / "data" / "process_tree.json").read_text(encoding="utf-8")
     return parse_tree(text, "process_tree.json")
 
 

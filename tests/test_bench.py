@@ -10,6 +10,7 @@ import pytest
 
 import shopfloor.bench as bench
 import shopfloor.metrics as metrics
+import shopfloor.solve as solve
 from shopfloor.bench import (
     TIER_SPECS,
     Tier,
@@ -22,10 +23,11 @@ from shopfloor.bench import (
     summarize,
     task_id_for,
 )
-from shopfloor.errors import PlannerUnavailable, ValidationError
+from shopfloor.errors import InstanceTooLarge, PlannerUnavailable, ValidationError
 from shopfloor.executor import trace_to_jsonl
 from shopfloor.graph import build_graph
 from shopfloor.metrics import (
+    Run,
     fifo_run,
     ground_truth_run,
     reference_run,
@@ -508,13 +510,9 @@ def _unshared(task, planner, tree):
     reference = reference_run(task, tree)
     output = planner.plan(task)
     order = [op.id for op in output.operations]
-    run = run_plan(
-        task.scene, output.operations, output.allocation, tree,
-        lambda: solve_fifo(
-            build_graph(output.operations, output.precedence, output.allocation, task.scene),
-            order,
-        ),
-    )
+    graph = build_graph(output.operations, output.precedence, output.allocation, task.scene)
+    run = run_plan(task.scene, output.operations, output.allocation, tree,
+                   solve_fifo(graph, order))
     report = score(task, reference, output.operations, output.allocation, run,
                    degenerate_se=0.0)
     return run, report
@@ -578,14 +576,45 @@ def test_a_plan_that_differs_from_its_reference_runs_on_its_own(stage_calls, nam
     stage_calls.clear()
     report, _ = bench._run_pipeline(task, planner, tree)
     assert stage_calls["execute"] == 2
-    # the plan is solved once, also when its FIFO schedule is already made;
-    # then it runs on the reference's graph
+    # the plan is solved once; a plan whose triple is the ground truth's runs
+    # on the reference's graph, also when the task stores a program
     assert stage_calls["solve_fifo"] == 1
-    assert stage_calls["build_graph"] == (1 if name == "fifo_differs" else 2)
+    assert stage_calls["build_graph"] == (2 if name == "other_robot" else 1)
     if name == "fifo_differs":
         assert (report.metadata["generated_makespan"], report.metadata["gt_makespan"]) == (4, 3)
     _, unshared_report = _unshared(task, planner, tree)
     assert _report_bytes(report) == _report_bytes(unshared_report)
+
+
+def test_a_plan_whose_triple_matches_runs_on_the_reference_graph(stage_calls):
+    # The task stores a program, so the run is not reused, but the graph is.
+    task = _with_stored_program()
+    gt = task.ground_truth
+    tree = load_reference_tree()
+    reference = reference_run(task, tree)
+    stage_calls.clear()
+    run = fifo_run(task, reference, gt.operations, gt.allocation, gt.precedence, tree)
+    assert run.schedule.graph is reference.schedule.graph
+    assert run.outcome is not reference.outcome
+    assert stage_calls["build_graph"] == 0 and stage_calls["execute"] == 1
+
+
+def test_a_record_that_does_not_solve_its_graph_stops_the_reference_run():
+    task = generate_instance(Tier.SIMPLE_MULTI, 3)
+    gt = task.ground_truth
+    record = gt.schedule._replace(start_steps=dict.fromkeys(gt.schedule.start_steps, 0),
+                                  makespan=1)
+    run = reference_run(task._replace(ground_truth=gt._replace(schedule=record)))
+    assert isinstance(run.error, ValidationError)
+    assert str(run.error).startswith("schedule record runs chain arcs backwards")
+    assert run == Run(error=run.error)
+
+
+def test_an_exact_search_that_gives_up_stops_the_reference_run(monkeypatch):
+    monkeypatch.setattr(solve, "SEARCH_BUDGET", 2)
+    run = reference_run(unscheduled_task())
+    assert isinstance(run.error, InstanceTooLarge)
+    assert run == Run(error=run.error)
 
 
 def test_summarize_averages_per_tier():

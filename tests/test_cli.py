@@ -187,6 +187,22 @@ def test_run_needs_a_task_source(capsys):
     assert "--tasks or --bundled" in err
 
 
+def test_generate_with_both_targets_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "generate", "--tier", "single_robot", "--seed", "3",
+        "--out", str(tmp_path / "x.json"), "--suite", str(tmp_path / "s"),
+    )
+    assert (code, out) == (1, "")
+    assert "argument --suite: not allowed with argument --tier" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_with_both_task_sources_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--tasks", str(tmp_path), "--bundled")
+    assert (code, out) == (1, "")
+    assert "argument --bundled: not allowed with argument --tasks" in err
+
+
 def test_run_on_missing_directory_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--tasks", str(tmp_path / "nowhere"))
     assert code == 2
@@ -392,7 +408,20 @@ def test_execute_with_explicit_schedule_file(capsys, task_file, tmp_path):
     assert "executed fully: True" in err
 
 
-@pytest.mark.parametrize("fault", ["swap", "negative"])
+def _slow_record(doc):
+    """The schedule record of a task document with its last operation moved
+    to step 10**6: every step in between starts nothing."""
+    record = doc["ground_truth"]["schedule"]
+    steps = record["start_steps"]
+    steps[max(steps, key=steps.get)] = 10**6
+    record["makespan"] = 10**6 + 1
+    return record, (
+        f"schedule record claims makespan {10**6 + 1} for {len(steps)} operations; "
+        f"a step would start none"
+    )
+
+
+@pytest.mark.parametrize("fault", ["swap", "negative", "slow"])
 def test_execute_rejects_an_infeasible_schedule_file(capsys, task_file, tmp_path, fault):
     task = load_task_instance(task_file)
     first, second = next(
@@ -403,9 +432,11 @@ def test_execute_rejects_an_infeasible_schedule_file(capsys, task_file, tmp_path
     if fault == "swap":
         steps[first], steps[second] = steps[second], steps[first]
         expected = f"chain arcs backwards: '{first}' -> '{second}'"
-    else:
+    elif fault == "negative":
         steps[first] = -1
         expected = f"before step 0: {first}"
+    else:
+        record, expected = _slow_record(json.loads(task_file.read_text()))
     record_file = tmp_path / "record.json"
     record_file.write_text(json.dumps(record))
     code, out, err = run_cli(capsys, "execute", str(task_file), "--schedule", str(record_file))
@@ -500,6 +531,20 @@ def test_evaluate_writes_its_report_and_exits_1_on_invalid_ground_truth(
         f"ground truth invalid: schedule record runs chain arcs backwards: "
         f"'{chain[0]}' -> '{chain[1]}'"
     )
+    assert report["success_rate"] == 0.0
+
+
+def test_evaluate_exits_1_on_a_schedule_slower_than_one_operation_per_step(
+    capsys, task_file, tmp_path
+):
+    doc = json.loads(task_file.read_text(encoding="utf-8"))
+    _, expected = _slow_record(doc)
+    task_file.write_text(json.dumps(doc), encoding="utf-8")
+    out_file = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "evaluate", str(task_file), "--out", str(out_file))
+    assert (code, out) == (1, "")
+    report = json.loads(out_file.read_text(encoding="utf-8"))
+    assert report["error"] == f"ground truth invalid: {expected}"
     assert report["success_rate"] == 0.0
 
 

@@ -36,7 +36,7 @@ from shopfloor.model import (
     parse_task_instance,
     serialize_task_instance,
 )
-from shopfloor.solve import solve_fifo
+from shopfloor.solve import ScheduleGraph, solve_fifo
 from shopfloor.tree import assemble_program, load_reference_tree
 
 from conftest import FixedPlanner, make_op, make_scene, simple_plan, transport
@@ -327,12 +327,8 @@ def test_evaluate_instance_can_substitute_a_degenerate_efficiency():
             ),
         ),
     )
-    from shopfloor.solve import schedule_from_record
-
     graph = build_graph(w1_ops, w1_prec, w1_alloc, scene)
-    slow = schedule_from_record(
-        graph, ScheduleRecord(start_steps={"t1": 0, "p1": 2, "t2": 4}, makespan=5)
-    )
+    slow = ScheduleGraph(graph=graph, start_steps={"t1": 0, "p1": 2, "t2": 4}, makespan=5)
     with pytest.raises(DegenerateDenominator):
         evaluate_instance(task, w1_ops, w1_alloc, slow, None)
     report = evaluate_instance(task, w1_ops, w1_alloc, slow, None, degenerate_se=0.0)

@@ -359,6 +359,26 @@ def test_importing_the_pipeline_leaves_requests_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_a_bare_interpreter_loads_no_resource_reader():
+    # -S keeps site hooks from preloading modules, so the list is what the
+    # package itself loads: its data files are read by path, without
+    # importlib.resources and the archive and source tools it pulls in.
+    src = str(Path(shopfloor.__file__).resolve().parents[1])
+    code = (
+        "import sys, shopfloor.cli, shopfloor.bench, shopfloor.planner, shopfloor.gantt; "
+        "shopfloor.bench.load_reference_tree(); shopfloor.planner.load_prompt_template(); "
+        "shopfloor.bench.load_bundled_tasks(); "
+        "print([m for m in ('importlib.resources', 'zipfile', 'tempfile', 'inspect', "
+        "'ast', 'dis', 'tokenize') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_http_transport_unreachable_endpoint():
     config = LlmConfig(base_url="http://127.0.0.1:9", model="m", timeout=0.5)
     with pytest.raises(PlannerUnavailable, match="unreachable"):
