@@ -1,12 +1,17 @@
 """Symbolic execution of an assembled program under a schedule.
 
-The world state tracks where every workpiece sits and which processing
-flags it has collected. Execution walks the schedule step by step: a step
-launches exactly the operations whose start step it is and whose schedule
-predecessors (the chain predecessor and the previous user of each resource
-the operation holds, see ScheduleGraph.predecessors) completed
-successfully. All operations of a step read the state as of the step's
-beginning; their effects land when the step ends.
+Execution tracks where every workpiece sits, starting from the machine
+that holds it in the scene, and which processing flags it has collected.
+It reports the status facts it made true: (w, at(m)) for each workpiece w
+whose final machine m differs from its start, and (w, flag) for each flag
+w collected. A piece carried back to its start adds no location fact.
+
+Execution walks the schedule step by step: a step launches exactly the
+operations whose start step it is and whose schedule predecessors (the
+chain predecessor and the previous user of each resource the operation
+holds, see ScheduleGraph.predecessors) completed successfully. All
+operations of a step read the state as of the step's beginning; their
+effects land when the step ends.
 
 An effect comes from the operation itself, never from the program: when
 the step ends, each operation that completed in it moves its workpiece to
@@ -85,14 +90,6 @@ FAILURE_REASONS = frozenset(
 )
 
 
-class SymbolicState(NamedTuple):
-    locations: Mapping[str, str]
-    flags: Mapping[str, frozenset[str]]
-
-    def flags_of(self, workpiece_id: str) -> frozenset[str]:
-        return self.flags.get(workpiece_id, frozenset())
-
-
 class OperationRun(NamedTuple):
     op_id: str
     robot: str
@@ -113,16 +110,8 @@ class StepRecord(NamedTuple):
 
 class ExecutionOutcome(NamedTuple):
     trace: tuple[StepRecord, ...]
-    final_state: SymbolicState
+    status: frozenset[tuple[str, str]]
     executed_fully: bool
-
-
-def initial_state(scene: Scene) -> SymbolicState:
-    locations = {}
-    for machine in scene.machines:
-        for w in machine.held_workpieces:
-            locations[w] = machine.id
-    return SymbolicState(locations=locations, flags={})
 
 
 # A classified skill-call argument: (kind, name, machine_role). kind is
@@ -270,7 +259,9 @@ def execute(
 
     operations supply the type, workpiece and machines of every scheduled
     id; effects (relocation, processing flags) follow the operation, while
-    skill arguments resolve through the program's wrapper bindings.
+    skill arguments resolve through the program's wrapper bindings. The
+    outcome holds the trace, the status facts the run made true and
+    whether every scheduled operation completed.
     """
     by_id = {op.id: op for op in operations}
     missing = sorted(set(schedule.start_steps) - set(by_id))
@@ -287,8 +278,9 @@ def execute(
 
     # Effects land only after every operation of a step ran, so the
     # operations of one step all read the locations as of its beginning.
-    locations = dict(initial_state(scene).locations)
-    flags: dict[str, set[str]] = {}
+    start = {w: machine.id for machine in scene.machines for w in machine.held_workpieces}
+    locations = dict(start)
+    flags: set[tuple[str, str]] = set()
     completed: set[str] = set()
     records: list[StepRecord] = []
     for step in range(schedule.makespan):
@@ -313,33 +305,16 @@ def execute(
             if op.op_type is OperationType.TRANSPORT:
                 locations[op.workpiece] = op.machine_2 or op.machine_1
             else:
-                flags.setdefault(op.workpiece, set()).add(PROCESSING_FLAGS[op.op_type])
+                flags.add((op.workpiece, PROCESSING_FLAGS[op.op_type]))
         records.append(
             StepRecord(step=step, operations=tuple(runs), failures=tuple(failures))
         )
-    final = SymbolicState(
-        locations=locations,
-        flags={w: frozenset(f) for w, f in flags.items()},
-    )
+    moved = {(w, at_label(m)) for w, m in locations.items() if start[w] != m}
     return ExecutionOutcome(
         trace=tuple(records),
-        final_state=final,
+        status=frozenset(moved | flags),
         executed_fully=completed == set(schedule.start_steps),
     )
-
-
-def status_delta(
-    final: SymbolicState, initial: SymbolicState
-) -> frozenset[tuple[str, str]]:
-    """Facts that became true: location changes and newly added flags."""
-    delta: set[tuple[str, str]] = set()
-    for w, machine_id in final.locations.items():
-        if initial.locations.get(w) != machine_id:
-            delta.add((w, at_label(machine_id)))
-    for w, fls in final.flags.items():
-        for flag in fls - initial.flags_of(w):
-            delta.add((w, flag))
-    return frozenset(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -109,22 +109,29 @@ def build_graph(
     )
 
 
+def _quoted(text: str) -> str:
+    """text as a DOT quoted string: a backslash or double quote is escaped
+    with a backslash, so no id ends the string early or runs on."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(graph: DisjunctiveGraph) -> str:
     """GraphViz rendering: conjunctive arcs solid and directed, disjunctive
     arcs dashed and labeled with the contended resource."""
     lines = ["digraph plan {", "  rankdir=LR;"]
-    lines.append(f'  "{SOURCE}" [label="source", shape=circle];')
-    lines.append(f'  "{TERMINAL}" [label="terminal", shape=doublecircle];')
+    lines.append(f'  {_quoted(SOURCE)} [label="source", shape=circle];')
+    lines.append(f'  {_quoted(TERMINAL)} [label="terminal", shape=doublecircle];')
     for op_id in graph.op_ids:
-        lines.append(f'  "{op_id}" [shape=box];')
+        lines.append(f"  {_quoted(op_id)} [shape=box];")
     for chain in graph.chains:
         path = (SOURCE, *chain, TERMINAL)
         for u, v in zip(path, path[1:]):
-            lines.append(f'  "{u}" -> "{v}";')
+            lines.append(f"  {_quoted(u)} -> {_quoted(v)};")
     for arc in sorted(graph.disjunctive, key=lambda a: (a.kind, a.resource, a.a, a.b)):
+        label = _quoted(f"{arc.kind} {arc.resource}")
         lines.append(
-            f'  "{arc.a}" -> "{arc.b}" [dir=none, style=dashed, color={_COLOR[arc.kind]}, '
-            f'label="{arc.kind} {arc.resource}"];'
+            f"  {_quoted(arc.a)} -> {_quoted(arc.b)} [dir=none, style=dashed, "
+            f"color={_COLOR[arc.kind]}, label={label}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,18 +8,18 @@ condition recall (ground-truth status facts actually achieved), and
 success rate (all-or-nothing on efficiency and recall).
 
 A plan's run is one chain of stages, for a plan and for its ground truth
-alike: disjunctive graph, schedule, process-tree program, symbolic
-execution and status delta. run_plan takes the schedule, which holds its
-graph, and runs the last three stages; a stage that fails stops the run
-and is kept as its error. reference_run builds the ground truth's graph
-and schedule (the stored record, else the exact one), and score compares
-a plan's run with that reference run; stages the plan never reached
-score zero. bench runs the reference first, before any planner call,
-then the plan through fifo_run. Its graph rule is one: a plan whose
-triple equals the ground truth's runs on the reference's graph, any
-other plan on its own. It reuses the whole reference run when, in
-addition, the ground truth stores no program and FIFO gives the
-reference's start steps.
+alike: disjunctive graph, schedule, process-tree program and symbolic
+execution, which reports the status facts it made true. run_plan takes
+the schedule, which holds its graph, and runs the last two stages; a
+stage that fails stops the run and is kept as its error. reference_run
+builds the ground truth's graph and schedule (the stored record, else the
+exact one), and score compares a plan's run with that reference run;
+stages the plan never reached score zero. bench runs the reference first,
+before any planner call, then the plan through fifo_run. Its graph rule
+is one: a plan whose triple equals the ground truth's runs on the
+reference's graph, any other plan on its own. It reuses the whole
+reference run when, in addition, the ground truth stores no program and
+FIFO gives the reference's start steps.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     ShopfloorError,
     ValidationError,
 )
-from .executor import ExecutionOutcome, execute, initial_state, status_delta
+from .executor import ExecutionOutcome, execute
 from .graph import build_graph
 from .model import Allocation, Operation, PrecedenceSet, Program, Scene, TaskInstance
 from .solve import ScheduleGraph, reference_schedule, solve_fifo
@@ -128,14 +128,18 @@ def success_rate(se: float, gcr: float) -> float:
 
 
 class Run(NamedTuple):
-    """One plan taken through the stages: its schedule, execution outcome
-    and status delta, each None when an earlier stage stopped the run, and
-    the error that stopped it."""
+    """One plan taken through the stages: its schedule and execution
+    outcome, each None when an earlier stage stopped the run, and the error
+    that stopped it."""
 
     schedule: ScheduleGraph | None = None
     outcome: ExecutionOutcome | None = None
-    status: frozenset[tuple[str, str]] | None = None
     error: ShopfloorError | None = None
+
+    @property
+    def status(self) -> frozenset[tuple[str, str]] | None:
+        """The status facts the execution made true; None without one."""
+        return self.outcome.status if self.outcome is not None else None
 
 
 def run_plan(
@@ -147,16 +151,14 @@ def run_plan(
     program: Program | None = None,
 ) -> Run:
     """Run the plan on schedule: assemble its program from tree unless one
-    is given, execute it and take the status delta. An assembly that raises
-    NoBranch or AmbiguousBranch stops the run, which keeps the schedule and
-    the error."""
+    is given and execute it. An assembly that raises NoBranch or
+    AmbiguousBranch stops the run, which keeps the schedule and the error."""
     try:
         if program is None:
             program = assemble_program(tree, operations, allocation, scene)
     except (NoBranch, AmbiguousBranch) as exc:
         return Run(schedule, error=exc)
-    outcome = execute(schedule, program, scene, operations)
-    return Run(schedule, outcome, status_delta(outcome.final_state, initial_state(scene)))
+    return Run(schedule, execute(schedule, program, scene, operations))
 
 
 def reference_run(task: TaskInstance, tree: ProcessTree | None = None) -> Run:
@@ -192,8 +194,8 @@ def fifo_run(
     same order, with an equal allocation and equal chains, runs on the
     reference's graph. When, moreover, the ground truth stores no program
     and FIFO gives the reference's start steps, every input of run_plan is
-    the reference's, and the run is the reference's outcome and status
-    under the FIFO schedule."""
+    the reference's, and the run is the reference's outcome under the FIFO
+    schedule."""
     gt = task.ground_truth
     same = (tuple(operations), allocation, precedence) == (
         gt.operations, gt.allocation, gt.precedence
@@ -204,7 +206,7 @@ def fifo_run(
         graph = build_graph(operations, precedence, allocation, task.scene)
     schedule = solve_fifo(graph, [op.id for op in operations])
     if same and gt.program is None and schedule.start_steps == reference.schedule.start_steps:
-        return Run(schedule, reference.outcome, reference.status)
+        return Run(schedule, reference.outcome)
     return run_plan(task.scene, operations, allocation, tree, schedule)
 
 
@@ -299,8 +301,7 @@ def evaluate_instance(
     """score, with the ground truth replayed by ground_truth_run and the
     plan's run made of the given stage outputs; None marks a stage the
     pipeline never reached."""
-    status = execution and status_delta(execution.final_state, initial_state(task.scene))
-    run = Run(schedule, execution, status)
+    run = Run(schedule, execution)
     return score(task, ground_truth_run(task, tree), operations, allocation, run, degenerate_se)
 
 

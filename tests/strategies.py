@@ -11,9 +11,7 @@ from shopfloor.executor import (
     Failure,
     OperationRun,
     StepRecord,
-    SymbolicState,
     classify_args,
-    initial_state,
 )
 from shopfloor.model import (
     PROCESSING_FLAGS,
@@ -24,6 +22,7 @@ from shopfloor.model import (
     PrecedenceSet,
     Scene,
     SkillCall,
+    at_label,
 )
 
 _TYPES = list(OperationType)
@@ -191,7 +190,9 @@ def execute_by_argument(schedule, program, scene, operations):
     """Oracle for executor.execute: resolves every argument of every skill
     of every operation it runs, linking and sharing nothing. Effects land
     when a step ends; an operation launches when its schedule predecessors
-    completed; an operation's calls stop at its first failing skill."""
+    completed; an operation's calls stop at its first failing skill. The
+    status is worked out here, from the final locations and flags and the
+    machines that hold each workpiece in the scene."""
     unresolved = {"role": "unbound_placeholder", "device": "missing_device",
                   "point": "missing_point"}
 
@@ -235,7 +236,11 @@ def execute_by_argument(schedule, program, scene, operations):
     calls = {}
     for call in program.calls:
         calls.setdefault(call.op_id, call)
-    locations = dict(initial_state(scene).locations)
+    start = {}
+    for machine in scene.machines:
+        for w in machine.held_workpieces:
+            start[w] = machine.id
+    locations = dict(start)
     flags = {}
     completed = set()
     records = []
@@ -259,9 +264,12 @@ def execute_by_argument(schedule, program, scene, operations):
             else:
                 flags.setdefault(op.workpiece, set()).add(PROCESSING_FLAGS[op.op_type])
         records.append(StepRecord(step=step, operations=tuple(runs), failures=tuple(failures)))
+    status = {(w, flag) for w, collected in flags.items() for flag in collected}
+    for w, machine_id in locations.items():
+        if start.get(w) != machine_id:
+            status.add((w, at_label(machine_id)))
     return ExecutionOutcome(
         trace=tuple(records),
-        final_state=SymbolicState(locations=locations,
-                                  flags={w: frozenset(f) for w, f in flags.items()}),
+        status=frozenset(status),
         executed_fully=completed == set(schedule.start_steps),
     )

@@ -186,8 +186,8 @@ def test_criterion_4_relay_task_schedules_and_lands_exactly():
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
     outcome = execute(fifo, program, task.scene, gt.operations)
     assert outcome.executed_fully
-    assert outcome.final_state.locations["w2"] == "pallet_1"
-    assert outcome.final_state.locations["w1"] == "pallet_2"
+    assert outcome.status == {("w1", "at(pallet_2)"), ("w1", "polished"),
+                              ("w2", "at(pallet_1)"), ("w2", "polished")}
     print(
         "\ncriterion 4 PASS: relay fixture: first-in-first-out makespan 6 == exact optimum, "
         "w2 lands on pallet_1, w1 on pallet_2"

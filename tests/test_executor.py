@@ -18,9 +18,7 @@ from shopfloor.executor import (
     OperationRun,
     StepRecord,
     execute,
-    initial_state,
     parse_trace,
-    status_delta,
     trace_to_jsonl,
 )
 from shopfloor.graph import build_graph
@@ -82,22 +80,14 @@ def one_piece_scene(held_at="conveyor", robot_devices=FULL_KIT, table_points=("P
 
 
 # ---------------------------------------------------------------------------
-# state bookkeeping
-
-
-def test_initial_state_reads_held_workpieces(scene):
-    state = initial_state(scene)
-    assert state.locations == {"w1": "conveyor", "w2": "conveyor"}
-    assert state.flags == {}
-    assert state.flags_of("w1") == frozenset()
+# status facts
 
 
 def test_empty_schedule_runs_vacuously(scene):
     outcome = run_plan((), Allocation(by_op={}), PrecedenceSet(chains={}), scene)
     assert outcome.trace == ()
     assert outcome.executed_fully is True
-    assert outcome.final_state == initial_state(scene)
-    assert status_delta(outcome.final_state, initial_state(scene)) == frozenset()
+    assert outcome.status == frozenset()
 
 
 def test_single_transport_moves_workpiece():
@@ -121,11 +111,7 @@ def test_single_transport_moves_workpiece():
         SkillCall("return_home", ("r1",)),
     )
     assert outcome.trace[0].failures == ()
-    assert outcome.final_state.locations == {"w1": "table_1"}
-    assert outcome.final_state.flags == {}
-    assert status_delta(outcome.final_state, initial_state(scene)) == frozenset(
-        {("w1", "at(table_1)")}
-    )
+    assert outcome.status == {("w1", "at(table_1)")}
 
 
 def test_full_plan_reaches_pallets(scene, plan):
@@ -138,17 +124,38 @@ def test_full_plan_reaches_pallets(scene, plan):
     # table contention forces a serial run: one launch per step
     assert [len(r.operations) for r in outcome.trace] == [1] * 6
     assert all(r.failures == () for r in outcome.trace)
-    assert outcome.final_state.locations == {"w1": "pallet_1", "w2": "pallet_2"}
-    assert outcome.final_state.flags == {"w1": frozenset({"polished"}),
-                                         "w2": frozenset({"polished"})}
-    assert status_delta(outcome.final_state, initial_state(scene)) == frozenset(
-        {
-            ("w1", "at(pallet_1)"),
-            ("w1", "polished"),
-            ("w2", "at(pallet_2)"),
-            ("w2", "polished"),
-        }
+    assert outcome.status == {
+        ("w1", "at(pallet_1)"),
+        ("w1", "polished"),
+        ("w2", "at(pallet_2)"),
+        ("w2", "polished"),
+    }
+
+
+def test_a_workpiece_carried_back_to_its_start_gains_no_location_fact():
+    scene = one_piece_scene()
+    ops = (
+        transport("t1", "w1", "conveyor", "table_1"),
+        make_op("p1", machine_1="table_1"),
+        transport("t2", "w1", "table_1", "conveyor"),
     )
+    outcome = run_plan(ops, Allocation(by_op=dict.fromkeys(("t1", "p1", "t2"), "r1")),
+                       PrecedenceSet(chains={"w1": ("t1", "p1", "t2")}), scene)
+    assert outcome.executed_fully is True
+    assert outcome.status == {("w1", "polished")}
+
+
+@pytest.mark.parametrize("op, device", [
+    (make_op("p1", machine_1="conveyor"), "polisher"),
+    (transport("p1", "w1", "conveyor", "table_1"), "camera"),
+])
+def test_an_operation_that_fails_adds_neither_its_flag_nor_its_location(op, device):
+    planned = one_piece_scene()
+    broken = one_piece_scene(robot_devices=FULL_KIT - {device})
+    outcome = run_plan((op,), Allocation(by_op={"p1": "r1"}),
+                       PrecedenceSet(chains={"w1": ("p1",)}), planned, exec_scene=broken)
+    assert [f.reason for f in outcome.trace[0].failures] == ["missing_device"]
+    assert outcome.status == frozenset()
 
 
 def test_concurrent_launches_read_step_start_state():
@@ -170,8 +177,7 @@ def test_concurrent_launches_read_step_start_state():
     outcome = execute(schedule, program, scene, ops)
     assert outcome.executed_fully is True
     assert {r.op_id for r in outcome.trace[0].operations} == {"mv", "po"}
-    assert outcome.final_state.locations == {"w1": "table_1"}
-    assert outcome.final_state.flags == {"w1": frozenset({"polished"})}
+    assert outcome.status == {("w1", "at(table_1)"), ("w1", "polished")}
 
 
 def test_operations_sharing_a_step_launch_in_sorted_id_order():
@@ -215,7 +221,7 @@ def test_missing_device_fails_at_offending_skill():
         "control_device", ("{robot}", "{device:polisher}", "on")
     )
     assert outcome.trace[0].failures == (Failure("p1", 7, "missing_device"),)
-    assert outcome.final_state.flags == {}
+    assert outcome.status == frozenset()
 
 
 def test_missing_point_fails_at_first_skill():
@@ -238,7 +244,7 @@ def test_wrong_location_fails_before_any_skill():
     assert run.skills == ()
     assert outcome.trace[0].failures == (Failure("p1", -1, "wrong_location"),)
     assert outcome.executed_fully is False
-    assert outcome.final_state == initial_state(scene)
+    assert outcome.status == frozenset()
 
 
 def test_missing_call_reported_without_a_run():
@@ -294,7 +300,7 @@ def test_unbound_placeholder_run_keeps_the_resolved_prefix():
         OperationRun("p1", "r1", (SkillCall("return_home", ("r1",)), unbound)),
     )
     assert outcome.trace[0].failures == (Failure("p1", 1, "unbound_placeholder"),)
-    assert outcome.final_state == initial_state(scene)
+    assert outcome.status == frozenset()
 
 
 def test_each_input_of_a_walk_is_in_its_memo_key():
@@ -414,8 +420,7 @@ def test_failure_blocks_descendants_but_not_independents():
     # a2 is never launched and earns no failure entry of its own
     assert outcome.trace[1].operations == ()
     assert outcome.trace[1].failures == ()
-    assert outcome.final_state.locations["w1"] == "table_1"
-    assert outcome.final_state.flags == {"w2": frozenset({"polished"})}
+    assert outcome.status == {("w2", "polished")}
 
 
 def two_tables_scene(r1_devices=FULL_KIT, table_1_points=("Photo_Point",)):
@@ -446,7 +451,7 @@ def test_failure_blocks_a_later_rival_on_the_same_robot():
     assert outcome.trace[0].failures == (Failure("a1", 0, "missing_point"),)
     assert outcome.trace[1].operations == ()
     assert outcome.trace[1].failures == ()
-    assert outcome.final_state.flags == {}
+    assert outcome.status == frozenset()
 
 
 def test_failure_blocks_a_later_rival_on_the_same_exclusive_machine():
@@ -474,7 +479,7 @@ def test_failure_blocks_a_later_rival_on_the_same_exclusive_machine():
     assert outcome.trace[0].failures == (Failure("a1", 7, "missing_device"),)
     assert outcome.trace[1].operations == ()
     assert outcome.trace[1].failures == ()
-    assert outcome.final_state.flags == {}
+    assert outcome.status == frozenset()
 
 
 @pytest.mark.parametrize("shared", ["robot", "table"])
@@ -518,7 +523,7 @@ def test_failure_blocks_every_later_user_of_a_resource(shared):
     for later in outcome.trace[1:]:
         assert later.operations == ()
         assert later.failures == ()
-    assert outcome.final_state.flags == {}
+    assert outcome.status == frozenset()
 
 
 def test_blocked_chain_leaves_trailing_steps_empty():
@@ -536,7 +541,7 @@ def test_blocked_chain_leaves_trailing_steps_empty():
     for later in outcome.trace[1:]:
         assert later.operations == ()
         assert later.failures == ()
-    assert outcome.final_state == initial_state(scene)
+    assert outcome.status == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +616,9 @@ def test_any_dispatch_order_completes_the_plan(order):
     program = assemble_program(TREE, ops, alloc, scene)
     reordered = execute(schedule, program, scene, ops)
     assert reordered.executed_fully is True
-    assert reordered.final_state == outcome.final_state
+    assert reordered.status == outcome.status == {
+        ("w1", "at(pallet_1)"), ("w1", "polished"), ("w2", "at(pallet_2)"), ("w2", "polished"),
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -676,7 +683,7 @@ def assert_runs_like_the_oracle(schedule, program, scene, ops):
     expected = execute_by_argument(schedule, program, scene, ops)
     assert trace_to_jsonl(outcome.trace) == trace_to_jsonl(expected.trace)
     assert outcome.executed_fully == expected.executed_fully
-    assert outcome.final_state == expected.final_state
+    assert outcome.status == expected.status
     return outcome
 
 

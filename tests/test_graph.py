@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings
 
 from shopfloor.graph import DisjunctiveArc, DisjunctiveGraph, build_graph, to_dot
@@ -149,6 +151,34 @@ digraph plan {
   "a2" -> "b2" [dir=none, style=dashed, color=steelblue, label="robot r1"];
 }
 """
+
+
+# A DOT quoted string: only an escaped character may follow a backslash,
+# so an escaped quote never ends it and a trailing backslash never runs on.
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+_DOT_LINE = re.compile(
+    rf"  {_DOT_STRING}(?: -> {_DOT_STRING})?(?: \[(?:[a-z]+=(?:[a-z]+|{_DOT_STRING})(?:, )?)+\])?;"
+)
+
+
+def test_dot_export_escapes_quotes_and_backslashes_in_ids():
+    g = DisjunctiveGraph(
+        op_ids=('o"1', "x\\"),
+        chains=(('o"1',), ("x\\",)),
+        resources={("robot", 'r"1'): ('o"1', "x\\")},
+    )
+    lines = to_dot(g).splitlines()
+    assert lines[4:] == [
+        r'  "o\"1" [shape=box];',
+        r'  "x\\" [shape=box];',
+        r'  "__source__" -> "o\"1";',
+        r'  "o\"1" -> "__terminal__";',
+        r'  "__source__" -> "x\\";',
+        r'  "x\\" -> "__terminal__";',
+        r'  "o\"1" -> "x\\" [dir=none, style=dashed, color=steelblue, label="robot r\"1"];',
+        "}",
+    ]
+    assert all(_DOT_LINE.fullmatch(line) for line in lines[2:-1])
 
 
 def test_hand_built_graph_derives_its_relations():

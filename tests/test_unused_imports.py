@@ -1,13 +1,14 @@
 """Every name an import binds is read somewhere in its module, and every
-module-level private name of the package is read somewhere.
+module-level name of the package is read somewhere.
 
 Walks each module of the package and of the tests with the stdlib ast: a
 name bound by import or from-import (``__future__`` aside) must appear as a
 loaded Name in the same module, so a rule moved elsewhere leaves no stale
 import behind; a function, class or variable that a package module defines
-at its top level under a private name (``_x``, dunders aside) must be read,
-as a loaded name, an attribute or a from-import, by some module of the
-package or the tests, so a helper whose last caller went does not stay.
+at its top level (dunders aside) must be read, as a loaded name, an
+attribute or a from-import, by some module of the package or the tests, or,
+for a public name, of perfbench, so a helper whose last caller went does
+not stay.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     return [(line, name) for name, line in bound.items() if name not in read]
 
 
-def private_definitions(path: Path) -> dict[str, int]:
-    """Each private name the module binds at its top level, with its line."""
+def top_level_names(path: Path) -> dict[str, int]:
+    """Each name the module binds at its top level, dunders aside, with its line."""
     defined: dict[str, int] = {}
     for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -48,7 +49,7 @@ def private_definitions(path: Path) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            if not (name.startswith("__") and name.endswith("__")):
                 defined.setdefault(name, node.lineno)
     return defined
 
@@ -66,15 +67,18 @@ def names_read(path: Path) -> set[str]:
     return read
 
 
-def unread_private_names(defining: list[Path], reading: list[Path]) -> list[tuple[Path, int, str]]:
-    """(module, line, name) of each private name a defining module binds
-    at its top level that no reading module reads."""
+def unread_names(
+    defining: list[Path], reading: list[Path], private: bool
+) -> list[tuple[Path, int, str]]:
+    """(module, line, name) of each private name (public when private is
+    False) a defining module binds at its top level that no reading module
+    reads."""
     read = set().union(*map(names_read, reading))
     return [
         (path, line, name)
         for path in defining
-        for name, line in private_definitions(path).items()
-        if name not in read
+        for name, line in top_level_names(path).items()
+        if name.startswith("_") == private and name not in read
     ]
 
 
@@ -105,7 +109,18 @@ def test_every_private_name_of_the_package_is_read():
     assert {"executor.py", "model.py"} <= {path.name for path in package}
     unread = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path, line, name in unread_private_names(package, MODULES)
+        for path, line, name in unread_names(package, MODULES, private=True)
+    ]
+    assert unread == []
+
+
+def test_every_public_name_of_the_package_is_read():
+    package = [path for path in MODULES if path.parent.name == "shopfloor"]
+    readers = [*MODULES, *ROOT.glob("perfbench/*.py")]
+    assert "workloads.py" in {path.name for path in readers}
+    unread = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, line, name in unread_names(package, readers, private=False)
     ]
     assert unread == []
 
@@ -122,6 +137,23 @@ def test_an_unread_private_name_is_reported(tmp_path):
         encoding="utf-8",
     )
     reader.write_text("import probe\nprobe._helper()\n", encoding="utf-8")
-    assert unread_private_names([module], [module, reader]) == [
+    assert unread_names([module], [module, reader], private=True) == [
         (module, 3, "_left"), (module, 5, "_Stale"),
+    ]
+
+
+def test_an_unread_public_name_is_reported(tmp_path):
+    module, reader = tmp_path / "probe.py", tmp_path / "reader.py"
+    module.write_text(
+        "__version__ = '1'\n"
+        "LIMIT, SPARE = 3, 4\n"
+        "def run(): return _step()\n"
+        "def _step(): return LIMIT\n"
+        "def stale(): pass\n"
+        "class Stale: pass\n",
+        encoding="utf-8",
+    )
+    reader.write_text("from probe import run\nrun()\n", encoding="utf-8")
+    assert unread_names([module], [module, reader], private=False) == [
+        (module, 2, "SPARE"), (module, 5, "stale"), (module, 6, "Stale"),
     ]
