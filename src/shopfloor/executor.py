@@ -31,14 +31,21 @@ Each run indexes the call of every operation (the first call wins when a
 program holds several) and the operations due at every step. Execution
 functions are linked once per process, keyed by their skills (names and
 argument tuples), never by their names: a link holds each skill with its
-classified arguments (classify_args) and the outcomes of _walk, the one
-statement of how skills resolve. _walk reads the skills, the wrapper's
-binding, the robot's devices and the points of the machines that the
-machine_1 and machine_2 roles name (op.machine_1 when a role is unbound);
-nothing else. Its outcome, the executed calls and the (skill index,
-reason) of the first failure, is memoized under a key of exactly those
-inputs beyond the skills: the binding's items, the device set (empty for
-an unknown robot) and the two point sets (None for an unknown machine).
+classified arguments (classify_args), a summary of what the whole
+function requires (whether every skill is known, the roles and devices
+its arguments name, the points they name on each machine role) with one
+argument template per skill, and the outcomes of _walk, the one statement
+of how skills resolve. _walk reads the skills, the wrapper's binding, the
+robot's devices and the points of the machines that the machine_1 and
+machine_2 roles name (op.machine_1 when a role is unbound); nothing else.
+It checks the summary against them with four set inclusions and, when
+they hold, fills every template from one map of argument values; only
+when one fails does _walk_by_argument resolve one argument at a time, the
+statement of which argument fails first. The outcome, the executed calls
+and the (skill index, reason) of the first failure, is memoized under a
+key of exactly those inputs beyond the skills: the binding's items, the
+device set (empty for an unknown robot) and the two point sets (None for
+an unknown machine).
 The key holds no operation id, so every operation that resolves the same
 way shares one immutable tuple of calls, and the Failure, which names the
 operation, is built by the run. The outcomes stay for the life of the
@@ -120,8 +127,8 @@ class ExecutionOutcome(NamedTuple):
 # name, or the literal text. machine_role is None except for a point, where
 # it names the machine that must carry it: the first machine-role
 # placeholder in the same call, else machine_1. They are read when an
-# execution is linked, once per process, and after that only by _walk, for
-# a key it has not seen before.
+# execution is linked, once per process, and after that only by
+# _walk_by_argument, for a key whose summary check fails.
 SkillArg = tuple[str, str, str | None]
 
 # The role placeholders a wrapper binds, by their text in a skill call.
@@ -154,13 +161,32 @@ def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
 
 class _Link:
     """An execution function, linked once per process: its skills with
-    their classified arguments, and _walk's outcome for each key seen so
-    far (see _run_operation)."""
+    their classified arguments, a summary of what they require, and _walk's
+    outcome for each key seen so far (see _run_operation).
 
-    __slots__ = ("skills", "outcomes")
+    The summary holds whether every skill is in SKILLS, the roles and
+    devices the arguments name and the points they name on each machine
+    role; every skill resolves exactly when the binding holds those roles,
+    the robot those devices and each machine those points. Each skill's
+    argument texts are its template, and constants holds the value of each
+    argument that is no role: its name."""
+
+    __slots__ = ("skills", "known", "roles", "devices", "points_1", "points_2", "constants",
+                 "outcomes")
 
     def __init__(self, skills: tuple[SkillCall, ...]) -> None:
         self.skills = tuple((skill, classify_args(skill.args)) for skill in skills)
+        args = [arg for skill, classified in self.skills for arg in zip(skill.args, classified)]
+        self.known = all(skill.skill in SKILLS for skill in skills)
+        self.roles = frozenset(name for _, (kind, name, _) in args if kind == "role")
+        self.devices = frozenset(name for _, (kind, name, _) in args if kind == "device")
+        self.points_1 = frozenset(
+            name for _, (kind, name, role) in args if kind == "point" and role == "machine_1"
+        )
+        self.points_2 = frozenset(
+            name for _, (kind, name, role) in args if kind == "point" and role == "machine_2"
+        )
+        self.constants = {text: name for text, (kind, name, _) in args if kind != "role"}
         self.outcomes: dict[tuple, tuple[tuple[SkillCall, ...], tuple[int, str] | None]] = {}
 
 
@@ -179,6 +205,10 @@ _call = cache(SkillCall)
 # The failure reason of an argument that does not resolve, by its kind.
 _UNRESOLVED = {"role": "unbound_placeholder", "device": "missing_device", "point": "missing_point"}
 
+# A role's text in a skill call, and the points of an unknown machine.
+_TEXT_OF = {role: text for text, role in _ROLE_OF.items()}
+_NO_POINTS: frozenset[str] = frozenset()
+
 
 def _walk(
     link: _Link,
@@ -187,11 +217,35 @@ def _walk(
     points_1: frozenset[str] | None,
     points_2: frozenset[str] | None,
 ) -> tuple[tuple[SkillCall, ...], tuple[int, str] | None]:
-    """Resolve link's skills one argument at a time against the binding,
-    the robot's devices and the points of the machines that machine_1 and
-    machine_2 resolve to (None for an unknown machine): the executed calls,
-    up to and including the first skill that fails, and that skill's
-    (index, reason)."""
+    """Resolve link's skills against the binding, the robot's devices and
+    the points of the machines that machine_1 and machine_2 resolve to
+    (None for an unknown machine): the executed calls, up to and including
+    the first skill that fails, and that skill's (index, reason).
+
+    The link's summary decides whether every skill resolves; if so, each
+    call is read from one map of argument values, the link's constants and
+    the binding's values of its roles. If not, _walk_by_argument finds the
+    first argument that fails. Either way the outcome depends on nothing
+    but the memo key of _run_operation and the skills."""
+    if (link.known and binding.keys() >= link.roles and devices >= link.devices
+            and link.points_1 <= (points_1 or _NO_POINTS)
+            and link.points_2 <= (points_2 or _NO_POINTS)):
+        values = {**link.constants, **{_TEXT_OF[role]: binding[role] for role in link.roles}}
+        calls = [_call(skill.skill, tuple(map(values.__getitem__, skill.args)))
+                 for skill, _ in link.skills]
+        return tuple(calls), None
+    return _walk_by_argument(link, binding, devices, points_1, points_2)
+
+
+def _walk_by_argument(
+    link: _Link,
+    binding: Mapping[str, str],
+    devices: frozenset[str],
+    points_1: frozenset[str] | None,
+    points_2: frozenset[str] | None,
+) -> tuple[tuple[SkillCall, ...], tuple[int, str] | None]:
+    """_walk, one argument at a time: the statement of which skill fails
+    first, and why."""
     executed: list[SkillCall] = []
     for index, (skill, args) in enumerate(link.skills):
         reason = None if skill.skill in SKILLS else "unknown_skill"

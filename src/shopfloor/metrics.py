@@ -38,15 +38,15 @@ from .errors import (
 )
 from .executor import ExecutionOutcome, execute
 from .graph import build_graph
-from .model import Allocation, Operation, PrecedenceSet, Program, Scene, TaskInstance
+from .model import Allocation, Operation, OperationType, PrecedenceSet, Program, Scene, TaskInstance
 from .solve import ScheduleGraph, reference_schedule, solve_fifo
 from .tree import ProcessTree, assemble_program, load_reference_tree
 
 
-def _operation_key(op: Operation, allocation: Allocation | None) -> tuple[str, ...]:
+def _operation_key(op: Operation, allocation: Allocation | None) -> tuple[OperationType | str, ...]:
     robot = allocation.robot_for(op.id) if allocation is not None else None
     return (
-        op.op_type.value,
+        op.op_type,
         op.workpiece,
         op.machine_1,
         op.machine_2 or "",

@@ -140,10 +140,12 @@ class Workpiece(NamedTuple):
 class Scene(Value):
     """The floor. Lookups by id go through indexes built at construction
     and give None for an unknown id; with duplicate ids (which
-    validate_scene reports) the first entry wins."""
+    validate_scene reports) the first entry wins. crew_devices reads one
+    more: for each machine id, the devices shared by every robot entry
+    that reaches it; none when no robot does."""
 
     _fields = ("robots", "machines", "workpieces")
-    __slots__ = (*_fields, "_robots", "_machines", "_workpieces")
+    __slots__ = (*_fields, "_robots", "_machines", "_workpieces", "_crews")
 
     def __init__(self, robots: tuple[Robot, ...], machines: tuple[Machine, ...],
                  workpieces: tuple[Workpiece, ...]) -> None:
@@ -152,6 +154,11 @@ class Scene(Value):
         self._robots = {robot.id: robot for robot in reversed(robots)}
         self._machines = {machine.id: machine for machine in reversed(machines)}
         self._workpieces = {piece.id: piece for piece in reversed(workpieces)}
+        self._crews: dict[str, frozenset[str]] = {}
+        for robot in robots:
+            for machine_id in robot.reachable_machines:
+                crew = self._crews.get(machine_id, robot.devices)
+                self._crews[machine_id] = crew & robot.devices
 
     def robot(self, robot_id: str) -> Robot | None:
         return self._robots.get(robot_id)
@@ -161,6 +168,9 @@ class Scene(Value):
 
     def workpiece(self, workpiece_id: str) -> Workpiece | None:
         return self._workpieces.get(workpiece_id)
+
+    def crew_devices(self, machine_id: str) -> frozenset[str]:
+        return self._crews.get(machine_id, frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ Each node's condition is parsed once, when the node is built (so when a
 tree file is loaded). Conditions never see the operation or the scene:
 they read a Features record, which features(op, scene) builds once per
 operation from the operation type, the workpiece kind, both machine names,
-the devices shared by every robot that reaches machine_1, and both
-machines' points. The same record keys each tree's branch table, which
-maps it to the outcome: the selected branch with its execution name and
-skills, or the NoBranch/AmbiguousBranch detail. Selection looks the
+the devices shared by every robot that reaches machine_1 (which the scene
+indexes once, Scene.crew_devices), and both machines' points. The same
+record keys each tree's branch table, which maps it to the outcome: the
+selected branch with its execution name and skills, or the
+NoBranch/AmbiguousBranch detail. Selection looks the
 record up and walks the tree, evaluating the parsed conditions on the
 record, only on a miss; so an entry is the walk's outcome by construction.
 The operation id enters an error message only when it is raised. The
@@ -103,7 +104,8 @@ class Features(NamedTuple):
     """Everything a condition reads about an operation in its scene, built
     by features(). The name or kind of an id that does not resolve is None;
     such a machine has no points, and no devices are shared when no robot
-    reaches machine_1."""
+    reaches machine_1. devices comes from the scene (Scene.crew_devices),
+    which intersects each machine's crew once, when it is built."""
 
     op_type: OperationType
     workpiece_kind: str | None
@@ -118,13 +120,12 @@ def features(op: Operation, scene: Scene) -> Features:
     m1 = scene.machine(op.machine_1)
     m2 = scene.machine(op.machine_2)
     piece = scene.workpiece(op.workpiece)
-    crew = [r.devices for r in scene.robots if op.machine_1 in r.reachable_machines]
     return Features(
         op.op_type,
         piece.kind if piece else None,
         m1.name if m1 else None,
         m2.name if m2 else None,
-        frozenset.intersection(*crew) if crew else frozenset(),
+        scene.crew_devices(op.machine_1),
         m1.points if m1 else frozenset(),
         m2.points if m2 else frozenset(),
     )

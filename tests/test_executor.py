@@ -26,6 +26,7 @@ from shopfloor.model import (
     Allocation,
     OperationType,
     PrecedenceSet,
+    SKILLS,
     Program,
     ProgramCall,
     Scene,
@@ -856,3 +857,87 @@ def test_a_memoized_failure_names_its_own_operation(tier):
             failures = [f for step in outcome.trace for f in step.failures]
             assert "missing_device" in {f.reason for f in failures}
             assert {f.op_id for f in failures} <= {op.id for op in run_ops}
+
+
+# ---------------------------------------------------------------------------
+# the link summary against the per-argument walk
+
+
+def tree_executions(tree):
+    """The skills of every root-to-leaf path of tree, concatenated."""
+
+    def paths(index):
+        node = tree.node(index)
+        if not node.children:
+            yield node.snippet
+        for child in node.children:
+            for rest in paths(child):
+                yield node.snippet + rest
+
+    return list(paths(tree.root))
+
+
+# Executions the reference tree holds none of: a point whose context is
+# machine_2 (after or before the placeholder), and an unknown skill that
+# is not the first.
+HAND_EXECUTIONS = [
+    (SkillCall("motion_plan", ("{robot}", "{machine_2}", "{point:Drop_Point}")),),
+    (SkillCall("motion_plan", ("{robot}", "{point:Photo_Point}", "{machine_2}")),
+     SkillCall("motion_plan", ("{robot}", "{machine_1}", "{point:Drop_Point}"))),
+    (SkillCall("return_home", ("{robot}",)), SkillCall("teleport", ("{robot}",))),
+]
+ROLES = ("robot", "machine_1", "machine_2", "workpiece")
+BOUND = {"robot": "r1", "machine_1": "table_1", "machine_2": "pallet_1", "workpiece": "w1"}
+POINT_SETS = (None, frozenset(), frozenset({"Photo_Point"}), frozenset({"Drop_Point"}),
+              frozenset({"Photo_Point", "Drop_Point"}))
+
+
+def assert_walks_agree(skills, binding, devices, points_1, points_2):
+    link = executor._Link(tuple(skills))
+    calls, failed = executor._walk(link, binding, devices, points_1, points_2)
+    by_argument = executor._walk_by_argument(link, binding, devices, points_1, points_2)
+    assert calls == by_argument[0]
+    assert failed == by_argument[1]
+    return failed
+
+
+def test_the_link_summary_walks_like_the_per_argument_walk():
+    """Every execution of the reference tree and a few written by hand,
+    under every subset of roles dropped, the full kit less each device the
+    execution names, and each pair of point sets (None for an unknown
+    machine)."""
+    reasons = set()
+    for skills in tree_executions(TREE) + HAND_EXECUTIONS:
+        named = {name for skill in skills
+                 for kind, name, _ in executor.classify_args(skill.args) if kind == "device"}
+        kits = [FULL_KIT | named] + [(FULL_KIT | named) - {d} for d in sorted(named)]
+        for mask in range(1 << len(ROLES)):
+            binding = {role: BOUND[role] for k, role in enumerate(ROLES) if mask >> k & 1}
+            for devices in kits:
+                for points_1 in POINT_SETS:
+                    for points_2 in POINT_SETS:
+                        failed = assert_walks_agree(skills, binding, devices, points_1, points_2)
+                        reasons.add(failed and failed[1])
+    assert reasons == FAILURE_REASONS - {"missing_call", "wrong_location"} | {None}
+
+
+ARGS = ("{robot}", "{machine_1}", "{machine_2}", "{workpiece}", "{device:camera}",
+        "{device:polisher}", "{point:A}", "{point:B}", "{point:}", "robot", "on")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    skills=st.lists(
+        st.builds(SkillCall, st.sampled_from(sorted(SKILLS | {"teleport"})),
+                  st.lists(st.sampled_from(ARGS), max_size=4).map(tuple)),
+        max_size=5,
+    ),
+    roles=st.sets(st.sampled_from(ROLES)),
+    devices=st.frozensets(st.sampled_from(["camera", "polisher"])),
+    points_1=st.none() | st.frozensets(st.sampled_from(["A", "B"])),
+    points_2=st.none() | st.frozensets(st.sampled_from(["A", "B"])),
+)
+def test_random_skills_walk_like_the_per_argument_walk(skills, roles, devices, points_1,
+                                                       points_2):
+    binding = {role: BOUND[role] for role in ROLES if role in roles}
+    assert_walks_agree(skills, binding, devices, points_1, points_2)

@@ -430,6 +430,34 @@ def test_select_branch_matches_a_reparsing_walk(tree, tier):
         assert len(shared.branches) < lookups / 2  # most lookups hit
 
 
+def reference_features(op, scene):
+    """features(op, scene) read from the scene's entities directly, the
+    devices intersected over the robots that reach machine_1."""
+    m1, m2 = scene.machine(op.machine_1), scene.machine(op.machine_2)
+    piece = scene.workpiece(op.workpiece)
+    crew = [r.devices for r in scene.robots if op.machine_1 in r.reachable_machines]
+    return (
+        op.op_type,
+        piece.kind if piece else None,
+        m1.name if m1 else None,
+        m2.name if m2 else None,
+        frozenset.intersection(*crew) if crew else frozenset(),
+        m1.points if m1 else frozenset(),
+        m2.points if m2 else frozenset(),
+    )
+
+
+def test_features_of_the_seed_2_instances_match_a_direct_reading():
+    """Every operation of the 210 instances of perfbench's seed 2 (tier
+    seeds 140-209), and its variants on the changed scenes."""
+    for tier in Tier:
+        for seed in range(140, 210):
+            task = generate_instance(tier, seed)
+            for scene in mutated_scenes(task.scene):
+                for op in (v for o in task.ground_truth.operations for v in mutated_ops(o)):
+                    assert features(op, scene) == reference_features(op, scene)
+
+
 @cache
 def condition_cases():
     """(op, scene, features) of the mutated scenes and operations of
