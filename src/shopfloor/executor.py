@@ -31,26 +31,18 @@ Each run indexes the call of every operation (the first call wins when a
 program holds several) and the operations due at every step. Execution
 functions are linked once per process, keyed by their skills (names and
 argument tuples), never by their names: a link holds each skill with its
-classified arguments (classify_args), a summary of what the whole
+classified arguments (classify_args) and a summary of what the whole
 function requires (whether every skill is known, the roles and devices
-its arguments name, the points they name on each machine role) with one
-argument template per skill, and the outcomes of _walk, the one statement
-of how skills resolve. _walk reads the skills, the wrapper's binding, the
+its arguments name, the points they name on each machine role).
+Every operation checks that summary against the wrapper's binding, the
 robot's devices and the points of the machines that the machine_1 and
-machine_2 roles name (op.machine_1 when a role is unbound); nothing else.
-It checks the summary against them with four set inclusions and, when
-they hold, fills every template from one map of argument values; only
-when one fails does _walk_by_argument resolve one argument at a time, the
-statement of which argument fails first. The outcome, the executed calls
-and the (skill index, reason) of the first failure, is memoized under a
-key of exactly those inputs beyond the skills: the binding's items, the
-device set (empty for an unknown robot) and the two point sets (None for
-an unknown machine).
-The key holds no operation id, so every operation that resolves the same
-way shares one immutable tuple of calls, and the Failure, which names the
-operation, is built by the run. The outcomes stay for the life of the
-process: one entry per distinct execution and key it ran, whose SkillCall
-objects are themselves shared, one per distinct call.
+machine_2 roles name (op.machine_1 when a role is unbound); an unknown
+robot or machine counts as having none. When the check holds, the calls
+depend on the binding alone, so the link memoizes them under the
+binding's items: every operation that binds the same values shares one
+tuple of calls, whose SkillCall objects are shared too, one per distinct
+call. When it fails, _walk_by_argument resolves one argument at a time,
+the statement of which argument fails first, and nothing is memoized.
 
 The skill-argument grammar (role placeholders such as "{machine_1}",
 "{device:NAME}", "{point:NAME}") is stated once, in classify_args, its
@@ -128,7 +120,7 @@ class ExecutionOutcome(NamedTuple):
 # it names the machine that must carry it: the first machine-role
 # placeholder in the same call, else machine_1. They are read when an
 # execution is linked, once per process, and after that only by
-# _walk_by_argument, for a key whose summary check fails.
+# _walk_by_argument, for an operation whose summary check fails.
 SkillArg = tuple[str, str, str | None]
 
 # The role placeholders a wrapper binds, by their text in a skill call.
@@ -161,18 +153,14 @@ def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
 
 class _Link:
     """An execution function, linked once per process: its skills with
-    their classified arguments, a summary of what they require, and _walk's
-    outcome for each key seen so far (see _run_operation).
-
-    The summary holds whether every skill is in SKILLS, the roles and
-    devices the arguments name and the points they name on each machine
-    role; every skill resolves exactly when the binding holds those roles,
-    the robot those devices and each machine those points. Each skill's
-    argument texts are its template, and constants holds the value of each
-    argument that is no role: its name."""
+    their classified arguments and a summary of what they require: whether
+    every skill is in SKILLS, the roles and devices the arguments name and
+    the points they name on each machine role. Each skill's argument texts
+    are its template, and constants holds the value of each argument that
+    is no role: its name. calls memoizes resolve by the binding's items."""
 
     __slots__ = ("skills", "known", "roles", "devices", "points_1", "points_2", "constants",
-                 "outcomes")
+                 "calls")
 
     def __init__(self, skills: tuple[SkillCall, ...]) -> None:
         self.skills = tuple((skill, classify_args(skill.args)) for skill in skills)
@@ -187,7 +175,31 @@ class _Link:
             name for _, (kind, name, role) in args if kind == "point" and role == "machine_2"
         )
         self.constants = {text: name for text, (kind, name, _) in args if kind != "role"}
-        self.outcomes: dict[tuple, tuple[tuple[SkillCall, ...], tuple[int, str] | None]] = {}
+        self.calls: dict[tuple[tuple[str, str], ...], tuple[SkillCall, ...]] = {}
+
+    def resolve(
+        self,
+        binding: Mapping[str, str],
+        devices: frozenset[str],
+        points_1: frozenset[str],
+        points_2: frozenset[str],
+    ) -> tuple[SkillCall, ...] | None:
+        """Every skill's call, or None unless the binding holds the summary's
+        roles, the robot's devices its devices and each machine role's
+        points its points. After that check the calls depend on the binding
+        alone."""
+        if not (self.known and binding.keys() >= self.roles and devices >= self.devices
+                and self.points_1 <= points_1 and self.points_2 <= points_2):
+            return None
+        key = tuple(binding.items())
+        calls = self.calls.get(key)
+        if calls is None:
+            values = {**self.constants, **{_TEXT_OF[role]: binding[role] for role in self.roles}}
+            calls = self.calls[key] = tuple(
+                [_call(skill.skill, tuple(map(values.__getitem__, skill.args)))
+                 for skill, _ in self.skills]
+            )
+        return calls
 
 
 @cache
@@ -199,53 +211,28 @@ def _link(skills: tuple[SkillCall, ...]) -> _Link:
 
 
 # One SkillCall per distinct resolved call, shared by every tuple of calls
-# that holds it: links keep their outcomes for the life of the process.
+# that holds it: links keep their calls for the life of the process.
 _call = cache(SkillCall)
 
 # The failure reason of an argument that does not resolve, by its kind.
 _UNRESOLVED = {"role": "unbound_placeholder", "device": "missing_device", "point": "missing_point"}
 
-# A role's text in a skill call, and the points of an unknown machine.
+# A role's text in a skill call.
 _TEXT_OF = {role: text for text, role in _ROLE_OF.items()}
-_NO_POINTS: frozenset[str] = frozenset()
-
-
-def _walk(
-    link: _Link,
-    binding: Mapping[str, str],
-    devices: frozenset[str],
-    points_1: frozenset[str] | None,
-    points_2: frozenset[str] | None,
-) -> tuple[tuple[SkillCall, ...], tuple[int, str] | None]:
-    """Resolve link's skills against the binding, the robot's devices and
-    the points of the machines that machine_1 and machine_2 resolve to
-    (None for an unknown machine): the executed calls, up to and including
-    the first skill that fails, and that skill's (index, reason).
-
-    The link's summary decides whether every skill resolves; if so, each
-    call is read from one map of argument values, the link's constants and
-    the binding's values of its roles. If not, _walk_by_argument finds the
-    first argument that fails. Either way the outcome depends on nothing
-    but the memo key of _run_operation and the skills."""
-    if (link.known and binding.keys() >= link.roles and devices >= link.devices
-            and link.points_1 <= (points_1 or _NO_POINTS)
-            and link.points_2 <= (points_2 or _NO_POINTS)):
-        values = {**link.constants, **{_TEXT_OF[role]: binding[role] for role in link.roles}}
-        calls = [_call(skill.skill, tuple(map(values.__getitem__, skill.args)))
-                 for skill, _ in link.skills]
-        return tuple(calls), None
-    return _walk_by_argument(link, binding, devices, points_1, points_2)
 
 
 def _walk_by_argument(
     link: _Link,
     binding: Mapping[str, str],
     devices: frozenset[str],
-    points_1: frozenset[str] | None,
-    points_2: frozenset[str] | None,
+    points_1: frozenset[str],
+    points_2: frozenset[str],
 ) -> tuple[tuple[SkillCall, ...], tuple[int, str] | None]:
-    """_walk, one argument at a time: the statement of which skill fails
-    first, and why."""
+    """Resolve link's skills one argument at a time, against what
+    _Link.resolve checks: the executed calls, up to and including the first
+    skill that fails, and that skill's (index, reason). The statement of
+    which skill fails first, and why; it runs, unmemoized, only for an
+    operation whose summary check fails."""
     executed: list[SkillCall] = []
     for index, (skill, args) in enumerate(link.skills):
         reason = None if skill.skill in SKILLS else "unknown_skill"
@@ -255,8 +242,7 @@ def _walk_by_argument(
             elif kind == "device":
                 present = name in devices
             elif kind == "point":
-                points = points_2 if machine_role == "machine_2" else points_1
-                present = points is not None and name in points
+                present = name in (points_2 if machine_role == "machine_2" else points_1)
             else:
                 present = True
             if not present:
@@ -279,7 +265,8 @@ def _run_operation(
     locations: Mapping[str, str],
 ) -> tuple[OperationRun | None, Failure | None]:
     """Run op's skills. Returns its run (None when the program holds no
-    call for it) and its first failure (None when it completed)."""
+    call for it) and its first failure (None when it completed). An
+    unknown robot has no devices and an unknown machine no points."""
     wrapper = program.wrappers.get(call.wrapper) if call is not None else None
     link = links.get(wrapper.execution) if wrapper is not None else None
     if link is None:
@@ -293,14 +280,13 @@ def _run_operation(
     devices = robot.devices if robot is not None else frozenset()
     machine_1 = scene.machine(binding.get("machine_1", op.machine_1))
     machine_2 = scene.machine(binding.get("machine_2", op.machine_1))
-    points_1 = machine_1.points if machine_1 is not None else None
-    points_2 = machine_2.points if machine_2 is not None else None
-    key = (tuple(binding.items()), devices, points_1, points_2)
-    outcome = link.outcomes.get(key)
-    if outcome is None:
-        outcome = link.outcomes[key] = _walk(link, binding, devices, points_1, points_2)
-    calls, failed = outcome
-    return OperationRun(op.id, robot_id, calls), (Failure(op.id, *failed) if failed else None)
+    points_1 = machine_1.points if machine_1 is not None else frozenset()
+    points_2 = machine_2.points if machine_2 is not None else frozenset()
+    calls = link.resolve(binding, devices, points_1, points_2)
+    if calls is not None:
+        return OperationRun(op.id, robot_id, calls), None
+    calls, (index, reason) = _walk_by_argument(link, binding, devices, points_1, points_2)
+    return OperationRun(op.id, robot_id, calls), Failure(op.id, index, reason)
 
 
 def execute(

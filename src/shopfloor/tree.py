@@ -147,9 +147,6 @@ class ProcessTree(Value):
         # never go stale.
         self.branches: dict[Features, _Outcome] = {}
 
-    def node(self, index: int) -> TreeNode:
-        return self.nodes[index]
-
 
 # ---------------------------------------------------------------------------
 # condition language

@@ -177,7 +177,7 @@ def test_general_node_type_loads_as_none():
     typed = next(node for node in doc["nodes"] if node["type"] != "general")
     typed["type"] = "general"
     tree = parse_tree(canonical_json(doc))
-    assert tree.node(typed["index"]).op_type is None
+    assert tree.nodes[typed["index"]].op_type is None
 
 
 def _leaves(doc, path=()):

@@ -304,10 +304,11 @@ def test_unbound_placeholder_run_keeps_the_resolved_prefix():
     assert outcome.status == frozenset()
 
 
-def test_each_input_of_a_walk_is_in_its_memo_key():
+def test_every_operation_checks_the_summary_before_the_memo():
     """One execution run, without relinking, on scenes and bindings that
-    each change one thing _walk reads: each matches the oracle, on its
-    first walk and again from the memo."""
+    each change one thing the summary check reads: each matches the
+    oracle, whether or not the memo already holds calls for its binding.
+    An unknown robot has no devices and an unknown machine no points."""
 
     def floor(devices=FULL_KIT, table_points=("Photo_Point", "Drop_Point"),
               pallet_points=("Drop_Point",)):
@@ -332,6 +333,8 @@ def test_each_input_of_a_walk_is_in_its_memo_key():
         (floor(table_points=("Drop_Point",)), bound, ((1, "missing_point"),)),
         (floor(pallet_points=()), bound, ((2, "missing_point"),)),
         (floor(), {**bound, "machine_1": "pallet_1"}, ((1, "missing_point"),)),
+        (floor(), {**bound, "robot": "r9"}, ((0, "missing_device"),)),
+        (floor(), {**bound, "machine_2": "nowhere"}, ((2, "missing_point"),)),
         # an unbound machine_2 reads the points of op.machine_1, table_1
         (floor(), {k: v for k, v in bound.items() if k != "machine_2"},
          ((2, "unbound_placeholder"),)),
@@ -839,6 +842,8 @@ def test_traces_do_not_depend_on_which_run_resolves_first(tier):
 
 @pytest.mark.parametrize("tier", list(Tier))
 def test_a_memoized_failure_names_its_own_operation(tier):
+    """Runs that share links, a plan's and a replay's, in both orders: each
+    failure, walked per operation, names an operation of its own run."""
     schedule, program, scene, ops = generated_run(tier, 7)
     # drop, from every robot, a device that some skill of the program needs
     device = min(
@@ -859,6 +864,57 @@ def test_a_memoized_failure_names_its_own_operation(tier):
             assert {f.op_id for f in failures} <= {op.id for op in run_ops}
 
 
+def memo_keys(program):
+    """The memo keys of the links of program's executions."""
+    return [key for skills in set(program.executions.values())
+            for key in executor._link(skills).calls]
+
+
+def test_the_memo_holds_binding_text_only(scene, plan):
+    """After hand-built scenes and three generated tiers, every memo key is
+    a tuple of (str, str) pairs, the binding's items, and every value a
+    tuple of calls: no memo entry holds scene data."""
+    executor._link.cache_clear()
+    ops, alloc, prec = plan
+    programs = [(fifo_schedule(ops, alloc, prec, scene), assemble_program(TREE, ops, alloc, scene),
+                 scene, ops)]
+    ops, alloc, prec = polish_only_plan()
+    for devices in (FULL_KIT, FULL_KIT - {"camera"}):
+        one_piece = one_piece_scene(held_at="table_1", robot_devices=devices)
+        programs.append((fifo_schedule(ops, alloc, prec, one_piece),
+                         hand_program([SkillCall("control_device",
+                                                 ("{robot}", "{device:camera}", "on"))]),
+                         one_piece, ops))
+    programs += [generated_run(tier, seed) for tier in Tier for seed in (3, 4)]
+    for run in programs:
+        execute(*run)
+    keys = [key for _, program, _, _ in programs for key in memo_keys(program)]
+    assert keys
+    for key in keys:
+        assert type(key) is tuple
+        assert all(type(item) is tuple and len(item) == 2 for item in key)
+        assert all(type(text) is str for item in key for text in item)
+    for _, program, _, _ in programs:
+        for skills in program.executions.values():
+            for calls in executor._link(skills).calls.values():
+                assert all(type(call) is SkillCall for call in calls)
+
+
+def test_a_failing_operation_adds_no_memo_entry():
+    ops, alloc, prec = polish_only_plan()
+    scene = one_piece_scene(held_at="table_1")
+    schedule = fifo_schedule(ops, alloc, prec, scene)
+    program = hand_program([SkillCall("control_device", ("{robot}", "{device:camera}", "on"))])
+    executor._link.cache_clear()
+    cameraless = one_piece_scene(held_at="table_1", robot_devices=FULL_KIT - {"camera"})
+    outcome = execute(schedule, program, cameraless, ops)
+    assert outcome.trace[0].failures == (Failure("p1", 0, "missing_device"),)
+    assert memo_keys(program) == []
+    assert execute(schedule, program, scene, ops).executed_fully is True
+    (wrapper,) = program.wrappers.values()
+    assert memo_keys(program) == [tuple(wrapper.binding.items())]
+
+
 # ---------------------------------------------------------------------------
 # the link summary against the per-argument walk
 
@@ -867,7 +923,7 @@ def tree_executions(tree):
     """The skills of every root-to-leaf path of tree, concatenated."""
 
     def paths(index):
-        node = tree.node(index)
+        node = tree.nodes[index]
         if not node.children:
             yield node.snippet
         for child in node.children:
@@ -888,24 +944,28 @@ HAND_EXECUTIONS = [
 ]
 ROLES = ("robot", "machine_1", "machine_2", "workpiece")
 BOUND = {"robot": "r1", "machine_1": "table_1", "machine_2": "pallet_1", "workpiece": "w1"}
-POINT_SETS = (None, frozenset(), frozenset({"Photo_Point"}), frozenset({"Drop_Point"}),
+# An unknown machine has no points: _run_operation reads it as the empty
+# set, which this list holds.
+POINT_SETS = (frozenset(), frozenset({"Photo_Point"}), frozenset({"Drop_Point"}),
               frozenset({"Photo_Point", "Drop_Point"}))
 
 
 def assert_walks_agree(skills, binding, devices, points_1, points_2):
+    """The summary check fails exactly when the per-argument walk reports a
+    failure, and otherwise both resolve the same calls."""
     link = executor._Link(tuple(skills))
-    calls, failed = executor._walk(link, binding, devices, points_1, points_2)
-    by_argument = executor._walk_by_argument(link, binding, devices, points_1, points_2)
-    assert calls == by_argument[0]
-    assert failed == by_argument[1]
+    calls = link.resolve(binding, devices, points_1, points_2)
+    by_argument, failed = executor._walk_by_argument(link, binding, devices, points_1, points_2)
+    assert (calls is None) == (failed is not None)
+    if calls is not None:
+        assert calls == by_argument
     return failed
 
 
 def test_the_link_summary_walks_like_the_per_argument_walk():
     """Every execution of the reference tree and a few written by hand,
     under every subset of roles dropped, the full kit less each device the
-    execution names, and each pair of point sets (None for an unknown
-    machine)."""
+    execution names, and each pair of point sets."""
     reasons = set()
     for skills in tree_executions(TREE) + HAND_EXECUTIONS:
         named = {name for skill in skills
@@ -934,8 +994,8 @@ ARGS = ("{robot}", "{machine_1}", "{machine_2}", "{workpiece}", "{device:camera}
     ),
     roles=st.sets(st.sampled_from(ROLES)),
     devices=st.frozensets(st.sampled_from(["camera", "polisher"])),
-    points_1=st.none() | st.frozensets(st.sampled_from(["A", "B"])),
-    points_2=st.none() | st.frozensets(st.sampled_from(["A", "B"])),
+    points_1=st.frozensets(st.sampled_from(["A", "B"])),
+    points_2=st.frozensets(st.sampled_from(["A", "B"])),
 )
 def test_random_skills_walk_like_the_per_argument_walk(skills, roles, devices, points_1,
                                                        points_2):
