@@ -79,13 +79,13 @@ def scheduling_efficiency(
     """Normalized makespan quality, zero unless the plan matched exactly.
 
     The scale runs from the fully serial schedule (one operation per step)
-    down to the ground-truth makespan. Scores are clamped into [0, 1]; a
-    ground truth that is itself serial leaves no scale to measure against,
-    which raises DegenerateDenominator unless the makespans agree anyway.
+    down to the ground-truth makespan; scores are clamped into [0, 1], so a
+    plan at least as fast as the ground truth scores 1. A slower plan against
+    a serial ground truth has no scale, which raises DegenerateDenominator.
     """
     if consistency < 1.0 or generated_makespan is None:
         return 0.0
-    if generated_makespan == gt_makespan:
+    if generated_makespan <= gt_makespan:
         return 1.0
     if gt_operation_count == gt_makespan:
         raise DegenerateDenominator(

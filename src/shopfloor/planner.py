@@ -10,6 +10,7 @@ problem, and the first one is kept.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -257,32 +258,32 @@ Transport = Callable[[LlmConfig, str], str]
 
 
 def http_transport(config: LlmConfig, prompt: str) -> str:
-    """One chat-completion call; any transport or shape problem becomes
-    PlannerUnavailable. requests is imported here, not with the module, so
-    commands that never call a remote planner do not load it."""
-    import requests
+    """One chat-completion POST; any transport, status or shape problem is
+    a PlannerUnavailable. The HTTP modules are imported here, not with the
+    module, so commands that never call a remote planner load none of them."""
+    import http.client
+    import urllib.error
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
+    body = {"model": config.model, "messages": [{"role": "user", "content": prompt}]}
     try:
-        response = requests.post(
-            f"{config.base_url}/chat/completions",
-            json={
-                "model": config.model,
-                "messages": [{"role": "user", "content": prompt}],
-            },
-            headers=headers,
-            timeout=config.timeout,
+        request = urllib.request.Request(
+            f"{config.base_url}/chat/completions", json.dumps(body).encode(), headers
         )
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(request, timeout=config.timeout) as response:
+            status, reply = response.status, response.read()
+    except urllib.error.HTTPError as exc:  # an OSError too, so caught first
+        exc.close()
+        status, reply = exc.code, b""
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise PlannerUnavailable(f"planner endpoint unreachable: {exc}") from None
-    if response.status_code != 200:
-        raise PlannerUnavailable(
-            f"planner endpoint answered {response.status_code}"
-        )
+    if status != 200:
+        raise PlannerUnavailable(f"planner endpoint answered {status}")
     try:
-        content = response.json()["choices"][0]["message"]["content"]
+        content = json.loads(reply)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError):
         raise PlannerUnavailable("planner response had no message content") from None
     if not isinstance(content, str):

@@ -2,9 +2,14 @@
 
 The default workshop: one conveyor feeding a polishing table and two pallets,
 two robots with full device kits. Individual tests override pieces of it.
+The endpoint fixture is a chat-completion server on a loopback port.
 """
 
 from __future__ import annotations
+
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -163,3 +168,67 @@ def plan(scene):
 def arcless(*op_ids):
     """A graph without arcs: every start step is allowed, nothing waits."""
     return DisjunctiveGraph(op_ids=op_ids, chains=(), resources={})
+
+
+def chat_reply(content):
+    """A chat-completion response body whose one message holds content."""
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+class _EndpointHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length))
+        self.server.received.append((self.path, self.headers, body))
+        self.server.reply(self)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class LoopbackEndpoint(ThreadingHTTPServer):
+    """A server on 127.0.0.1 that keeps each request's path, headers and
+    decoded JSON body in received and answers it with reply(handler),
+    which each test sets, directly or through answer."""
+
+    daemon_threads = False  # so server_close joins every handler thread
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _EndpointHandler)
+        self.received = []
+        self.released = threading.Event()
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_port}/v1"
+
+    def answer(self, body, status=200):
+        """Reply with status and body: bytes as they are, else as JSON."""
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
+
+        def reply(handler):
+            handler.send_response(status)
+            handler.send_header("Content-Type", "application/json")
+            handler.send_header("Content-Length", str(len(data)))
+            handler.end_headers()
+            handler.wfile.write(data)
+
+        self.reply = reply
+
+    def handle_error(self, request, client_address):
+        pass
+
+
+@pytest.fixture
+def endpoint():
+    """A LoopbackEndpoint serving from a thread; at teardown it is released
+    (a reply waiting on released goes on), shut down and closed."""
+    server = LoopbackEndpoint()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.released.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

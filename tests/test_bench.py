@@ -13,6 +13,7 @@ import shopfloor.metrics as metrics
 import shopfloor.solve as solve
 from shopfloor.bench import (
     TIER_SPECS,
+    BenchTask,
     Tier,
     generate_instance,
     generate_suite,
@@ -27,6 +28,7 @@ from shopfloor.errors import InstanceTooLarge, PlannerUnavailable, ValidationErr
 from shopfloor.executor import trace_to_jsonl
 from shopfloor.graph import build_graph
 from shopfloor.metrics import (
+    METRIC_FIELDS,
     Run,
     fifo_run,
     ground_truth_run,
@@ -39,6 +41,7 @@ from shopfloor.model import (
     Allocation,
     PrecedenceSet,
     Scene,
+    ScheduleRecord,
     canonical_json,
     serialize_task_instance,
 )
@@ -660,3 +663,24 @@ def test_load_bundled_tasks_ships_both_fixtures():
         gt = task.instance.ground_truth
         assert gt is not None and gt.schedule is not None
     assert by_id["simple_multi_relay"].instance.ground_truth.schedule.makespan == 6
+
+
+def test_a_plan_faster_than_a_serial_reference_scores_one():
+    # A serial stored schedule (one operation per step) is a feasible
+    # reference; the plan's FIFO schedule beats it, which is no fault.
+    task = generate_instance(Tier.SIMPLE_MULTI, 1)
+    gt = task.ground_truth
+    steps = gt.schedule.start_steps
+    order = sorted(steps, key=steps.__getitem__)
+    serial = ScheduleRecord(
+        start_steps={op_id: i for i, op_id in enumerate(order)},
+        makespan=len(order),
+        source="fifo",
+    )
+    task = task._replace(ground_truth=gt._replace(schedule=serial))
+    bench_task = BenchTask("serial_reference", Tier.SIMPLE_MULTI, task)
+    [row] = run_benchmark([bench_task], GroundTruthPlanner()).results
+    assert row.report.metadata["gt_makespan"] == len(order) == 10
+    assert row.report.metadata["generated_makespan"] < len(order)
+    assert row.error is None
+    assert [getattr(row.report, key) for key in METRIC_FIELDS] == [1.0] * 5

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +26,11 @@ from shopfloor.planner import (
     LlmConfig,
     LlmPlanner,
     RecordedTransport,
+    parse_planner_text,
     render_planner_text,
 )
 
-from conftest import unscheduled_task
+from conftest import chat_reply, unscheduled_task
 
 
 @pytest.fixture
@@ -207,6 +211,40 @@ def test_run_on_missing_directory_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--tasks", str(tmp_path / "nowhere"))
     assert code == 2
     assert "task directory not found" in err
+
+
+def test_run_on_a_directory_without_task_files_exits_2(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("no tasks here", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--tasks", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"no task files in {tmp_path}" in err
+
+
+def test_execute_with_an_unreadable_schedule_file_exits_2(capsys, task_file, tmp_path):
+    code, out, err = run_cli(
+        capsys, "execute", str(task_file), "--schedule", str(tmp_path / "missing.json")
+    )
+    assert (code, out) == (2, "")
+    assert "cannot read schedule file" in err
+
+
+def test_an_invalid_served_plan_exits_1_with_each_violation(
+    capsys, task_file, tmp_path, endpoint, monkeypatch
+):
+    reply = "```OPERATIONS\nx1 | transport | w9 | nowhere | conveyor\n```\n"
+    endpoint.answer(chat_reply(reply))
+    monkeypatch.setenv("SHOPFLOOR_LLM_BASE_URL", endpoint.url)
+    monkeypatch.setenv("SHOPFLOOR_LLM_MODEL", "m")
+    out_file = tmp_path / "reply.txt"
+    code, out, err = run_cli(
+        capsys, "plan", str(task_file), "--planner", "llm", "--out", str(out_file)
+    )
+    scene = load_task_instance(task_file).scene
+    violations = parse_planner_text(reply, scene).report.violations
+    assert (code, out) == (1, "")
+    assert len(violations) == 2
+    assert err.splitlines() == [f"violation: {v}" for v in violations]
+    assert out_file.read_text(encoding="utf-8") == reply
 
 
 def test_llm_planner_without_env_exits_1(capsys, task_file, monkeypatch):
@@ -511,6 +549,32 @@ def test_evaluate_scores_all_ones_for_ground_truth(capsys, task_file):
     ):
         assert doc[key] == 1.0
     assert doc["error"] is None
+
+
+def test_a_bare_interpreter_scores_a_served_plan(endpoint):
+    # -S leaves site-packages off the path: the remote planner runs on the
+    # standard library alone.
+    src = Path(shopfloor.cli.__file__).resolve().parents[1]
+    task_path = src / "shopfloor" / "data" / "tasks" / "simple_multi_relay.json"
+    gt = load_task_instance(task_path).ground_truth
+    plan = render_planner_text(gt.operations, gt.allocation, gt.precedence)
+    endpoint.answer(chat_reply(f"Sure. The plan:\n\n{plan}\nEach robot stays in reach."))
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "SHOPFLOOR_LLM_BASE_URL": endpoint.url,
+        "SHOPFLOOR_LLM_MODEL": "m",
+    }
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "shopfloor.cli", "evaluate", str(task_path),
+         "--planner", "llm"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert [doc[key] for key in METRIC_FIELDS] == [1.0] * 5
+    assert doc["error"] is None
+    assert len(endpoint.received) == 1
 
 
 def test_evaluate_writes_its_report_and_exits_1_on_invalid_ground_truth(

@@ -418,6 +418,48 @@ def test_wrong_type_rejected(scene):
         parse_task_instance(canonical_json(doc))
 
 
+def _hold_unknown_workpiece(doc):
+    doc["scene"]["machines"][0]["held_workpieces"].append("w9")
+
+
+def _name_unknown_machine(doc):
+    doc["ground_truth"]["operations"][1]["machine_1"] = "m9"
+
+
+def _chain_unknown_workpiece(doc):
+    doc["ground_truth"]["precedence"]["w9"] = []
+
+
+def _repeat_in_chain(doc):
+    doc["ground_truth"]["precedence"]["w1"].append("t1")
+
+
+def _robot_as_list(doc):
+    doc["scene"]["robots"][0] = ["r1"]
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        (_hold_unknown_workpiece, ValidationError,
+         "machine 'conveyor' holds unknown workpiece 'w9'"),
+        (_name_unknown_machine, ValidationError,
+         "operation 'p1' references unknown machine 'm9'"),
+        (_chain_unknown_workpiece, ValidationError,
+         "precedence chain for unknown workpiece 'w9'"),
+        (_repeat_in_chain, ValidationError, "operation 't1' repeats in chain of 'w1'"),
+        (_robot_as_list, ParseError, "expected an object, got list"),
+    ],
+    ids=["held", "machine", "chain", "repeat", "record"],
+)
+def test_each_reference_fault_names_itself(scene, mutate, error, message):
+    doc = _task_doc(scene)
+    mutate(doc)
+    with pytest.raises(error) as info:
+        parse_task_instance(canonical_json(doc))
+    assert message in str(info.value)
+
+
 def test_gt_schedule_must_cover_exactly_the_ops(scene):
     doc = _task_doc(scene)
     doc["ground_truth"]["schedule"] = {"start_steps": {"t1": 0}, "makespan": 1}

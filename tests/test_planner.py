@@ -34,7 +34,7 @@ from shopfloor.planner import (
     render_planner_text,
 )
 
-from conftest import LINE_BREAKS, make_robot, make_scene, simple_plan
+from conftest import LINE_BREAKS, chat_reply, make_robot, make_scene, simple_plan
 from strategies import plan_triples
 
 
@@ -340,35 +340,19 @@ def test_recorded_transport_exhaustion_is_planner_unavailable():
         planner.plan(task)
 
 
-def test_importing_the_pipeline_leaves_requests_unloaded():
-    src = str(Path(shopfloor.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    # what a command or a benchmark round loads before its first task; none
-    # of the modules listed is needed for it
-    code = (
-        "import sys, shopfloor.cli, shopfloor.bench, shopfloor.planner, shopfloor.gantt; "
-        "shopfloor.bench.load_reference_tree(); shopfloor.planner.load_prompt_template(); "
-        "print([m for m in ('requests', 'xml.sax', 'urllib.request', 'dataclasses', "
-        "'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules])"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.stdout.strip() == "[]"
-
-
 def test_a_bare_interpreter_loads_no_resource_reader():
     # -S keeps site hooks from preloading modules, so the list is what the
-    # package itself loads: its data files are read by path, without
-    # importlib.resources and the archive and source tools it pulls in.
+    # package itself loads for what a command or a benchmark round does
+    # before its first task: its data files are read by path, without
+    # importlib.resources and the archive and source tools it pulls in, and
+    # the HTTP modules wait for the first remote planner call.
     src = str(Path(shopfloor.__file__).resolve().parents[1])
     code = (
         "import sys, shopfloor.cli, shopfloor.bench, shopfloor.planner, shopfloor.gantt; "
         "shopfloor.bench.load_reference_tree(); shopfloor.planner.load_prompt_template(); "
         "shopfloor.bench.load_bundled_tasks(); "
-        "print([m for m in ('importlib.resources', 'zipfile', 'tempfile', 'inspect', "
+        "print([m for m in ('requests', 'xml.sax', 'urllib.request', 'http.client', "
+        "'dataclasses', 'importlib.resources', 'zipfile', 'tempfile', 'inspect', "
         "'ast', 'dis', 'tokenize') if m in sys.modules])"
     )
     result = subprocess.run(
@@ -383,3 +367,107 @@ def test_http_transport_unreachable_endpoint():
     config = LlmConfig(base_url="http://127.0.0.1:9", model="m", timeout=0.5)
     with pytest.raises(PlannerUnavailable, match="unreachable"):
         http_transport(config, "hello")
+
+
+# ---------------------------------------------------------------------------
+# http_transport against a loopback endpoint
+
+
+def _drop(handler):
+    pass  # the server closes the connection without a status line
+
+
+def _cut_short(handler):
+    handler.send_response(200)
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices": [')
+
+
+def _bad_status_line(handler):
+    handler.wfile.write(b"nonsense\r\n\r\n")
+
+
+def _too_slow(handler):
+    handler.server.released.wait(10)
+
+
+def _redirect(handler):
+    handler.send_response(307)
+    handler.send_header("Location", "/v2/chat/completions")
+    handler.send_header("Content-Length", "0")
+    handler.end_headers()
+
+
+UNREACHABLE = "planner endpoint unreachable: "
+NO_CONTENT = "planner response had no message content"
+NOT_TEXT = "planner response content was not text"
+
+
+@pytest.mark.parametrize(
+    "body, status, message",
+    [
+        (b"boom", 500, "planner endpoint answered 500"),
+        (chat_reply("plan"), 201, "planner endpoint answered 201"),
+        (b"<html>not json</html>", 200, NO_CONTENT),
+        (b"\xff\xfe\xfd", 200, NO_CONTENT),
+        ({"error": "overloaded"}, 200, NO_CONTENT),
+        ({"choices": []}, 200, NO_CONTENT),
+        ({"choices": "text"}, 200, NO_CONTENT),
+        (chat_reply(7), 200, NOT_TEXT),
+        (chat_reply(None), 200, NOT_TEXT),
+    ],
+)
+def test_http_transport_classifies_each_answer(endpoint, body, status, message):
+    endpoint.answer(body, status)
+    config = LlmConfig(base_url=endpoint.url, model="m", timeout=5)
+    with pytest.raises(PlannerUnavailable) as info:
+        http_transport(config, "hello")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "reply, timeout, reason",
+    [
+        (_drop, 5, "Remote end closed connection without response"),
+        (_cut_short, 5, "IncompleteRead"),
+        (_bad_status_line, 5, "nonsense"),
+        (_too_slow, 0.3, "timed out"),
+    ],
+)
+def test_http_transport_classifies_each_broken_exchange(endpoint, reply, timeout, reason):
+    endpoint.reply = reply
+    config = LlmConfig(base_url=endpoint.url, model="m", timeout=timeout)
+    with pytest.raises(PlannerUnavailable) as info:
+        http_transport(config, "hello")
+    assert str(info.value).startswith(UNREACHABLE)
+    assert reason in str(info.value)
+
+
+def test_a_redirect_of_the_post_is_an_answer_not_followed(endpoint):
+    endpoint.reply = _redirect
+    config = LlmConfig(base_url=endpoint.url, model="m", timeout=5)
+    with pytest.raises(PlannerUnavailable, match="^planner endpoint answered 307$"):
+        http_transport(config, "hello")
+    assert len(endpoint.received) == 1
+
+
+@pytest.mark.parametrize("base_url", ["no-scheme", "http://[::1"])
+def test_http_transport_malformed_url_is_unreachable(base_url):
+    config = LlmConfig(base_url=base_url, model="m", timeout=0.5)
+    with pytest.raises(PlannerUnavailable, match=f"^{UNREACHABLE}"):
+        http_transport(config, "hello")
+
+
+@pytest.mark.parametrize("api_key", [None, "k"])
+def test_http_transport_posts_one_user_message(endpoint, api_key):
+    prompt = "polish the Werkstück ✓ 溶接   twice"
+    endpoint.answer(chat_reply("the plan"))
+    config = LlmConfig(base_url=endpoint.url, model="m-7", api_key=api_key, timeout=5)
+    assert http_transport(config, prompt) == "the plan"
+    [(path, headers, body)] = endpoint.received
+    assert path == "/v1/chat/completions"
+    assert headers["Content-Type"] == "application/json"
+    assert headers.get("Authorization") == (f"Bearer {api_key}" if api_key else None)
+    assert body == {"model": "m-7", "messages": [{"role": "user", "content": prompt}]}
+

@@ -98,11 +98,27 @@ def test_parse_nested():
         '(= op.type "transport"',
         '(and (device-present robot "camera" true)',
         '(point-present machine_1 "Photo_Point" "Other_Point")',
+        # messages pinned by test_a_bad_condition_names_its_fault
+        '(= op.type "x)',
+        "false",
     ],
 )
 def test_parse_rejects_bad_conditions(text):
     with pytest.raises(ParseError):
         parse_condition(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('(= op.type "x)', """condition contains stray characters: '(= op.type "x)'"""),
+        ("false", "expected 'true' or '(' in condition, got 'false'"),
+    ],
+)
+def test_a_bad_condition_names_its_fault(text, message):
+    with pytest.raises(ParseError) as raised:
+        parse_condition(text)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
@@ -190,6 +206,13 @@ def test_dangling_child_rejected(tree):
     doc = json.loads(serialize_tree(tree))
     doc["nodes"][0]["children"] = [1, 2, 99]
     with pytest.raises(ValidationError, match="missing child 99"):
+        parse_tree(canonical_json(doc))
+
+
+def test_root_without_a_node_rejected(tree):
+    doc = json.loads(serialize_tree(tree))
+    doc["root"] = 99
+    with pytest.raises(ValidationError, match="^root index 99 has no node$"):
         parse_tree(canonical_json(doc))
 
 
