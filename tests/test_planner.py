@@ -340,6 +340,28 @@ def test_recorded_transport_exhaustion_is_planner_unavailable():
         planner.plan(task)
 
 
+def test_importing_the_pipeline_leaves_requests_unloaded():
+    src = str(Path(shopfloor.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # the same load steps under the interpreter's usual start-up: site hooks
+    # may preload modules of their own, so the check is on what the package
+    # adds to sys.modules
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import shopfloor.cli, shopfloor.bench, shopfloor.planner, shopfloor.gantt; "
+        "shopfloor.bench.load_reference_tree(); shopfloor.planner.load_prompt_template(); "
+        "print([m for m in ('requests', 'xml.sax', 'urllib.request', 'http.client', "
+        "'dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+        "if m in sys.modules and m not in before])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_a_bare_interpreter_loads_no_resource_reader():
     # -S keeps site hooks from preloading modules, so the list is what the
     # package itself loads for what a command or a benchmark round does
