@@ -273,6 +273,10 @@ def http_transport(config: LlmConfig, prompt: str) -> str:
         request = urllib.request.Request(
             f"{config.base_url}/chat/completions", json.dumps(body).encode(), headers
         )
+        if request.type not in ("http", "https"):
+            raise PlannerUnavailable(
+                f"planner endpoint unreachable: unsupported URL scheme {request.type!r}"
+            )
         with urllib.request.urlopen(request, timeout=config.timeout) as response:
             status, reply = response.status, response.read()
     except urllib.error.HTTPError as exc:  # an OSError too, so caught first

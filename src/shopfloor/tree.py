@@ -14,18 +14,17 @@ still what selection works on.
 
 Each node's condition is parsed once, when the node is built (so when a
 tree file is loaded). Conditions never see the operation or the scene:
-they read a Features record, which features(op, scene) builds once per
-operation from the operation type, the workpiece kind, both machine names,
-the devices shared by every robot that reaches machine_1 (which the scene
-indexes once, Scene.crew_devices), and both machines' points. The same
-record keys each tree's branch table, which maps it to the outcome: the
-selected branch with its execution name and skills, or the
-NoBranch/AmbiguousBranch detail. Selection looks the
+they read a Features record, which features(op, robot_id, scene) builds
+once per operation from the operation type, the workpiece kind, both
+machine names, the devices of the robot allocated to the operation, and
+both machines' points. The same record keys each tree's branch table,
+which maps it to the outcome: the selected branch with its execution name
+and skills, or the NoBranch/AmbiguousBranch detail. Selection looks the
 record up and walks the tree, evaluating the parsed conditions on the
 record, only on a miss; so an entry is the walk's outcome by construction.
-The operation id enters an error message only when it is raised. The
-tree file format is declared once, as a codec (TREE) built from the
-strict-JSON combinators in model.
+The operation and robot ids enter an error message only when it is
+raised. The tree file format is declared once, as a codec (TREE) built
+from the strict-JSON combinators in model.
 
 Conditions are s-expressions over a closed vocabulary:
 
@@ -40,8 +39,8 @@ the three are parsed by one rule and evaluated by one lookup:
     (= op.type "transport")            attribute equality; the roles are
                                        op.type, workpiece.kind,
                                        machine_1.name, machine_2.name
-    (device-present robot "camera")    every robot that can reach the
-                                       operation's machine_1 carries it
+    (device-present robot "camera")    the robot allocated to the
+                                       operation carries it
     (point-present machine_1 "Photo_Point")
                                        the machine (machine_1 or
                                        machine_2) has the point
@@ -103,20 +102,20 @@ class _Selection(NamedTuple):
 class Features(NamedTuple):
     """Everything a condition reads about an operation in its scene, built
     by features(). The name or kind of an id that does not resolve is None;
-    such a machine has no points, and no devices are shared when no robot
-    reaches machine_1. devices comes from the scene (Scene.crew_devices),
-    which intersects each machine's crew once, when it is built."""
+    such a machine has no points and such a robot no devices, as in the
+    executor."""
 
     op_type: OperationType
     workpiece_kind: str | None
     machine_1_name: str | None
     machine_2_name: str | None
-    devices: frozenset[str]  # shared by every robot that reaches machine_1
+    devices: frozenset[str]  # carried by the operation's robot
     machine_1_points: frozenset[str]
     machine_2_points: frozenset[str]
 
 
-def features(op: Operation, scene: Scene) -> Features:
+def features(op: Operation, robot_id: str | None, scene: Scene) -> Features:
+    robot = scene.robot(robot_id)
     m1 = scene.machine(op.machine_1)
     m2 = scene.machine(op.machine_2)
     piece = scene.workpiece(op.workpiece)
@@ -125,7 +124,7 @@ def features(op: Operation, scene: Scene) -> Features:
         piece.kind if piece else None,
         m1.name if m1 else None,
         m2.name if m2 else None,
-        scene.crew_devices(op.machine_1),
+        robot.devices if robot else frozenset(),
         m1.points if m1 else frozenset(),
         m2.points if m2 else frozenset(),
     )
@@ -395,26 +394,28 @@ def _walk(tree: ProcessTree, f: Features) -> _Outcome:
     )
 
 
-def _select(tree: ProcessTree, op: Operation, scene: Scene) -> _Selection:
-    key = features(op, scene)
+def _select(tree: ProcessTree, op: Operation, robot_id: str | None,
+            scene: Scene) -> _Selection:
+    key = features(op, robot_id, scene)
     outcome = tree.branches.get(key)
     if outcome is None:
         outcome = tree.branches[key] = _walk(tree, key)
     if isinstance(outcome, _Selection):
         return outcome
     error, detail = outcome
-    raise error(f"operation '{op.id}': {detail}")
+    raise error(f"operation '{op.id}' on robot '{robot_id}': {detail}")
 
 
-def select_branch(tree: ProcessTree, op: Operation, scene: Scene) -> Branch:
-    """The unique root-to-leaf path matching op in this scene.
+def select_branch(tree: ProcessTree, op: Operation, robot_id: str | None,
+                  scene: Scene) -> Branch:
+    """The unique root-to-leaf path matching op, run by robot_id, in this scene.
 
     A node matches when it is general or typed like op, and its condition
     holds. Zero matches raise NoBranch naming the deepest node that still
     matched; several raise AmbiguousBranch listing the rival paths. The
     outcome is looked up in the tree's branch table, walked on a miss.
     """
-    return _select(tree, op, scene).branch
+    return _select(tree, op, robot_id, scene).branch
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +440,10 @@ def assemble_program(
     wrappers: dict[str, Wrapper] = {}
     calls: list[ProgramCall] = []
     for op in operations:
-        selection = _select(tree, op, scene)
+        robot = allocation.robot_for(op.id)
+        selection = _select(tree, op, robot, scene)
         exec_name = selection.execution
         executions.setdefault(exec_name, selection.skills)
-        robot = allocation.robot_for(op.id)
         binding = {"robot": robot, "machine_1": op.machine_1, "workpiece": op.workpiece}
         if op.machine_2 is not None:
             binding["machine_2"] = op.machine_2

@@ -179,7 +179,8 @@ def test_a_candidate_that_is_no_valid_task_raises(monkeypatch):
     with pytest.raises(ValidationError) as caught:
         generate_instance(Tier.SINGLE_ROBOT, 1)
     assert str(caught.value).startswith(
-        "invalid single_robot instance for seed 1: operation 'o2': no complete branch"
+        "invalid single_robot instance for seed 1: operation 'o2' on robot 'r1': "
+        "no complete branch"
     )
 
 
@@ -429,26 +430,31 @@ def test_a_ground_truth_that_achieves_nothing_costs_no_planner_call():
     assert report.success_rate == 0.0
 
 
-def _stored_program_without_polisher(robot_ids):
-    """simple_multi seed 3 with the program the reference tree assembles
-    for it stored in the ground truth, and the polisher taken from the
-    robots named."""
-    task = generate_instance(Tier.SIMPLE_MULTI, 3)
-    gt = task.ground_truth
-    program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
+def _refit(task, robot_ids, taken, given=frozenset()):
+    """task with the devices taken from, and given to, the robots named."""
     robots = tuple(
-        robot._replace(devices=robot.devices - {"polisher"})
+        robot._replace(devices=(robot.devices - taken) | given)
         if robot.id in robot_ids else robot
         for robot in task.scene.robots
     )
-    scene = Scene(robots, task.scene.machines, task.scene.workpieces)
-    return task._replace(scene=scene, ground_truth=gt._replace(program=program))
+    return task._replace(scene=Scene(robots, task.scene.machines, task.scene.workpieces))
+
+
+def _stored_program_without(device, robot_ids):
+    """simple_multi seed 3 with the program the reference tree assembles
+    for it stored in the ground truth, and device taken from the robots
+    named."""
+    task = generate_instance(Tier.SIMPLE_MULTI, 3)
+    gt = task.ground_truth
+    program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
+    task = task._replace(ground_truth=gt._replace(program=program))
+    return _refit(task, robot_ids, {device})
 
 
 def test_a_ground_truth_that_does_not_run_fully_costs_no_planner_call():
     # Every robot lost the polisher: the stored program still runs, but o4
     # fails with missing_device, so the reference would be a partial one.
-    task = _stored_program_without_polisher({"r1", "r2", "r3"})
+    task = _stored_program_without("polisher", {"r1", "r2", "r3"})
     gt = task.ground_truth
     transport = RecordedTransport(
         [render_planner_text(gt.operations, gt.allocation, gt.precedence)]
@@ -465,22 +471,45 @@ def test_a_ground_truth_that_does_not_run_fully_costs_no_planner_call():
 
 
 def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
-    # The ground truth runs its stored program, fully: r1 runs no polishing
-    # operation. The plan's own program is assembled for a scene where r1
-    # lost the polisher, and no branch of the reference tree polishes
-    # without one.
-    task = _stored_program_without_polisher({"r1"})
+    # The ground truth runs its stored program, fully: no skill call names
+    # the magnetic gripper, which the reference tree branches on. The
+    # plan's own program is assembled for a scene where every robot lost
+    # it, and no branch of the reference tree transports without one.
+    task = _stored_program_without("magnetic_gripper", {"r1", "r2", "r3"})
     gt, scene = task.ground_truth, task.scene
     report, error = bench._run_pipeline(task, GroundTruthPlanner(), load_reference_tree())
     graph = build_graph(gt.operations, gt.precedence, gt.allocation, scene)
     fifo = solve_fifo(graph, [op.id for op in gt.operations])
-    assert error.startswith("pipeline failed: operation ")
+    robot = gt.allocation.robot_for("o1")
+    assert error.startswith(f"pipeline failed: operation 'o1' on robot '{robot}': ")
     assert "no complete branch" in error
     assert report.metadata["generated_makespan"] == fifo.makespan
     assert report.metadata["generated_executed_fully"] is None
     assert report.operation_consistency == 1.0
     assert report.executability == 0.0
     assert report.goal_condition_recall == 0.0
+
+
+def test_a_condition_reads_the_kit_of_the_operations_own_robot():
+    # Floors whose robots carry different kits: each condition reads the
+    # robot that runs the operation, as the executor does, so a tool or
+    # camera that robot carries is present even where another robot that
+    # reaches the same machine lacks it.
+    floors = (
+        (Tier.SIMPLE_MULTI, 1, {"r2"}, {"polisher"}, frozenset()),
+        (Tier.SIMPLE_MULTI, 2, {"r1"}, {"polisher"}, frozenset()),
+        (Tier.SIMPLE_MULTI, 3, {"r3"}, {"camera"}, {"bracket_camera"}),
+        (Tier.COMPLEX_MULTI, 5, {"r5"}, {"camera"}, {"bracket_camera"}),
+    )
+    tasks = [
+        BenchTask(task_id_for(tier, seed), tier,
+                  _refit(generate_instance(tier, seed), robot_ids, taken, given))
+        for tier, seed, robot_ids, taken, given in floors
+    ]
+    result = run_benchmark(tasks, GroundTruthPlanner())
+    for task, row in zip(tasks, result.results):
+        assert row.error is None, (task.task_id, row.error)
+        assert [getattr(row.report, field) for field in METRIC_FIELDS] == [1.0] * 5
 
 
 # ---------------------------------------------------------------------------

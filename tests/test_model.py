@@ -11,7 +11,6 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import ParseError, ValidationError
 from shopfloor.executor import classify_args
 from shopfloor.graph import DisjunctiveGraph
@@ -129,32 +128,6 @@ def test_scene_lookup_gives_the_first_entry_of_an_id_or_none(scene):
         for entity_id in ids:
             first = next((e for e in entities if e.id == entity_id), None)
             assert lookup(entity_id) is first
-
-
-def test_crew_devices_are_shared_by_every_robot_entry_that_reaches_the_machine():
-    """crew_devices(m) intersects the devices of every robot entry that
-    reaches m, a duplicated id's included, and is empty for a machine no
-    robot reaches and for an unknown id."""
-    robots = (
-        make_robot("r1", devices=("camera", "polisher"), reachable=("table_1", "pallet_1")),
-        make_robot("r2", devices=("camera", "beveler"), reachable=("table_1", "ghost")),
-        make_robot("r1", devices=("polisher",), reachable=("pallet_1",)),
-    )
-    machines = (make_machine("table_1"), make_machine("pallet_1"), make_machine("lonely"))
-    scene = Scene(robots=robots, machines=machines, workpieces=())
-    generated = [generate_instance(tier, seed).scene for tier in Tier for seed in range(3)]
-
-    def reference(scene, machine_id):
-        crew = [r.devices for r in scene.robots if machine_id in r.reachable_machines]
-        return frozenset.intersection(*crew) if crew else frozenset()
-
-    assert scene.crew_devices("table_1") == {"camera"}
-    assert scene.crew_devices("pallet_1") == {"polisher"}
-    assert scene.crew_devices("ghost") == {"camera", "beveler"}
-    assert scene.crew_devices("lonely") == scene.crew_devices("nowhere") == frozenset()
-    for floor in [scene, *generated]:
-        for machine_id in [m.id for m in floor.machines] + ["ghost", "nowhere", ""]:
-            assert floor.crew_devices(machine_id) == reference(floor, machine_id)
 
 
 def test_scene_equality_ignores_its_indexes(scene):
@@ -582,6 +555,27 @@ def test_write_file_over_a_shorter_file_writes_every_byte(tmp_path):
     path.write_bytes(b"x")
     write_file(path, "longer\n" * 100)
     assert path.read_bytes() == b"longer\n" * 100
+
+
+def test_write_file_after_short_writes_writes_every_byte_and_cuts_the_rest(
+    tmp_path, monkeypatch
+):
+    # os.write may write fewer bytes than asked; write_file goes on from
+    # where each call stopped, then cuts the longer old file.
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    monkeypatch.setattr("shopfloor.model.os.write", short_write)
+    path = tmp_path / "out.json"
+    path.write_bytes(b"stale " * 1000)
+    text = "line \u00e9\n" * 10  # 80 bytes: eleven writes of 7, one of 3
+    write_file(path, text)
+    monkeypatch.undo()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert sum(sizes) == len(text.encode("utf-8")) and max(sizes) == 7 and len(sizes) == 12
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -481,6 +481,27 @@ def test_http_transport_malformed_url_is_unreachable(base_url):
         http_transport(config, "hello")
 
 
+def test_http_transport_refuses_a_file_url_without_reading_it(tmp_path):
+    # The directory holds a valid reply where the POST would go: the
+    # transport refuses the scheme instead of reading the file.
+    (tmp_path / "chat").mkdir()
+    (tmp_path / "chat" / "completions").write_text(json.dumps(chat_reply("the plan")))
+    config = LlmConfig(base_url=tmp_path.as_uri(), model="m", timeout=0.5)
+    with pytest.raises(PlannerUnavailable) as info:
+        http_transport(config, "hello")
+    assert str(info.value) == f"{UNREACHABLE}unsupported URL scheme 'file'"
+
+
+@pytest.mark.parametrize(
+    "base_url, scheme", [("data:,x", "data"), ("ftp://127.0.0.1:9", "ftp")]
+)
+def test_http_transport_refuses_a_scheme_other_than_http(base_url, scheme):
+    config = LlmConfig(base_url=base_url, model="m", timeout=0.5)
+    with pytest.raises(PlannerUnavailable) as info:
+        http_transport(config, "hello")
+    assert str(info.value) == f"{UNREACHABLE}unsupported URL scheme '{scheme}'"
+
+
 @pytest.mark.parametrize("api_key", [None, "k"])
 def test_http_transport_posts_one_user_message(endpoint, api_key):
     prompt = "polish the Werkstück ✓ 溶接   twice"

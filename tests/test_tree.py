@@ -101,6 +101,7 @@ def test_parse_nested():
         # messages pinned by test_a_bad_condition_names_its_fault
         '(= op.type "x)',
         "false",
+        'true "',
     ],
 )
 def test_parse_rejects_bad_conditions(text):
@@ -113,6 +114,8 @@ def test_parse_rejects_bad_conditions(text):
     [
         ('(= op.type "x)', """condition contains stray characters: '(= op.type "x)'"""),
         ("false", "expected 'true' or '(' in condition, got 'false'"),
+        # a stray character after the last token
+        ('true "', """condition contains stray characters: 'true "'"""),
     ],
 )
 def test_a_bad_condition_names_its_fault(text, message):
@@ -139,8 +142,8 @@ def test_leaf_errors_name_the_form_and_the_token(text, token):
     assert token in str(raised.value)
 
 
-def holds(condition, op, scene):
-    return eval_condition(parse_condition(condition), features(op, scene))
+def holds(condition, op, scene, robot_id="r1"):
+    return eval_condition(parse_condition(condition), features(op, robot_id, scene))
 
 
 def test_eval_attribute_equality(scene):
@@ -151,11 +154,16 @@ def test_eval_attribute_equality(scene):
     assert holds('(= workpiece.kind "steel plate")', op, scene)
 
 
-def test_eval_device_requires_all_reaching_robots(scene):
+def test_eval_device_reads_the_allocated_robot_alone(scene):
+    # r1 and r2 both reach table_1; only the kit of the operation's own
+    # robot decides, and an unknown or missing robot carries nothing.
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
     assert holds('(device-present robot "camera")', op, scene)
     mixed = make_scene(robots=(make_robot("r1"), make_robot("r2", devices=frozenset())))
-    assert not holds('(device-present robot "camera")', op, mixed)
+    assert holds('(device-present robot "camera")', op, mixed, "r1")
+    assert not holds('(device-present robot "camera")', op, mixed, "r2")
+    for unknown in ("ghost", None):
+        assert not holds('(device-present robot "camera")', op, mixed, unknown)
 
 
 def test_eval_point_present(scene):
@@ -164,20 +172,25 @@ def test_eval_point_present(scene):
     assert not holds('(point-present machine_2 "Photo_Point")', op, scene)
 
 
-def reference_holds(expr, op, scene):
-    """What a parsed condition means, read from op and scene directly: an id
-    that does not resolve has no name, kind or points, and a device is
-    present only when some robot reaches machine_1 and all such carry it."""
+def allocated_robot(scene, robot_id):
+    """The first robot entry with robot_id, found by a scan; None if none."""
+    return next((r for r in scene.robots if r.id == robot_id), None)
+
+
+def reference_holds(expr, op, robot_id, scene):
+    """What a parsed condition means, read from op, its robot and the scene
+    directly: an id that does not resolve has no name, kind, points or
+    devices, and a device is present when the allocated robot carries it."""
     if expr is True:
         return True
     head, *rest = expr
     if head == "and":
-        return all(reference_holds(e, op, scene) for e in rest)
+        return all(reference_holds(e, op, robot_id, scene) for e in rest)
     if head == "not":
-        return not reference_holds(rest[0], op, scene)
+        return not reference_holds(rest[0], op, robot_id, scene)
     if head == "device-present":
-        crew = [r for r in scene.robots if op.machine_1 in r.reachable_machines]
-        return bool(crew) and all(rest[1] in r.devices for r in crew)
+        robot = allocated_robot(scene, robot_id)
+        return robot is not None and rest[1] in robot.devices
     if head == "point-present":
         machine_id = op.machine_1 if rest[0] == "machine_1" else op.machine_2
         machine = scene.machine(machine_id)
@@ -277,20 +290,22 @@ def test_duplicate_index_rejected(tree):
 
 def test_handheld_scene_selects_handheld_path(tree, scene):
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
-    branch = select_branch(tree, op, scene)
+    branch = select_branch(tree, op, "r1", scene)
     assert [n.index for n in branch] == [0, 2, 3]
 
 
 def test_bracket_scene_selects_bracket_path(tree):
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
-    branch = select_branch(tree, op, bracket_scene())
+    branch = select_branch(tree, op, "r1", bracket_scene())
     assert [n.index for n in branch] == [0, 1, 3]
 
 
 def test_transport_shares_photo_prefix_with_polishing(tree, scene):
-    polish = select_branch(tree, make_op("p1", OperationType.POLISHING, "w1", "table_1"), scene)
+    polish = select_branch(
+        tree, make_op("p1", OperationType.POLISHING, "w1", "table_1"), "r1", scene
+    )
     move = select_branch(
-        tree, make_op("t1", OperationType.TRANSPORT, "w1", "table_1", "pallet_1"), scene
+        tree, make_op("t1", OperationType.TRANSPORT, "w1", "table_1", "pallet_1"), "r1", scene
     )
     assert [n.index for n in polish[:2]] == [n.index for n in move[:2]] == [0, 2]
     assert polish[-1].index == 3 and move[-1].index == 6
@@ -303,7 +318,7 @@ def test_no_camera_variant_raises_no_branch(tree):
     ))
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
     with pytest.raises(NoBranch, match="operation entry"):
-        select_branch(tree, op, blind)
+        select_branch(tree, op, "r1", blind)
 
 
 def test_missing_tool_names_deepest_matching_node(tree):
@@ -315,7 +330,7 @@ def test_missing_tool_names_deepest_matching_node(tree):
     ))
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
     with pytest.raises(NoBranch, match="handheld camera"):
-        select_branch(tree, op, no_tool)
+        select_branch(tree, op, "r1", no_tool)
 
 
 def test_both_camera_variants_are_ambiguous(tree):
@@ -325,10 +340,10 @@ def test_both_camera_variants_are_ambiguous(tree):
     ))
     op = make_op("p1", OperationType.POLISHING, "w1", "table_1")
     with pytest.raises(AmbiguousBranch, match="2 branches"):
-        select_branch(tree, op, greedy)
+        select_branch(tree, op, "r1", greedy)
 
 
-def reference_branch(tree, op, scene):
+def reference_branch(tree, op, robot_id, scene):
     """select_branch's walk, re-parsing each condition where it is used."""
     matches = []
 
@@ -336,7 +351,7 @@ def reference_branch(tree, op, scene):
         node = tree.nodes[index]
         if node.op_type not in (None, op.op_type):
             return
-        if not reference_holds(parse_condition(node.condition), op, scene):
+        if not reference_holds(parse_condition(node.condition), op, robot_id, scene):
             return
         path = path + (node.index,)
         if not node.children:
@@ -412,14 +427,17 @@ def mutated_scenes(scene):
     )
 
 
-def mutated_ops(op):
-    """op and variants with an unknown or unset machine."""
-    return (
-        op,
-        op._replace(machine_1="ghost"),
-        op._replace(machine_2="ghost"),
-        op._replace(machine_2=None),
-    )
+def mutated_ops(task):
+    """(op, robot id) for each ground-truth operation with its allocated
+    robot, and variants with an unknown or unset machine or robot."""
+    allocation = task.ground_truth.allocation
+    for op in task.ground_truth.operations:
+        robot_id = allocation.robot_for(op.id)
+        yield op, robot_id
+        yield op._replace(machine_1="ghost"), robot_id
+        yield op._replace(machine_2="ghost"), robot_id
+        yield op._replace(machine_2=None), robot_id
+        yield op, "ghost"
 
 
 @pytest.mark.parametrize("tier", list(Tier))
@@ -434,37 +452,39 @@ def test_select_branch_matches_a_reparsing_walk(tree, tier):
         for seed in range(4):
             task = generate_instance(tier, seed)
             for scene in mutated_scenes(task.scene):
-                for op in (v for o in task.ground_truth.operations for v in mutated_ops(o)):
-                    expected = reference_branch(source, op, scene)
+                for op, robot_id in mutated_ops(task):
+                    expected = reference_branch(source, op, robot_id, scene)
                     outcomes.add(min(len(expected), 2))
                     lookups += 1
                     if len(expected) == 1:
-                        branch = select_branch(shared, op, scene)
+                        branch = select_branch(shared, op, robot_id, scene)
                         assert tuple(n.index for n in branch) == expected[0]
                         continue
                     error = AmbiguousBranch if expected else NoBranch
                     with pytest.raises(error) as fresh:
-                        select_branch(ProcessTree(source.root, source.nodes), op, scene)
+                        select_branch(ProcessTree(source.root, source.nodes), op, robot_id, scene)
                     with pytest.raises(error) as hit:
-                        select_branch(shared, op, scene)
+                        select_branch(shared, op, robot_id, scene)
                     assert str(hit.value) == str(fresh.value)
-                    assert str(hit.value).startswith(f"operation '{op.id}': ")
+                    assert str(hit.value).startswith(
+                        f"operation '{op.id}' on robot '{robot_id}': "
+                    )
         assert outcomes == {0, 1, 2}
         assert len(shared.branches) < lookups / 2  # most lookups hit
 
 
-def reference_features(op, scene):
-    """features(op, scene) read from the scene's entities directly, the
-    devices intersected over the robots that reach machine_1."""
+def reference_features(op, robot_id, scene):
+    """features(op, robot_id, scene) read from the scene's entities
+    directly, the devices those of the allocated robot's first entry."""
     m1, m2 = scene.machine(op.machine_1), scene.machine(op.machine_2)
     piece = scene.workpiece(op.workpiece)
-    crew = [r.devices for r in scene.robots if op.machine_1 in r.reachable_machines]
+    robot = allocated_robot(scene, robot_id)
     return (
         op.op_type,
         piece.kind if piece else None,
         m1.name if m1 else None,
         m2.name if m2 else None,
-        frozenset.intersection(*crew) if crew else frozenset(),
+        robot.devices if robot else frozenset(),
         m1.points if m1 else frozenset(),
         m2.points if m2 else frozenset(),
     )
@@ -477,23 +497,25 @@ def test_features_of_the_seed_2_instances_match_a_direct_reading():
         for seed in range(140, 210):
             task = generate_instance(tier, seed)
             for scene in mutated_scenes(task.scene):
-                for op in (v for o in task.ground_truth.operations for v in mutated_ops(o)):
-                    assert features(op, scene) == reference_features(op, scene)
+                for op, robot_id in mutated_ops(task):
+                    assert features(op, robot_id, scene) == reference_features(
+                        op, robot_id, scene
+                    )
 
 
 @cache
 def condition_cases():
-    """(op, scene, features) of the mutated scenes and operations of
-    generated tasks, and a strategy for conditions over their words."""
+    """(op, robot id, scene, features) of the mutated scenes and operations
+    of generated tasks, and a strategy for conditions over their words."""
     cases = [
-        (op, scene, features(op, scene))
+        (op, robot_id, scene, features(op, robot_id, scene))
         for tier in Tier
         for seed in range(2)
         for task in [generate_instance(tier, seed)]
         for scene in mutated_scenes(task.scene)
-        for op in (v for o in task.ground_truth.operations for v in mutated_ops(o))
+        for op, robot_id in mutated_ops(task)
     ]
-    scenes = [scene for _, scene, _ in cases]
+    scenes = [scene for _, _, scene, _ in cases]
     names = {m.name for s in scenes for m in s.machines}
     words = {
         "op.type": {t.value for t in OperationType},
@@ -534,24 +556,28 @@ def conditions(words):
 def test_conditions_on_features_mean_what_they_say_of_op_and_scene(data):
     cases, exprs = condition_cases()
     expr = data.draw(exprs)
-    for op, scene, f in cases:
-        assert eval_condition(expr, f) == reference_holds(expr, op, scene), (op, scene)
+    for op, robot_id, scene, f in cases:
+        assert eval_condition(expr, f) == reference_holds(expr, op, robot_id, scene), (
+            op, robot_id, scene,
+        )
 
 
 def test_table_hits_raise_with_their_own_operation_id(tree):
+    # r1 and r2 carry one kit, so their operations share one table entry.
     shared = ProcessTree(tree.root, tree.nodes)
-    blind = make_scene(robots=(make_robot("r1", devices=FULL_KIT - {"camera"}),))
-    greedy = make_scene(robots=(make_robot("r1", devices=FULL_KIT | {"bracket_camera"}),))
+    blind = FULL_KIT - {"camera"}
+    greedy = FULL_KIT | {"bracket_camera"}
     cases = (
         (blind, NoBranch, "no complete branch; deepest match was node 0 (operation entry)"),
         (greedy, AmbiguousBranch, "2 branches match: 0->1->3; 0->2->3"),
     )
-    for scene, error, detail in cases:
-        for op_id in ("p1", "p2", "p1"):
+    for kit, error, detail in cases:
+        scene = make_scene(robots=(make_robot("r1", devices=kit), make_robot("r2", devices=kit)))
+        for op_id, robot_id in (("p1", "r1"), ("p2", "r1"), ("p1", "r2"), ("p1", "r1")):
             op = make_op(op_id, OperationType.POLISHING, "w1", "table_1")
             with pytest.raises(error) as raised:
-                select_branch(shared, op, scene)
-            assert str(raised.value) == f"operation '{op_id}': {detail}"
+                select_branch(shared, op, robot_id, scene)
+            assert str(raised.value) == f"operation '{op_id}' on robot '{robot_id}': {detail}"
     assert len(shared.branches) == 2
 
 
@@ -569,17 +595,17 @@ def test_trees_do_not_share_table_entries(tree):
     bare = make_scene(robots=(make_robot("r1", devices=frozenset({"polisher"})),))
     for _ in range(2):
         for own in (reference, variant):
-            branch = select_branch(own, op, handheld)
+            branch = select_branch(own, op, "r1", handheld)
             assert [n.index for n in branch] == [0, 2, 3]
             assert all(node is own.nodes[node.index] for node in branch)
         with pytest.raises(NoBranch, match=r"node 0 \(operation entry\)$"):
-            select_branch(reference, op, blind)
+            select_branch(reference, op, "r1", blind)
         with pytest.raises(NoBranch, match=r"node 0 \(gripper entry\)$"):
-            select_branch(variant, op, blind)
+            select_branch(variant, op, "r1", blind)
         with pytest.raises(NoBranch, match="node 0"):
-            select_branch(reference, op, bare)
+            select_branch(reference, op, "r1", bare)
         with pytest.raises(NoBranch, match="even the root matched nothing$"):
-            select_branch(variant, op, bare)
+            select_branch(variant, op, "r1", bare)
     assert reference.branches is not variant.branches
     assert len(reference.branches) == len(variant.branches) == 3
 
