@@ -210,19 +210,19 @@ def _candidate(tier: Tier, seed: int) -> tuple[TaskInstance, ScheduleGraph]:
 
 def _reference_fault(run: Run) -> ShopfloorError | None:
     """Why a ground truth's run cannot be the reference, or None when it
-    can: the error of the stage that stopped it, else EmptyGtStatus when it
-    achieves no status fact, else a ValidationError naming the first
-    failure in its trace when an operation does not complete."""
+    can: the error of the stage that stopped it, else a ValidationError
+    naming the first failure in its trace when an operation does not
+    complete, else EmptyGtStatus when it achieves no status fact."""
     if run.error is not None:
         return run.error
-    if not run.status:
-        return EmptyGtStatus()
     if not run.outcome.executed_fully:
         failure = next(f for record in run.outcome.trace for f in record.failures)
         return ValidationError(
             f"ground truth does not execute fully: operation '{failure.op_id}' "
             f"fails with {failure.reason}"
         )
+    if not run.status:
+        return EmptyGtStatus()
     return None
 
 

@@ -32,8 +32,9 @@ program holds several) and the operations due at every step. Execution
 functions are linked once per process, keyed by their skills (names and
 argument tuples), never by their names: a link holds each skill with its
 classified arguments (classify_args) and a summary of what the whole
-function requires (whether every skill is known, the roles and devices
-its arguments name, the points they name on each machine role).
+function requires (whether every skill is known, the roles its arguments
+name, and its needs: the devices and the points on each machine role
+they name, which needs() states for the tree's branch selection too).
 Every operation checks that summary against the wrapper's binding, the
 robot's devices and the points of the machines that the machine_1 and
 machine_2 roles name (op.machine_1 when a role is unbound); an unknown
@@ -56,7 +57,7 @@ json.dumps(..., ensure_ascii=False) writes it.
 from __future__ import annotations
 
 from functools import cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     INT,
@@ -119,8 +120,8 @@ class ExecutionOutcome(NamedTuple):
 # name, or the literal text. machine_role is None except for a point, where
 # it names the machine that must carry it: the first machine-role
 # placeholder in the same call, else machine_1. They are read when an
-# execution is linked, once per process, and after that only by
-# _walk_by_argument, for an operation whose summary check fails.
+# execution is linked, once per process, or a tree node is built, and after
+# that only by _walk_by_argument, for an operation whose summary check fails.
 SkillArg = tuple[str, str, str | None]
 
 # The role placeholders a wrapper binds, by their text in a skill call.
@@ -151,13 +152,25 @@ def classify_args(args: tuple[str, ...]) -> tuple[SkillArg, ...]:
     return tuple((kind, name, context if kind == "point" else None) for kind, name in kinds)
 
 
+def needs(skills: Iterable[SkillCall]) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """What skills need of the scene to run: the devices they name, which
+    the robot must carry, and the points they name on the machine_1 and on
+    the machine_2 role, which those machines must carry."""
+    args = [arg for skill in skills for arg in classify_args(skill.args)]
+    return (
+        frozenset(name for kind, name, _ in args if kind == "device"),
+        frozenset(name for kind, name, role in args if kind == "point" and role == "machine_1"),
+        frozenset(name for kind, name, role in args if kind == "point" and role == "machine_2"),
+    )
+
+
 class _Link:
     """An execution function, linked once per process: its skills with
     their classified arguments and a summary of what they require: whether
-    every skill is in SKILLS, the roles and devices the arguments name and
-    the points they name on each machine role. Each skill's argument texts
-    are its template, and constants holds the value of each argument that
-    is no role: its name. calls memoizes resolve by the binding's items."""
+    every skill is in SKILLS, the roles the arguments name and their needs.
+    Each skill's argument texts are its template, and constants holds the
+    value of each argument that is no role: its name. calls memoizes
+    resolve by the binding's items."""
 
     __slots__ = ("skills", "known", "roles", "devices", "points_1", "points_2", "constants",
                  "calls")
@@ -167,13 +180,7 @@ class _Link:
         args = [arg for skill, classified in self.skills for arg in zip(skill.args, classified)]
         self.known = all(skill.skill in SKILLS for skill in skills)
         self.roles = frozenset(name for _, (kind, name, _) in args if kind == "role")
-        self.devices = frozenset(name for _, (kind, name, _) in args if kind == "device")
-        self.points_1 = frozenset(
-            name for _, (kind, name, role) in args if kind == "point" and role == "machine_1"
-        )
-        self.points_2 = frozenset(
-            name for _, (kind, name, role) in args if kind == "point" and role == "machine_2"
-        )
+        self.devices, self.points_1, self.points_2 = needs(skills)
         self.constants = {text: name for text, (kind, name, _) in args if kind != "role"}
         self.calls: dict[tuple[tuple[str, str], ...], tuple[SkillCall, ...]] = {}
 

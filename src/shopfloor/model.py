@@ -13,8 +13,8 @@ methods per class at import; a copy with changed fields is
 record._replace(...). A named tuple equals any tuple of the same items, so
 records are compared only with records of their own type. Four classes
 build state when constructed, which a tuple cannot hold, so they are
-slotted value.Value classes: Scene (its id indexes), tree.TreeNode (its
-parsed condition), tree.ProcessTree (its branch table) and
+slotted value.Value classes: Scene (its id indexes), tree.TreeNode (the
+needs of its snippet), tree.ProcessTree (its branch table) and
 graph.DisjunctiveGraph (its chain predecessors and held resources).
 
 Each file format (task, scene, plan, program, schedule record) is declared

@@ -1,59 +1,44 @@
 """Process trees: reusable skill procedures organized as a rooted DAG.
 
 Each node carries a type gate (a specific operation type, or general for
-"applies to everything"), a machine-checkable condition over the operation
-and the scene, and a snippet of skill-call templates. A branch is a
-root-to-leaf path; assembling a program means selecting the unique branch
-for every operation, concatenating its snippets into one execution function
-per distinct branch, and binding the operation's concrete robot, machines
-and workpiece through a per-operation wrapper.
+"applies to everything") and a snippet of skill-call templates. A node
+applies to an operation when it is general or typed like the operation,
+and the operation's robot carries every device its snippet names and each
+machine role every point named on it: the needs that executor.needs
+states, which the executor checks when the program runs. So a branch
+applies exactly where its skills can run. A branch is a root-to-leaf path
+of applying nodes; assembling a program means selecting the unique branch
+for every operation, concatenating its snippets into one execution
+function per distinct branch, and binding the operation's concrete robot,
+machines and workpiece through a per-operation wrapper.
 
 Nodes with identical procedures are shared between parents, so the
 structure is a rooted acyclic graph rather than a strict tree; paths are
 still what selection works on.
 
-Each node's condition is parsed once, when the node is built (so when a
-tree file is loaded). Conditions never see the operation or the scene:
-they read a Features record, which features(op, robot_id, scene) builds
-once per operation from the operation type, the workpiece kind, both
-machine names, the devices of the robot allocated to the operation, and
-both machines' points. The same record keys each tree's branch table,
-which maps it to the outcome: the selected branch with its execution name
-and skills, or the NoBranch/AmbiguousBranch detail. Selection looks the
-record up and walks the tree, evaluating the parsed conditions on the
-record, only on a miss; so an entry is the walk's outcome by construction.
-The operation and robot ids enter an error message only when it is
-raised. The tree file format is declared once, as a codec (TREE) built
-from the strict-JSON combinators in model.
-
-Conditions are s-expressions over a closed vocabulary:
-
-    true
-    (and <expr> <expr> ...)
-    (not <expr>)
-
-and three leaf forms of one shape, (head role "value"). One table
-(_LEAVES) lists the roles each head accepts and what the leaf tests, so
-the three are parsed by one rule and evaluated by one lookup:
-
-    (= op.type "transport")            attribute equality; the roles are
-                                       op.type, workpiece.kind,
-                                       machine_1.name, machine_2.name
-    (device-present robot "camera")    the robot allocated to the
-                                       operation carries it
-    (point-present machine_1 "Photo_Point")
-                                       the machine (machine_1 or
-                                       machine_2) has the point
+Each node's needs are read once, when the node is built (so when a tree
+file is loaded). Selection never sees the operation or the scene: it
+reads a Features record, which features(op, robot_id, scene) builds once
+per operation from the operation type, the devices of the robot
+allocated to it and the points of the machines its two machine roles
+name, read as the executor reads them. The same record keys each tree's
+branch table, which maps it to the outcome: the selected branch with its
+execution name and skills, or the NoBranch/AmbiguousBranch detail.
+Selection looks the record up and walks the tree, comparing each node's
+needs with the record, only on a miss; so an entry is the walk's outcome
+by construction. The operation and robot ids enter an error message only
+when it is raised. The tree file format is declared once, as a codec
+(TREE) built from the strict-JSON combinators in model.
 """
 
 from __future__ import annotations
 
-import re
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import AmbiguousBranch, NoBranch, ParseError, ValidationError
+from .errors import AmbiguousBranch, NoBranch, ValidationError
+from .executor import needs
 from .model import (
     INT,
     SKILL_CALL,
@@ -76,16 +61,15 @@ from .value import Value
 
 
 class TreeNode(Value):
-    _fields = ("index", "op_type", "description", "condition", "snippet", "children")
-    __slots__ = (*_fields, "expr")
+    _fields = ("index", "op_type", "description", "snippet", "children")
+    __slots__ = (*_fields, "devices", "points_1", "points_2")
 
     def __init__(self, index: int, op_type: OperationType | None,  # None means general
-                 description: str, condition: str, snippet: tuple[SkillCall, ...],
+                 description: str, snippet: tuple[SkillCall, ...],
                  children: tuple[int, ...]) -> None:
         self.index, self.op_type, self.description = index, op_type, description
-        self.condition, self.snippet, self.children = condition, snippet, children
-        # The parsed condition; a malformed condition raises ParseError here.
-        self.expr = parse_condition(condition)
+        self.snippet, self.children = snippet, children
+        self.devices, self.points_1, self.points_2 = needs(snippet)
 
 
 Branch = tuple[TreeNode, ...]
@@ -100,30 +84,23 @@ class _Selection(NamedTuple):
 
 
 class Features(NamedTuple):
-    """Everything a condition reads about an operation in its scene, built
-    by features(). The name or kind of an id that does not resolve is None;
-    such a machine has no points and such a robot no devices, as in the
-    executor."""
+    """Everything selection reads about an operation in its scene, built by
+    features(), as _run_operation reads it: a robot or machine id that does
+    not resolve has no devices or points, and the machine_2 role names
+    machine_1 when the operation has no machine_2."""
 
     op_type: OperationType
-    workpiece_kind: str | None
-    machine_1_name: str | None
-    machine_2_name: str | None
     devices: frozenset[str]  # carried by the operation's robot
-    machine_1_points: frozenset[str]
-    machine_2_points: frozenset[str]
+    points_1: frozenset[str]  # of the machine_1 role
+    points_2: frozenset[str]  # of the machine_2 role
 
 
 def features(op: Operation, robot_id: str | None, scene: Scene) -> Features:
     robot = scene.robot(robot_id)
     m1 = scene.machine(op.machine_1)
-    m2 = scene.machine(op.machine_2)
-    piece = scene.workpiece(op.workpiece)
+    m2 = scene.machine(op.machine_1 if op.machine_2 is None else op.machine_2)
     return Features(
         op.op_type,
-        piece.kind if piece else None,
-        m1.name if m1 else None,
-        m2.name if m2 else None,
         robot.devices if robot else frozenset(),
         m1.points if m1 else frozenset(),
         m2.points if m2 else frozenset(),
@@ -148,106 +125,6 @@ class ProcessTree(Value):
 
 
 # ---------------------------------------------------------------------------
-# condition language
-
-_TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
-# The leaf forms, each (head role "value"): the roles each head accepts,
-# and what the leaf holds on a Features record given its value.
-_LEAVES: dict[str, dict[str, Callable[[Features, str], bool]]] = {
-    "=": {
-        "op.type": lambda f, v: f.op_type.value == v,
-        "workpiece.kind": lambda f, v: f.workpiece_kind == v,
-        "machine_1.name": lambda f, v: f.machine_1_name == v,
-        "machine_2.name": lambda f, v: f.machine_2_name == v,
-    },
-    "device-present": {"robot": lambda f, v: v in f.devices},
-    "point-present": {
-        "machine_1": lambda f, v: v in f.machine_1_points,
-        "machine_2": lambda f, v: v in f.machine_2_points,
-    },
-}
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    cursor = 0
-    for match in _TOKEN_RE.finditer(text):
-        if text[cursor:match.start()].strip():
-            raise ParseError(f"condition contains stray characters: {text!r}")
-        tokens.append(match.group())
-        cursor = match.end()
-    if text[cursor:].strip():
-        raise ParseError(f"condition contains stray characters: {text!r}")
-    return tokens
-
-
-def parse_condition(text: str) -> Any:
-    """Parse a condition into a nested-list form; raises ParseError."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"condition ended early: {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expr() -> Any:
-        tok = take()
-        if tok == "true":
-            return True
-        if tok != "(":
-            raise ParseError(f"expected 'true' or '(' in condition, got {tok!r}")
-        head = take()
-        if head == "and":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(expr())
-            take()  # the ')', or a ParseError when the input ran out
-            if not items:
-                raise ParseError("(and) needs at least one sub-expression")
-            return ["and", *items]
-        if head == "not":
-            inner = expr()
-            if take() != ")":
-                raise ParseError("(not ...) takes exactly one sub-expression")
-            return ["not", inner]
-        if head in _LEAVES:
-            role = take()
-            if role not in _LEAVES[head]:
-                roles = ", ".join(_LEAVES[head])
-                raise ParseError(f"({head} ...) takes one of {roles} as its role, got {role!r}")
-            value = take()
-            if not (value.startswith('"') and value.endswith('"')):
-                raise ParseError(f"({head} ...) needs a quoted value, got {value!r}")
-            end = take()
-            if end != ")":
-                raise ParseError(f"({head} ...) takes a role and one value, got {end!r}")
-            return [head, role, value[1:-1]]
-        raise ParseError(f"unknown condition form {head!r}")
-
-    result = expr()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens in condition: {text!r}")
-    return result
-
-
-def eval_condition(expr: Any, f: Features) -> bool:
-    if expr is True:
-        return True
-    head = expr[0]
-    if head == "and":
-        return all(eval_condition(e, f) for e in expr[1:])
-    if head == "not":
-        return not eval_condition(expr[1], f)
-    if head in _LEAVES:
-        return _LEAVES[head][expr[1]](f, expr[2])
-    raise ParseError(f"unknown condition form {head!r}")
-
-
-# ---------------------------------------------------------------------------
 # tree files
 
 
@@ -266,7 +143,6 @@ TREE_NODE = Record(
     index=INT,
     op_type=EnumOf(OperationType, "node type", general=None),
     description=STR,
-    condition=STR,
     snippet=ArrayOf(SKILL_CALL),
     children=ArrayOf(INT),
 )
@@ -355,14 +231,16 @@ def _validate_tree(tree: ProcessTree) -> None:
 
 
 def _walk(tree: ProcessTree, f: Features) -> _Outcome:
-    """Select the branch for f by walking the tree and evaluating conditions."""
+    """Select the branch for f by walking the tree and comparing each
+    node's needs with f."""
     matches: list[Branch] = []
     deepest: tuple[int, TreeNode] | None = None
 
     def walk(index: int, path: Branch) -> None:
         nonlocal deepest
         node = tree.nodes[index]
-        if node.op_type not in (None, f.op_type) or not eval_condition(node.expr, f):
+        if not (node.op_type in (None, f.op_type) and node.devices <= f.devices
+                and node.points_1 <= f.points_1 and node.points_2 <= f.points_2):
             return
         path = path + (node,)
         if deepest is None or len(path) > deepest[0]:
@@ -410,8 +288,9 @@ def select_branch(tree: ProcessTree, op: Operation, robot_id: str | None,
                   scene: Scene) -> Branch:
     """The unique root-to-leaf path matching op, run by robot_id, in this scene.
 
-    A node matches when it is general or typed like op, and its condition
-    holds. Zero matches raise NoBranch naming the deepest node that still
+    A node matches when it is general or typed like op, robot_id carries
+    every device its snippet names, and op's machine roles every point.
+    Zero matches raise NoBranch naming the deepest node that still
     matched; several raise AmbiguousBranch listing the rival paths. The
     outcome is looked up in the tree's branch table, walked on a miss.
     """

@@ -24,7 +24,7 @@ from shopfloor.bench import (
     summarize,
     task_id_for,
 )
-from shopfloor.errors import InstanceTooLarge, PlannerUnavailable, ValidationError
+from shopfloor.errors import InstanceTooLarge, NoBranch, PlannerUnavailable, ValidationError
 from shopfloor.executor import trace_to_jsonl
 from shopfloor.graph import build_graph
 from shopfloor.metrics import (
@@ -411,7 +411,8 @@ def test_an_invalid_ground_truth_costs_no_planner_call(tmp_path):
 
 def test_a_ground_truth_that_achieves_nothing_costs_no_planner_call():
     # The stored program runs on robots without any device: every operation
-    # fails, so the ground truth achieves no status fact to score against.
+    # fails, so the ground truth achieves no status fact to score against,
+    # and the error names the first operation that failed.
     task = generate_instance(Tier.SINGLE_ROBOT, 0)
     gt = task.ground_truth
     program = assemble_program(load_reference_tree(), gt.operations, gt.allocation, task.scene)
@@ -426,7 +427,10 @@ def test_a_ground_truth_that_achieves_nothing_costs_no_planner_call():
     planner = LlmPlanner(LlmConfig(base_url="http://x", model="m"), transport)
     report, error = bench._run_pipeline(task, planner, load_reference_tree())
     assert transport.prompts == []
-    assert error == "ground truth invalid: ground truth achieves no status facts"
+    assert error == (
+        "ground truth invalid: ground truth does not execute fully: "
+        "operation 'o1' fails with missing_device"
+    )
     assert report.success_rate == 0.0
 
 
@@ -470,31 +474,49 @@ def test_a_ground_truth_that_does_not_run_fully_costs_no_planner_call():
     assert report.metadata == {"gt_operation_count": len(gt.operations)}
 
 
-def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
-    # The ground truth runs its stored program, fully: no skill call names
-    # the magnetic gripper, which the reference tree branches on. The
-    # plan's own program is assembled for a scene where every robot lost
-    # it, and no branch of the reference tree transports without one.
+def test_a_stored_program_that_skips_the_gripper_is_no_reference():
+    # Every robot lost the magnetic gripper, which every transport branch
+    # names: the stored ground-truth program stops at its first transport,
+    # as the reference tree refuses to branch for it.
     task = _stored_program_without("magnetic_gripper", {"r1", "r2", "r3"})
     gt, scene = task.ground_truth, task.scene
-    report, error = bench._run_pipeline(task, GroundTruthPlanner(), load_reference_tree())
-    graph = build_graph(gt.operations, gt.precedence, gt.allocation, scene)
-    fifo = solve_fifo(graph, [op.id for op in gt.operations])
     robot = gt.allocation.robot_for("o1")
-    assert error.startswith(f"pipeline failed: operation 'o1' on robot '{robot}': ")
+    with pytest.raises(NoBranch, match=f"^operation 'o1' on robot '{robot}': "):
+        assemble_program(load_reference_tree(), gt.operations, gt.allocation, scene)
+    report, error = bench._run_pipeline(task, GroundTruthPlanner(), load_reference_tree())
+    assert error == (
+        "ground truth invalid: ground truth does not execute fully: "
+        "operation 'o1' fails with missing_device"
+    )
+    assert [getattr(report, field) for field in bench.METRIC_FIELDS] == [0.0] * 5
+
+
+def test_a_plan_that_stops_at_assembly_keeps_its_schedule():
+    # r2, which the ground truth leaves idle, lost the magnetic gripper; the
+    # plan gives it the first transport, and no branch of the reference tree
+    # transports without one.
+    task = _refit(generate_instance(Tier.SIMPLE_MULTI, 3), {"r2"}, {"magnetic_gripper"})
+    gt, scene = task.ground_truth, task.scene
+    assert "r2" not in gt.allocation.by_op.values()
+    allocation = Allocation(by_op={**gt.allocation.by_op, "o1": "r2"})
+    planner = FixedPlanner(gt.operations, allocation, gt.precedence)
+    report, error = bench._run_pipeline(task, planner, load_reference_tree())
+    graph = build_graph(gt.operations, gt.precedence, allocation, scene)
+    fifo = solve_fifo(graph, [op.id for op in gt.operations])
+    assert error.startswith("pipeline failed: operation 'o1' on robot 'r2': ")
     assert "no complete branch" in error
     assert report.metadata["generated_makespan"] == fifo.makespan
     assert report.metadata["generated_executed_fully"] is None
-    assert report.operation_consistency == 1.0
+    assert 0.0 < report.operation_consistency < 1.0  # one allocation differs
     assert report.executability == 0.0
     assert report.goal_condition_recall == 0.0
 
 
 def test_a_condition_reads_the_kit_of_the_operations_own_robot():
-    # Floors whose robots carry different kits: each condition reads the
-    # robot that runs the operation, as the executor does, so a tool or
-    # camera that robot carries is present even where another robot that
-    # reaches the same machine lacks it.
+    # Floors whose robots carry different kits: each node's device needs
+    # are read on the robot that runs the operation, as the executor reads
+    # them, so a tool or camera that robot carries is present even where
+    # another robot that reaches the same machine lacks it.
     floors = (
         (Tier.SIMPLE_MULTI, 1, {"r2"}, {"polisher"}, frozenset()),
         (Tier.SIMPLE_MULTI, 2, {"r1"}, {"polisher"}, frozenset()),

@@ -117,8 +117,8 @@ class _Text(str):
          "program.calls[0]: missing required key 'wrapper'"),
         ("schedule", _delete("start_steps"),
          "schedule: missing required key 'start_steps'"),
-        ("tree", _delete("nodes", 1, "condition"),
-         "tree.nodes[1]: missing required key 'condition'"),
+        ("tree", _delete("nodes", 1, "snippet"),
+         "tree.nodes[1]: missing required key 'snippet'"),
         ("trace", _delete("operations", 0, "robot"),
          "trace:1.operations[0]: missing required key 'robot'"),
         # unknown keys, reported sorted
@@ -149,10 +149,10 @@ class _Text(str):
          "schedule.start_steps.o3: expected an integer, got bool"),
         ("task", _set(("scene", "robots", 0, "devices"), ["bracket_camera", 5, "polisher"]),
          "task.scene.robots[0].devices[1]: expected a string, got int"),
-        # a malformed tree condition raises from the node's constructor,
-        # without a path
-        ("tree", _set(("nodes", 1, "condition"), "(not true true)"),
-         "(not ...) takes exactly one sub-expression"),
+        # a node applies where its snippet's skills can run: the tree
+        # format has no condition
+        ("tree", _set(("nodes", 1, "condition"), "true"),
+         "tree.nodes[1]: unknown keys: condition"),
     ],
 )
 def test_each_fault_kind_names_its_path(kind, edit, message):

@@ -106,6 +106,7 @@ def test_single_transport_moves_workpiece():
         SkillCall("motion_plan", ("r1", "conveyor", "Photo_Point")),
         SkillCall("move_by_path", ("r1",)),
         SkillCall("control_device", ("r1", "camera", "on")),
+        SkillCall("control_device", ("r1", "magnetic_gripper", "on")),
         SkillCall("attach", ("r1", "w1", "conveyor")),
         SkillCall("move_by_path", ("r1",)),
         SkillCall("detach", ("r1", "w1", "table_1")),
