@@ -25,6 +25,7 @@ from .bench import (
     run_benchmark,
     task_id_for,
 )
+from .codec import Codec
 from .errors import ParseError, ShopfloorError, ValidationError
 from .executor import trace_to_jsonl
 from .gantt import render_gantt
@@ -33,7 +34,6 @@ from .metrics import ground_truth_run, report_to_json
 from .model import (
     PROGRAM,
     SCHEDULE_RECORD,
-    Codec,
     TaskInstance,
     canonical_json,
     load_task_instance,

@@ -59,17 +59,14 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .codec import INT, STR, ArrayOf, Record
 from .model import (
-    INT,
     SKILL_CALL,
-    STR,
-    ArrayOf,
     Operation,
     OperationType,
     PROCESSING_FLAGS,
     Program,
     ProgramCall,
-    Record,
     Scene,
     SkillCall,
     SKILLS,

@@ -103,22 +103,18 @@ def _rows(
 
 def _parse_operations(body: str, problems: list[str]) -> tuple[Operation, ...]:
     ops: list[Operation] = []
-    for fields in _rows(body, "operation", (4, 5), problems):
-        try:
-            op_type = OperationType(fields[1])
-        except ValueError:
-            problems.append(f"unknown operation type '{fields[1]}'")
-            continue
-        ops.append(
-            Operation(
-                id=fields[0],
-                op_type=op_type,
-                workpiece=fields[2],
-                machine_1=fields[3],
-                machine_2=fields[4] if len(fields) == 5 else None,
-            )
-        )
+    for op_id, text, *places in _rows(body, "operation", (4, 5), problems):
+        op_type = _OPERATION_TYPES.get(text)
+        if op_type is None:
+            problems.append(f"unknown operation type '{text}'")
+        else:
+            # places: workpiece, machine_1 and, on a five-field line, machine_2
+            ops.append(Operation(op_id, op_type, *places))
     return tuple(ops)
+
+
+# Each operation type by its text.
+_OPERATION_TYPES = {member.value: member for member in OperationType}
 
 
 def _keyed(body: str, kind: str, problems: list[str]) -> dict[str, str]:

@@ -37,21 +37,17 @@ from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .codec import INT, STR, ArrayOf, EnumOf, Record
 from .errors import AmbiguousBranch, NoBranch, ValidationError
 from .executor import needs
 from .model import (
-    INT,
     SKILL_CALL,
     SKILLS,
-    STR,
     Allocation,
-    ArrayOf,
-    EnumOf,
     Operation,
     OperationType,
     Program,
     ProgramCall,
-    Record,
     Scene,
     SkillCall,
     Wrapper,

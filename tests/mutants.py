@@ -99,6 +99,89 @@ MUTANTS = (
             "tests/test_bench.py::test_a_ground_truth_that_achieves_nothing_costs_no_planner_call",
         ),
     ),
+    Mutant(
+        "a reference that achieves nothing is accepted",
+        "bench.py",
+        old="""    if not run.status:
+        return EmptyGtStatus()
+""",
+        new="",
+        tests=(
+            "tests/test_bench.py::"
+            "test_a_ground_truth_that_runs_fully_and_moves_nothing_costs_no_planner_call",
+        ),
+    ),
+    Mutant(
+        "resolve reads the memo before its check",
+        "executor.py",
+        old="""        if not (self.known and binding.keys() >= self.roles and devices >= self.devices
+                and self.points_1 <= points_1 and self.points_2 <= points_2):
+            return None
+        key = tuple(binding.items())
+        calls = self.calls.get(key)
+        if calls is None:
+""",
+        new="""        key = tuple(binding.items())
+        calls = self.calls.get(key)
+        if calls is not None:
+            return calls
+        if not (self.known and binding.keys() >= self.roles and devices >= self.devices
+                and self.points_1 <= points_1 and self.points_2 <= points_2):
+            return None
+        if calls is None:
+""",
+        tests=(
+            "tests/test_executor.py::test_every_operation_checks_the_summary_before_the_memo",
+        ),
+    ),
+    Mutant(
+        "the plan's set check without its reachability clause",
+        "model.py",
+        old="reach, m1, m2 = robot.reachable_machines, op.machine_1, op.machine_2",
+        new="reach, m1, m2 = machines, op.machine_1, op.machine_2",
+        tests=(
+            "tests/test_model.py::test_unreachable_machine_reported",
+            "tests/test_model.py::"
+            "test_the_set_check_fails_on_each_single_fault_and_the_walk_names_it",
+            # a failing Hypothesis test is reported, and pytest runs to the
+            # end under filterwarnings = ["error"]
+            "tests/test_model.py::test_the_set_check_decides_hostile_plans_like_the_walk",
+        ),
+    ),
+    Mutant(
+        "the plan's set check without its chain-workpiece clause",
+        "model.py",
+        old="""
+        and chains.keys() <= scene._workpieces.keys()""",
+        new="",
+        tests=(
+            "tests/test_model.py::"
+            "test_the_set_check_fails_on_each_single_fault_and_the_walk_names_it",
+        ),
+    ),
+    Mutant(
+        "the whole-object read checks types with isinstance",
+        "codec.py",
+        old="if [*map(type, values)] == kinds:",
+        new="if all(map(isinstance, values, kinds)):",
+        tests=(
+            "tests/test_codec.py::test_a_fault_under_the_whole_object_read_keeps_its_message",
+            "tests/test_codec.py::test_each_fault_kind_names_its_path",
+        ),
+    ),
+    Mutant(
+        "the whole-object read takes a present null for an absent optional key",
+        "codec.py",
+        old="""        shape = self.shapes.get(len(data)) if type(data) is dict else None
+""",
+        new="""        if type(data) is dict and None in data.values():
+            data = {key: value for key, value in data.items() if value is not None}
+        shape = self.shapes.get(len(data)) if type(data) is dict else None
+""",
+        tests=(
+            "tests/test_codec.py::test_a_fault_under_the_whole_object_read_keeps_its_message",
+        ),
+    ),
 )
 
 

@@ -39,11 +39,14 @@ from shopfloor.metrics import (
 )
 from shopfloor.model import (
     Allocation,
+    GroundTruth,
     PrecedenceSet,
     Scene,
     ScheduleRecord,
+    TaskInstance,
     canonical_json,
     serialize_task_instance,
+    task_violations,
 )
 from shopfloor.planner import (
     GroundTruthPlanner,
@@ -55,7 +58,16 @@ from shopfloor.planner import (
 from shopfloor.solve import solve_fifo
 from shopfloor.tree import assemble_program, load_reference_tree
 
-from conftest import FixedPlanner, renamed_plan, unscheduled_task
+from conftest import (
+    FixedPlanner,
+    make_machine,
+    make_robot,
+    make_scene,
+    make_workpiece,
+    renamed_plan,
+    unscheduled_task,
+)
+from conftest import transport as carry
 
 SWEEP_SEEDS = range(6)
 
@@ -472,6 +484,29 @@ def test_a_ground_truth_that_does_not_run_fully_costs_no_planner_call():
     )
     assert [getattr(report, field) for field in bench.METRIC_FIELDS] == [0.0] * 5
     assert report.metadata == {"gt_operation_count": len(gt.operations)}
+
+
+def test_a_ground_truth_that_runs_fully_and_moves_nothing_costs_no_planner_call(tmp_path):
+    # One robot carries w1 from the conveyor to the table and back: every
+    # operation completes, yet w1 ends where it started with no new flag.
+    scene = make_scene(
+        robots=(make_robot("r1", reachable=("conveyor", "table_1")),),
+        machines=(make_machine("conveyor", name="conveyor belt", exclusive=False, held=["w1"]),
+                  make_machine("table_1")),
+        workpieces=(make_workpiece("w1", states=()),),
+    )
+    ops = (carry("o1", "w1", "conveyor", "table_1"), carry("o2", "w1", "table_1", "conveyor"))
+    gt = GroundTruth(ops, Allocation({"o1": "r1", "o2": "r1"}), PrecedenceSet({"w1": ("o1", "o2")}))
+    task = TaskInstance(scene, "carry w1 to the table and back", gt)
+    assert task_violations(task) == []
+    path = tmp_path / "single_robot_there_and_back.json"
+    path.write_text(serialize_task_instance(task), encoding="utf-8")
+    replies = RecordedTransport([render_planner_text(ops, gt.allocation, gt.precedence)])
+    planner = LlmPlanner(LlmConfig(base_url="http://x", model="m"), replies)
+    (row,) = run_benchmark([load_bench_task(path)], planner).results
+    assert replies.prompts == []
+    assert row.error == "ground truth invalid: ground truth achieves no status facts"
+    assert [getattr(row.report, field) for field in bench.METRIC_FIELDS] == [0.0] * 5
 
 
 def test_a_stored_program_that_skips_the_gripper_is_no_reference():

@@ -13,22 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shopfloor.bench import Tier, generate_instance
+from shopfloor.codec import INT, STR, Record, Wrap
 from shopfloor.errors import ParseError, ValidationError
 from shopfloor.executor import execute, parse_trace, trace_to_jsonl
 from shopfloor.graph import build_graph
 from shopfloor.model import (
-    INT,
     MACHINE,
     OPERATION,
     PROGRAM,
     SCHEDULE_RECORD,
-    STR,
+    TASK,
     Machine,
     Operation,
     OperationType,
-    Record,
     ScheduleRecord,
-    Wrap,
     canonical_json,
     parse_task_instance,
     serialize_task_instance,
@@ -161,6 +159,66 @@ def test_each_fault_kind_names_its_path(kind, edit, message):
     with pytest.raises(ParseError) as exc:
         READ[kind](doc)
     assert str(exc.value) == message
+
+
+# Faults the whole-object read of a Record hands to the field-by-field read,
+# each in a record that is otherwise read whole: the message is the one the
+# field-by-field read gives.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a boolean is not an integer, though isinstance(True, int)
+        (_set(("ground_truth", "schedule", "makespan"), True),
+         "task.ground_truth.schedule.makespan: expected an integer, got bool"),
+        # a present null is not an absent optional key
+        (_set(("ground_truth", "operations", 1, "machine_2"), None),
+         "task.ground_truth.operations[1].machine_2: expected a string, got NoneType"),
+        (_set(("ground_truth", "operations", 2, "type"), "painting"),
+         "task.ground_truth.operations[2].type: unknown operation type 'painting'"),
+        # a fault in the third record down keeps its whole path
+        (_set(("ground_truth", "operations", 3, "type"), 7),
+         "task.ground_truth.operations[3].type: expected a string, got int"),
+    ],
+)
+def test_a_fault_under_the_whole_object_read_keeps_its_message(edit, message):
+    doc = _doc("task")
+    edit(doc)
+    with pytest.raises(ParseError) as exc:
+        TASK.load(doc, "task")
+    assert str(exc.value) == message
+
+
+class _Object(dict):
+    pass
+
+
+class _Array(list):
+    pass
+
+
+def _subclassed(doc):
+    """doc with every object a dict subclass and every array a list subclass."""
+    if isinstance(doc, dict):
+        return _Object((key, _subclassed(value)) for key, value in doc.items())
+    if isinstance(doc, list):
+        return _Array(map(_subclassed, doc))
+    return doc
+
+
+def test_shapes_the_whole_object_read_leaves_load_as_before():
+    gt = generate_instance(Tier.SINGLE_ROBOT, 3).ground_truth
+    # a generated ground truth has a schedule and no program: optional keys
+    # only partly present
+    assert gt.program is None and gt.schedule is not None
+    task = TASK.load(_doc("task"), "task")
+    assert task.ground_truth == gt
+    assert TASK.load(_subclassed(_doc("task")), "task") == task
+    # the other part: a program and no schedule
+    doc = _doc("task")
+    doc["ground_truth"]["program"] = _doc("program")
+    del doc["ground_truth"]["schedule"]
+    program = PROGRAM.load(_doc("program"), "program")
+    assert TASK.load(doc, "task").ground_truth == gt._replace(program=program, schedule=None)
 
 
 def test_missing_keys_are_reported_before_unknown_ones():

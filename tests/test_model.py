@@ -11,6 +11,7 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shopfloor.bench import Tier, generate_instance
 from shopfloor.errors import ParseError, ValidationError
 from shopfloor.executor import classify_args
 from shopfloor.graph import DisjunctiveGraph
@@ -29,12 +30,15 @@ from shopfloor.model import (
     validate_planner_output,
     validate_scene,
     write_file,
+    _plan_holds,
+    _walk_by_rule,
 )
 from shopfloor.tree import ProcessTree, TreeNode
 
 from conftest import (
     make_machine, make_op, make_robot, make_scene, make_workpiece, renamed_plan, simple_plan,
 )
+from strategies import plan_triples
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +279,175 @@ def test_duplicate_op_id_rejected(scene, plan):
     doubled = list(ops) + [ops[0]]
     report = validate_planner_output(doubled, alloc, prec, scene)
     assert any("duplicate operation id" in v for v in report.violations)
+
+
+def assert_check_decides_like_the_walk(ops, alloc, prec, scene):
+    """The set check holds exactly when the rule walk finds nothing, and the
+    report is the walk's. Returns the walk's violations."""
+    walk = _walk_by_rule(ops, alloc, prec, scene)
+    assert _plan_holds(ops, alloc, prec, scene) == (walk == [])
+    assert validate_planner_output(ops, alloc, prec, scene).violations == tuple(walk)
+    return walk
+
+
+def _with_op(quad, op):
+    ops, alloc, prec, scene = quad
+    return tuple(op if o.id == op.id else o for o in ops), alloc, prec, scene
+
+
+def _with_by_op(quad, by_op):
+    ops, _, prec, scene = quad
+    return ops, Allocation(by_op), prec, scene
+
+
+def _with_chains(quad, chains):
+    ops, alloc, _, scene = quad
+    return ops, alloc, PrecedenceSet(chains), scene
+
+
+def _without_reach(quad, robot_id, machine_id):
+    ops, alloc, prec, scene = quad
+    robots = tuple(r._replace(reachable_machines=r.reachable_machines - {machine_id})
+                   if r.id == robot_id else r for r in scene.robots)
+    return ops, alloc, prec, Scene(robots, scene.machines, scene.workpieces)
+
+
+# One single-fault edit per message of the walk: (quad, t, p) -> (quad, the
+# message), t being the plan's first transport and p its first other
+# operation, whose chain is that of its workpiece w.
+def _edits():
+    def chain_of(quad, p):
+        return quad[2].chains[p.workpiece]
+
+    def drop(chain, op_id):
+        return tuple(x for x in chain if x != op_id)
+
+    return {
+        "duplicate id": lambda q, t, p: (
+            (q[0] + (t,), *q[1:]), f"duplicate operation id '{t.id}'"),
+        "reserved id": lambda q, t, p: (
+            (*renamed_plan(*q[:3], t.id, "__terminal__"), q[3]),
+            "operation id '__terminal__' collides with a reserved vertex"),
+        "transport without machine_2": lambda q, t, p: (
+            _with_op(q, t._replace(machine_2=None)),
+            f"transport operation '{t.id}' is missing machine_2"),
+        "transport to where it is": lambda q, t, p: (
+            _with_op(q, t._replace(machine_2=t.machine_1)),
+            f"operation '{t.id}' has identical machine_1 and machine_2"),
+        "machine_2 off a transport": lambda q, t, p: (
+            _with_op(q, p._replace(machine_2=t.machine_1)),
+            f"operation '{p.id}' is not a transport but carries machine_2"),
+        "unknown workpiece": lambda q, t, p: (
+            _with_op(q, p._replace(workpiece="w?")),
+            f"operation '{p.id}' references unknown workpiece 'w?'"),
+        "unknown machine": lambda q, t, p: (
+            _with_op(q, p._replace(machine_1="m?")),
+            f"operation '{p.id}' references unknown machine 'm?'"),
+        "allocation beyond the plan": lambda q, t, p: (
+            _with_by_op(q, {**q[1].by_op, "o?": q[1].by_op[p.id]}),
+            "allocation covers unknown operation 'o?'"),
+        "no robot": lambda q, t, p: (
+            _with_by_op(q, {k: v for k, v in q[1].by_op.items() if k != p.id}),
+            f"operation '{p.id}' has no allocated robot"),
+        "unknown robot": lambda q, t, p: (
+            _with_by_op(q, {**q[1].by_op, p.id: "r?"}),
+            f"operation '{p.id}' is allocated to unknown robot 'r?'"),
+        "out of reach": lambda q, t, p: (
+            _without_reach(q, q[1].by_op[p.id], p.machine_1),
+            f"robot '{q[1].by_op[p.id]}' cannot reach machine '{p.machine_1}' "
+            f"required by operation '{p.id}'"),
+        "chain of an unknown workpiece": lambda q, t, p: (
+            _with_chains(q, {**q[2].chains, "w?": ()}),
+            "precedence chain for unknown workpiece 'w?'"),
+        "repeated in its chain": lambda q, t, p: (
+            _with_chains(q, {**q[2].chains, p.workpiece: chain_of(q, p) + (p.id,)}),
+            f"operation '{p.id}' repeats in chain of '{p.workpiece}'"),
+        "in two chains": lambda q, t, p: (
+            _with_chains(q, {**q[2].chains, "w~": (p.id,)}),
+            f"operation '{p.id}' appears in chains of both '{p.workpiece}' and 'w~'"),
+        "unknown operation in a chain": lambda q, t, p: (
+            _with_chains(q, {**q[2].chains, p.workpiece: chain_of(q, p) + ("o?",)}),
+            f"chain of '{p.workpiece}' references unknown operation 'o?'"),
+        "in another workpiece's chain": lambda q, t, p: (
+            _with_chains(q, {**q[2].chains, p.workpiece: drop(chain_of(q, p), p.id),
+                             "w~": (p.id,)}),
+            f"operation '{p.id}' works on '{p.workpiece}' but sits in chain of 'w~'"),
+        "in no chain": lambda q, t, p: (
+            _with_chains(q, {**q[2].chains, p.workpiece: drop(chain_of(q, p), p.id)}),
+            f"operation '{p.id}' is missing from every precedence chain"),
+    }
+
+
+EDITS = _edits()
+
+
+def test_the_edits_reach_every_message_of_the_walk():
+    source = inspect.getsource(_walk_by_rule)
+    assert len(EDITS) == source.count("problems.append(") == 17
+
+
+@pytest.mark.parametrize("tier", list(Tier), ids=lambda tier: tier.value)
+@pytest.mark.parametrize("edit", EDITS, ids=str)
+def test_the_set_check_fails_on_each_single_fault_and_the_walk_names_it(edit, tier):
+    task = generate_instance(tier, 3)
+    gt = task.ground_truth
+    quad = gt.operations, gt.allocation, gt.precedence, task.scene
+    assert assert_check_decides_like_the_walk(*quad) == []
+    t = next(op for op in gt.operations if op.op_type is OperationType.TRANSPORT)
+    p = next(op for op in gt.operations if op.op_type is not OperationType.TRANSPORT)
+    edited, message = EDITS[edit](quad, t, p)
+    assert not _plan_holds(*edited)
+    assert message in assert_check_decides_like_the_walk(*edited)
+
+
+# Ids and machines a hostile reply may carry, known ones among them.
+HOSTILE_IDS = ["__source__", "__terminal__", "", "o0_0", "w0", "m0", "r0", "o?"]
+HOSTILE_MACHINES = ["m0", "m1", "m?", "", "w0", None]
+
+
+@st.composite
+def hostile_quads(draw):
+    """A structurally valid plan of strategies.plan_triples, then a few
+    random edits of its operations, allocation, chains and robots' reach."""
+    ops, alloc, prec, scene = draw(plan_triples())
+    ops, by_op, chains = list(ops), dict(alloc.by_op), dict(prec.chains)
+    robots = list(scene.robots)
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["op", "allocation", "chains", "reach"]))
+        if where == "op" and ops:
+            i = draw(st.integers(0, len(ops) - 1))
+            field = draw(st.sampled_from(["id", "op_type", "workpiece", "machine_1", "machine_2"]))
+            value = draw({
+                "id": st.sampled_from(HOSTILE_IDS),
+                "op_type": st.sampled_from(list(OperationType)),
+                "workpiece": st.sampled_from(["w0", "w1", "w?", ""]),
+                "machine_1": st.sampled_from([m for m in HOSTILE_MACHINES if m is not None]),
+                "machine_2": st.sampled_from(HOSTILE_MACHINES),
+            }[field])
+            ops[i] = ops[i]._replace(**{field: value})
+        elif where == "allocation":
+            key = draw(st.sampled_from(HOSTILE_IDS + list(by_op)))
+            robot = draw(st.sampled_from(["r0", "r1", "r?", None]))
+            if robot is None:
+                by_op.pop(key, None)
+            else:
+                by_op[key] = robot
+        elif where == "chains":
+            key = draw(st.sampled_from(["w0", "w1", "w?"] + list(chains)))
+            chains[key] = tuple(draw(st.lists(
+                st.sampled_from(HOSTILE_IDS + [op.id for op in ops]), max_size=4)))
+        else:
+            k = draw(st.integers(0, len(robots) - 1))
+            lost = draw(st.sampled_from(HOSTILE_MACHINES[:2]))
+            robots[k] = robots[k]._replace(reachable_machines=robots[k].reachable_machines - {lost})
+    scene = Scene(tuple(robots), scene.machines, scene.workpieces)
+    return tuple(ops), Allocation(by_op), PrecedenceSet(chains), scene
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_quads())
+def test_the_set_check_decides_hostile_plans_like_the_walk(quad):
+    assert_check_decides_like_the_walk(*quad)
 
 
 # ---------------------------------------------------------------------------
